@@ -86,6 +86,9 @@ PANEL_SETTINGS = {
 FIGURE_TAU_MAX = {10: 20.0, 100: 5.0, 10_000: 0.5}
 FIGURE_TAU_STEPS = 600
 
+#: largest discarded Poisson mass an oracle sweep accepts (gate 5's bound)
+ORACLE_TAIL_TOLERANCE = 1e-9
+
 
 # ---------------------------------------------------------------------------
 # sweep config
@@ -247,13 +250,13 @@ def _factor_series(config: SweepConfig, t: float, taus: np.ndarray) -> np.ndarra
             decoherence_factor_fock_quadrature(params, state.n, t, t + tau, quad)
             for tau in taus])
     if isinstance(state, FockState):
-        return np.array([
-            decoherence_factor_oracle_fock(params, state.n, t, t + tau)
-            for tau in taus])
-    cutoff = _coherent_cutoff(state)
-    return np.array([
-        decoherence_factor_oracle_coherent(params, state.beta0, t, t + tau, cutoff).value
-        for tau in taus])
+        return decoherence_factor_oracle_fock(params, state.n, t, t + taus)
+    result = decoherence_factor_oracle_coherent(
+        params, state.beta0, t, t + taus, _coherent_cutoff(state))
+    if result.tail_bound > ORACLE_TAIL_TOLERANCE:
+        raise ToleranceExceeded(
+            f"oracle tail bound {result.tail_bound:.3e} > {ORACLE_TAIL_TOLERANCE:g}")
+    return result.value
 
 
 def run_sweep(config: SweepConfig) -> list:
@@ -460,11 +463,12 @@ def compare_methods(params: ModelParams, n: int, t: float, tau_grid,
     beats ``tolerance``.
     """
     quad = default_quadrature(n)
+    taus = np.asarray(tau_grid, dtype=float)
+    oracle = decoherence_factor_oracle_fock(params, n, t, t + taus)
     rows = []
-    for tau in np.asarray(tau_grid, dtype=float):
+    for tau, fo in zip(taus, oracle.tolist()):
         fc = decoherence_factor_fock_closed(params, n, t, t + tau)
         fq = decoherence_factor_fock_quadrature(params, n, t, t + tau, quad)
-        fo = decoherence_factor_oracle_fock(params, n, t, t + tau)
         delta = max(abs(fc - fq), abs(fc - fo), abs(fq - fo))
         rows.append(ComparisonRow(float(tau), fc, fq, fo, delta))
     report = MethodComparison(tuple(rows), max(r.max_delta for r in rows))

@@ -17,6 +17,7 @@ The first two live here; routine agreement between all three is what the
 test suite is built around.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -141,8 +142,12 @@ def default_quadrature(n: int) -> QuadratureSpec:
     return QuadratureSpec(radial_order=max(64, n + 8), angular_order=64)
 
 
+@functools.lru_cache(maxsize=32)
 def _gauss_laguerre_log(order: int):
     """Gauss-Laguerre nodes and log-weights for weight exp(-u) on [0, inf).
+
+    The rule depends on the order alone, so it is computed once per order
+    and cached; the returned arrays are read-only.
 
     Nodes are the eigenvalues of the symmetrized Jacobi matrix (diagonal
     2k+1, off-diagonal k).  Weights do NOT come from the eigenvectors:
@@ -170,6 +175,8 @@ def _gauss_laguerre_log(order: int):
             shift += np.log(factor)
     log_tail = shift + np.log(np.abs(cur))
     log_w = np.log(nodes) - 2.0 * (math.log(order + 1.0) + log_tail)
+    nodes.flags.writeable = False
+    log_w.flags.writeable = False
     return nodes, log_w
 
 

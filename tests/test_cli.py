@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from soqd import (
+    CoherentOracleResult,
     CoherentState,
     ConfigError,
     FockState,
@@ -22,6 +23,7 @@ from soqd import (
     sweep_config_from_json,
     sweep_config_to_json,
 )
+from soqd import cli as cli_module
 from soqd.cli import CSV_HEADER, _coherent_cutoff
 
 
@@ -250,6 +252,29 @@ def test_sweep_methods_agree(tmp_path):
     for method in ("quadrature", "oracle"):
         for a, b in zip(points["closed"], points[method]):
             assert abs(a.f - b.f) <= 1e-9
+
+
+def test_coherent_oracle_sweep_matches_closed_form(tmp_path):
+    points = {}
+    for method in ("closed", "oracle"):
+        config = sweep_config_from_json(make_config(
+            method=method, apparatus={"kind": "coherent", "n": 2}, t_values=[0.0, 1.5],
+            tau_max=3.0, tau_steps=7, output_path=str(tmp_path / f"{method}.csv")))
+        points[method] = run_sweep(config)
+    for a, b in zip(points["closed"], points["oracle"]):
+        assert abs(a.f - b.f) <= 1e-9
+
+
+def test_oracle_sweep_refuses_a_large_tail_bound(tmp_path, monkeypatch, capsys):
+    """The bound is never this large for a valid config, so fake it."""
+    def leaky(params, beta0, t, t_prime, cutoff):
+        return CoherentOracleResult(np.ones(np.size(t_prime), dtype=complex), 2e-9)
+
+    monkeypatch.setattr(cli_module, "decoherence_factor_oracle_coherent", leaky)
+    cfg = write_config(tmp_path, method="oracle", apparatus={"kind": "coherent", "n": 2})
+    assert main(["sweep", "--config", cfg]) == 3
+    assert "tail bound 2.000e-09" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
 
 
 # ---------------------------------------------------------------------------

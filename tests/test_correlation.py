@@ -179,6 +179,15 @@ def test_gauss_laguerre_matches_numpy():
     assert np.max(np.abs(np.exp(log_w) - ref_w)) <= 1e-12
 
 
+def test_gauss_laguerre_rule_is_computed_once_per_order():
+    nodes, log_w = _gauss_laguerre_log(24)
+    assert _gauss_laguerre_log(24)[0] is nodes
+    with pytest.raises(ValueError):
+        nodes[0] = 0.0
+    with pytest.raises(ValueError):
+        log_w[0] = 0.0
+
+
 def test_gauss_laguerre_fifth_moment():
     nodes, log_w = _gauss_laguerre_log(8)
     moment = float(np.exp(log_w) @ nodes**5)

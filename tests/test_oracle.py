@@ -1,6 +1,9 @@
 """Dense sector-space reference path."""
 
+import ast
+import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from soqd import (
     SectorTooLarge,
     StepParams,
     build_schedule,
+    compare_methods,
     compose,
     decoherence_factor_coherent,
     decoherence_factor_oracle_coherent,
@@ -20,6 +24,7 @@ from soqd import (
     sector_propagator,
     step_transform,
 )
+from soqd import oracle as oracle_module
 from soqd.oracle import SECTOR_GUARD
 
 
@@ -201,3 +206,126 @@ def test_oracle_coherent_matches_closed_form(preset_params):
     got = decoherence_factor_oracle_coherent(preset_params, beta0, 0.0, 2.0, cutoff=120)
     want = decoherence_factor_coherent(preset_params, beta0, 0.0, 2.0)
     assert abs(got.value - want) <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# array-valued t': one eigensystem set per sector, as-written products
+# ---------------------------------------------------------------------------
+
+def _as_written_fock(params, n, t, t_prime):
+    """The six sector propagators multiplied as full matrices, in order."""
+    h11 = sector_hamiltonian(params, 1, 1, n)
+    h10 = sector_hamiltonian(params, 1, 0, n)
+    h01 = sector_hamiltonian(params, 0, 1, n)
+    product = (
+        sector_propagator(h11, -t).entries
+        @ sector_propagator(h01, t).entries
+        @ sector_propagator(h01, -t_prime).entries
+        @ sector_propagator(h10, t_prime).entries
+        @ sector_propagator(h10, -t).entries
+        @ sector_propagator(h11, t).entries
+    )
+    return complex(product[0, 0])
+
+
+@pytest.mark.parametrize("n, t, taus", [
+    (0, 1.0, np.linspace(0.0, 5.0, 4)),
+    (1, 0.0, np.linspace(0.0, 10.0, 11)),
+    (7, 3.5, np.array([0.0, 0.25, 9.0])),
+    (40, 10.0, np.linspace(0.0, 10.0, 21)),
+    (20, 2.0, np.linspace(0.5, 4.0, 300)),  # more than one column block
+])
+def test_oracle_fock_array_matches_as_written_products(preset_params, n, t, taus):
+    got = decoherence_factor_oracle_fock(preset_params, n, t, t + taus)
+    assert got.shape == taus.shape and got.dtype == complex
+    want = np.array([_as_written_fock(preset_params, n, t, t + tau) for tau in taus])
+    assert np.max(np.abs(got - want)) <= 1e-12
+    scalars = [decoherence_factor_oracle_fock(preset_params, n, t, t + tau)
+               for tau in taus[:5]]
+    assert all(isinstance(f, complex) for f in scalars)
+    assert np.max(np.abs(np.array(scalars) - got[:5])) <= 1e-12
+
+
+def test_oracle_coherent_array_matches_scalar_calls(preset_params):
+    taus = np.linspace(0.0, 6.0, 5)
+    batch = decoherence_factor_oracle_coherent(preset_params, 1.5 + 0.5j, 2.0,
+                                               2.0 + taus, cutoff=30)
+    assert batch.value.shape == taus.shape
+    for tau, f in zip(taus, batch.value):
+        single = decoherence_factor_oracle_coherent(preset_params, 1.5 + 0.5j, 2.0,
+                                                    2.0 + tau, cutoff=30)
+        assert isinstance(single.value, complex)
+        assert abs(single.value - f) <= 1e-12
+        assert single.tail_bound == batch.tail_bound
+
+
+def test_oracle_rejects_two_dimensional_times(preset_params):
+    with pytest.raises(ValueError):
+        decoherence_factor_oracle_fock(preset_params, 3, 0.0, np.zeros((2, 2)))
+
+
+def _count_eigh(monkeypatch):
+    calls = []
+    real_eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return real_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls
+
+
+def test_compare_eigendecomposes_each_hamiltonian_once(preset_params, monkeypatch):
+    calls = _count_eigh(monkeypatch)
+    compare_methods(preset_params, 12, 10.0, np.linspace(0.0, 10.0, 11))
+    assert calls == [(13, 13)] * 3
+
+
+@pytest.mark.parametrize("steps", [1, 9])
+def test_coherent_oracle_eigendecomposes_once_per_sector(preset_params, monkeypatch,
+                                                         steps):
+    calls = _count_eigh(monkeypatch)
+    decoherence_factor_oracle_coherent(preset_params, 1.0 + 1.0j, 0.0,
+                                       np.linspace(0.0, 3.0, steps), cutoff=25)
+    assert len(calls) == 3 * 26
+
+
+def test_oracle_memory_does_not_grow_with_the_grid(preset_params):
+    """10^5 t' at n = 64: one unblocked (65 x 10^5) complex array alone
+    would take 104 MB."""
+    taus = np.linspace(0.0, 10.0, 100_000)
+    tracemalloc.start()
+    try:
+        values = decoherence_factor_oracle_fock(preset_params, 64, 0.0, taus)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert values.shape == taus.shape
+    assert peak < 20e6
+
+
+def test_oracle_imports_nothing_from_the_other_methods():
+    tree = ast.parse(inspect.getsource(oracle_module))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert imported, "no imports found; the check is not reading the module"
+    for name in imported:
+        assert "propagator" not in name and "correlation" not in name, name
+
+
+def test_oracle_tail_bound_is_tight_and_positive(preset_params):
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.prec = 200
+    x, cutoff = 4, 40
+    true_tail = mpmath.nsum(
+        lambda k: mpmath.exp(-x) * mpmath.mpf(x) ** k / mpmath.factorial(k),
+        [cutoff + 1, mpmath.inf])
+    result = decoherence_factor_oracle_coherent(preset_params, 2.0 + 0j, 0.0, 1.0,
+                                                cutoff=cutoff)
+    assert result.tail_bound > 0.0
+    assert true_tail <= result.tail_bound <= 2 * true_tail
