@@ -6,8 +6,8 @@ Subcommands
     compare  cross-check closed form vs quadrature vs dense oracle
     golden   regenerate the pinned golden files (oracle-derived)
 
-Exit codes: 0 success, 2 config/usage error, 3 tolerance failure,
-4 I/O failure.
+Exit codes: 0 success, 2 config/usage error, 3 tolerance failure or
+unphysical result (UnphysicalFactor), 4 I/O failure.
 """
 
 import argparse
@@ -35,8 +35,9 @@ from .model import (
     CorrelationPoint,
     FockState,
     ModelParams,
-    ToleranceExceeded,
     SimulationError,
+    ToleranceExceeded,
+    UnphysicalFactor,
     apparatus_from_json,
     apparatus_to_json,
     model_params_from_json,
@@ -240,23 +241,31 @@ def sweep_config_to_json(config: SweepConfig) -> dict:
 # sweep driver
 # ---------------------------------------------------------------------------
 
-def _factor_series(config: SweepConfig, t: float, taus: np.ndarray) -> np.ndarray:
+def _factor_series(config: SweepConfig, taus: np.ndarray) -> np.ndarray:
+    """F over the whole grid, one row per entry of ``t_values``."""
     params, state = config.params, config.state
     if config.method == "closed":
-        return factor_over_tau(params, state, t, taus)
+        return np.array([factor_over_tau(params, state, t, taus)
+                         for t in config.t_values])
     if config.method == "quadrature":
         quad = default_quadrature(state.n)
-        return np.array([
+        return np.array([[
             decoherence_factor_fock_quadrature(params, state.n, t, t + tau, quad)
-            for tau in taus])
+            for tau in taus] for t in config.t_values])
+    # one oracle call for the whole (t, tau) grid, flattened t-major
+    t_values = np.array(config.t_values)
+    t = np.repeat(t_values, taus.size)
+    t_prime = (t_values[:, None] + taus).reshape(-1)
     if isinstance(state, FockState):
-        return decoherence_factor_oracle_fock(params, state.n, t, t + taus)
-    result = decoherence_factor_oracle_coherent(
-        params, state.beta0, t, t + taus, _coherent_cutoff(state))
-    if result.tail_bound > ORACLE_TAIL_TOLERANCE:
-        raise ToleranceExceeded(
-            f"oracle tail bound {result.tail_bound:.3e} > {ORACLE_TAIL_TOLERANCE:g}")
-    return result.value
+        f = decoherence_factor_oracle_fock(params, state.n, t, t_prime)
+    else:
+        result = decoherence_factor_oracle_coherent(
+            params, state.beta0, t, t_prime, _coherent_cutoff(state))
+        if result.tail_bound > ORACLE_TAIL_TOLERANCE:
+            raise ToleranceExceeded(
+                f"oracle tail bound {result.tail_bound:.3e} > {ORACLE_TAIL_TOLERANCE:g}")
+        f = result.value
+    return f.reshape(t_values.size, taus.size)
 
 
 def run_sweep(config: SweepConfig) -> list:
@@ -267,8 +276,7 @@ def run_sweep(config: SweepConfig) -> list:
     """
     taus = np.linspace(config.tau_min, config.tau_max, config.tau_steps)
     points = []
-    for t in config.t_values:
-        factors = _factor_series(config, t, taus)
+    for t, factors in zip(config.t_values, _factor_series(config, taus)):
         for tau, f in zip(taus, factors):
             g = g2_interacting(complex(f), t, t + tau, config.params.omega_e)
             points.append(CorrelationPoint(float(t), float(tau), complex(f), g))
@@ -630,6 +638,9 @@ def main(argv=None) -> int:
         return 2
     except ToleranceExceeded as exc:
         print(f"tolerance failure: {exc}", file=sys.stderr)
+        return 3
+    except UnphysicalFactor as exc:
+        print(f"unphysical result: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -22,8 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.special import gammaln
 
 from .model import (
     ApparatusState,
@@ -34,9 +32,16 @@ from .model import (
     ModelParams,
     NotNormalized,
     SectorTooLarge,
+    UNIT_BOUND_SLACK,
     UnphysicalFactor,
 )
-from .propagator import apply_to_coherent, build_schedule, compose, transform_over_tau
+from .propagator import (
+    _checked_rows,
+    _schedule_product,
+    build_schedule,
+    compose,
+    transform_over_tau,
+)
 
 __all__ = [
     "QUADRATURE_OCCUPATION_GUARD",
@@ -96,12 +101,10 @@ def decoherence_factor_coherent(params: ModelParams, beta0: complex,
 
     The schedule maps (0, beta0) to (a6, b6); the factor is the coherent
     overlap exp(-|a6|^2/2) * exp(-(|beta0|^2 + |b6|^2)/2 + conj(beta0)*b6).
+    Length-1 case of the kernel behind factor_over_tau.
     """
-    m = compose(build_schedule(params, t, t_prime))
-    a6, b6 = apply_to_coherent(m, 0j, beta0)
-    return complex(np.exp(-0.5 * abs(a6) ** 2
-                          - 0.5 * (abs(beta0) ** 2 + abs(b6) ** 2)
-                          + np.conj(beta0) * b6))
+    m = _schedule_product(_checked_rows(params, t, t_prime))
+    return complex(_overlap(CoherentState(0j, complex(beta0)), m))
 
 
 def decoherence_factor_fock_closed(params: ModelParams, n: int,
@@ -109,16 +112,51 @@ def decoherence_factor_fock_closed(params: ModelParams, n: int,
     """Number-state factor m22**n, evaluated as exp(n*log(m22)).
 
     The log-power form survives n ~ 1e4: the magnitude just underflows
-    smoothly toward zero instead of degrading term by term.
+    smoothly toward zero instead of degrading term by term.  Length-1 case
+    of the kernel behind factor_over_tau.
     """
-    if n < 0:
-        raise ValueError(f"occupation must be >= 0, got {n}")
-    m22 = compose(build_schedule(params, t, t_prime)).m22
-    if n == 0:
-        return 1.0 + 0j
-    if m22 == 0:
-        return 0j
-    return complex(np.exp(n * np.log(complex(m22))))
+    m = _schedule_product(_checked_rows(params, t, t_prime))
+    return complex(_overlap(FockState(n), m))
+
+
+def _overlap(state: ApparatusState, m: np.ndarray) -> np.ndarray:
+    """Closed-form factor of ``state`` from composed transforms m (..., 2, 2).
+
+    Number states give m22**n as exp(n*log(m22)); coherent states give the
+    overlap of the preparation with its image.  Like the transform, the
+    overlap is assembled on real and imaginary parts with + - * only
+    (|z|^2 as re^2 + im^2), and the one complex log/exp per point rounds
+    the same under every SIMD target, so the bits depend on the code alone.
+    """
+    if isinstance(state, FockState):
+        if state.n == 0:
+            return np.ones(m.shape[:-2], dtype=complex)
+        m22 = m[..., 1, 1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_m22 = np.log(m22)
+        out = np.exp(_complex(state.n * log_m22.real, state.n * log_m22.imag))
+        return np.where(m22 == 0, 0j, out)
+    # coherent overlap: sum over both modes k of -(|z0|^2 + |z6|^2)/2
+    # + conj(z0)*z6, where z0 is the prepared amplitude and z6 its image
+    prep = (state.alpha0, state.beta0)
+    exp_re = exp_im = 0.0
+    for k, z0 in enumerate(prep):
+        z_re = z_im = 0.0  # z6 = m[k, 0] * alpha0 + m[k, 1] * beta0
+        for j, c in enumerate(prep):
+            e = m[..., k, j]
+            z_re = z_re + (e.real * c.real - e.imag * c.imag)
+            z_im = z_im + (e.real * c.imag + e.imag * c.real)
+        norms = (z0.real * z0.real + z0.imag * z0.imag) + (z_re * z_re + z_im * z_im)
+        exp_re = exp_re + (-0.5 * norms + (z0.real * z_re + z0.imag * z_im))
+        exp_im = exp_im + (z0.real * z_im - z0.imag * z_re)
+    return np.exp(_complex(exp_re, exp_im))
+
+
+def _complex(re, im) -> np.ndarray:
+    """re + i*im without a complex multiply: assigned, so exact."""
+    out = np.empty(np.broadcast_shapes(np.shape(re), np.shape(im)), dtype=complex)
+    out.real, out.imag = re, im
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -150,18 +188,21 @@ def _gauss_laguerre_log(order: int):
     and cached; the returned arrays are read-only.
 
     Nodes are the eigenvalues of the symmetrized Jacobi matrix (diagonal
-    2k+1, off-diagonal k).  Weights do NOT come from the eigenvectors:
-    the first components fall below the eigensolver's absolute accuracy
-    long before the rule's tail does, which silently corrupts every
-    weight under ~1e-14 -- exactly the ones a high-occupation integrand
-    leans on.  Instead each log-weight is evaluated from the analytic
-    form w = u / ((R+1) * L_{R+1}(u))^2, with L_{R+1} run up by the
-    three-term recurrence and renormalized on the fly so the recursion
-    stays finite while log(w) keeps full relative accuracy at any
-    magnitude.
+    2k+1, off-diagonal k), from a dense symmetric eigensolve of that
+    order x order matrix (Golub & Welsch, Math. Comp. 23, 1969), which
+    keeps the runtime on numpy alone.  Weights do NOT come from the
+    eigenvectors: the first components fall below the eigensolver's
+    absolute accuracy long before the rule's tail does, which silently
+    corrupts every weight under ~1e-14 -- exactly the ones a
+    high-occupation integrand leans on.  Instead each log-weight is
+    evaluated from the analytic form w = u / ((R+1) * L_{R+1}(u))^2, with
+    L_{R+1} run up by the three-term recurrence and renormalized on the
+    fly so the recursion stays finite while log(w) keeps full relative
+    accuracy at any magnitude.
     """
     k = np.arange(order, dtype=float)
-    nodes = eigh_tridiagonal(2.0 * k + 1.0, k[1:], eigvals_only=True)
+    jacobi = np.diag(2.0 * k + 1.0) + np.diag(k[1:], 1) + np.diag(k[1:], -1)
+    nodes = np.linalg.eigvalsh(jacobi)
     prev = np.ones_like(nodes)  # L_0
     cur = 1.0 - nodes  # L_1
     shift = np.zeros_like(nodes)  # accumulated log of the renormalizations
@@ -216,7 +257,7 @@ def decoherence_factor_fock_quadrature(params: ModelParams, n: int, t: float,
         with np.errstate(divide="ignore", invalid="ignore"):
             power = n * (np.log(b6) + np.log(np.conj(beta)))
         power = np.where(np.isfinite(power.real), power, -np.inf)
-        exponent = exponent + power - gammaln(n + 1.0)
+        exponent = exponent + power - math.lgamma(n + 1.0)
     total = np.exp(exponent)
     return complex(total.sum() / quad.angular_order)
 
@@ -231,7 +272,7 @@ def g2_interacting(f: complex, t: float, t_prime: float, omega_e: float) -> floa
     Equal internal weights are hard-wired: the fringe term enters with
     coefficient 1/2 on top of the 1/2 plateau.
     """
-    if abs(f) > 1 + 1e-6:
+    if not abs(f) <= 1 + UNIT_BOUND_SLACK:
         raise UnphysicalFactor(f"|f| = {abs(f)} exceeds 1 beyond roundoff")
     return float(0.5 + 0.5 * np.real(np.exp(1j * omega_e * (t - t_prime)) * f))
 
@@ -240,42 +281,10 @@ def factor_over_tau(params: ModelParams, state: ApparatusState, t: float,
                     taus) -> np.ndarray:
     """Decoherence factor on a whole tau grid (t' = t + tau), closed form.
 
-    Vectorized companion of the scalar factor functions; sweeps, figures
-    and the threshold search all run through here.  Like the transform,
-    the overlap is assembled on real and imaginary parts with + - * only
-    (|z|^2 as re^2 + im^2), and the one complex log/exp per point rounds
-    the same under every SIMD target, so the bits depend on the code alone.
+    Vectorized companion of the scalar factor functions, through the same
+    kernel; sweeps, figures and the threshold search all run through here.
     """
-    m = transform_over_tau(params, t, taus)
-    if isinstance(state, FockState):
-        if state.n == 0:
-            return np.ones(m.shape[:-2], dtype=complex)
-        m22 = m[..., 1, 1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_m22 = np.log(m22)
-        out = np.exp(_complex(state.n * log_m22.real, state.n * log_m22.imag))
-        return np.where(m22 == 0, 0j, out)
-    # coherent overlap: sum over both modes k of -(|z0|^2 + |z6|^2)/2
-    # + conj(z0)*z6, where z0 is the prepared amplitude and z6 its image
-    prep = (state.alpha0, state.beta0)
-    exp_re = exp_im = 0.0
-    for k, z0 in enumerate(prep):
-        z_re = z_im = 0.0  # z6 = m[k, 0] * alpha0 + m[k, 1] * beta0
-        for j, c in enumerate(prep):
-            e = m[..., k, j]
-            z_re = z_re + (e.real * c.real - e.imag * c.imag)
-            z_im = z_im + (e.real * c.imag + e.imag * c.real)
-        norms = (z0.real * z0.real + z0.imag * z0.imag) + (z_re * z_re + z_im * z_im)
-        exp_re = exp_re + (-0.5 * norms + (z0.real * z_re + z0.imag * z_im))
-        exp_im = exp_im + (z0.real * z_im - z0.imag * z_re)
-    return np.exp(_complex(exp_re, exp_im))
-
-
-def _complex(re, im) -> np.ndarray:
-    """re + i*im without a complex multiply: assigned, so exact."""
-    out = np.empty(np.broadcast_shapes(np.shape(re), np.shape(im)), dtype=complex)
-    out.real, out.imag = re, im
-    return out
+    return _overlap(state, transform_over_tau(params, t, taus))
 
 
 # ---------------------------------------------------------------------------

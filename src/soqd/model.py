@@ -35,6 +35,7 @@ __all__ = [
     "ApparatusState",
     "apparatus_to_json",
     "apparatus_from_json",
+    "UNIT_BOUND_SLACK",
     "CorrelationPoint",
 ]
 
@@ -68,7 +69,8 @@ class InsufficientOrder(SimulationError):
 
 
 class UnphysicalFactor(SimulationError):
-    """A decoherence factor left the unit disk by more than roundoff."""
+    """A decoherence factor left the unit disk, or a correlation left [0, 1],
+    by more than roundoff."""
 
 
 class DecoherenceNotReached(SimulationError):
@@ -322,9 +324,17 @@ def apparatus_from_json(obj: dict) -> ApparatusState:
 # results
 # ---------------------------------------------------------------------------
 
+#: roundoff allowed past the physical bounds |f| <= 1 and 0 <= g <= 1
+UNIT_BOUND_SLACK = 1e-9
+
+
 @dataclass(frozen=True)
 class CorrelationPoint:
-    """One sweep sample: decoherence factor f and correlation g at (t, tau)."""
+    """One sweep sample: decoherence factor f and correlation g at (t, tau).
+
+    Raises UnphysicalFactor when f or g leaves its physical range by more
+    than UNIT_BOUND_SLACK (NaN included).
+    """
 
     t: float
     tau: float
@@ -332,6 +342,7 @@ class CorrelationPoint:
     g: float
 
     def __post_init__(self):
-        # physical bounds, allowing roundoff excursions only
-        assert abs(self.f) <= 1 + 1e-9, f"|f| = {abs(self.f)} exceeds 1"
-        assert -1e-9 <= self.g <= 1 + 1e-9, f"g = {self.g} outside [0, 1]"
+        if not abs(self.f) <= 1 + UNIT_BOUND_SLACK:
+            raise UnphysicalFactor(f"|f| = {abs(self.f)} exceeds 1 beyond roundoff")
+        if not -UNIT_BOUND_SLACK <= self.g <= 1 + UNIT_BOUND_SLACK:
+            raise UnphysicalFactor(f"g = {self.g} outside [0, 1] beyond roundoff")

@@ -5,9 +5,10 @@ two-mode Hilbert space splits into sectors of fixed total n.  Inside
 sector n we build the (n+1) x (n+1) real symmetric Hamiltonians H11, H10
 and H01 explicitly and eigendecompose each once: every propagator
 exp(-i H d) is then V diag(exp(-i lambda d)) V^T, for any duration d, so
-one eigensystem set per sector serves a whole t' grid (the eigenvector
-method for normal matrices).  The start vector is pushed through the six
-sequence propagators as written, every t' at once as matrix columns, in
+one eigensystem set per sector serves a whole (t, t') grid (the
+eigenvector method for normal matrices).  The start vector is pushed
+through the six sequence propagators as written, every (t, t') pair at
+once as matrix columns, in
 blocks of fixed width so the work arrays do not grow with the grid.  No
 2x2 shortcut, no normal-ordering identity, nothing from the closed form:
 this path exists to catch sign and ordering mistakes in the closed form,
@@ -115,11 +116,12 @@ def _evolve(system, duration, v: np.ndarray) -> np.ndarray:
     return vecs @ (phase * (vecs.T @ v))
 
 
-def _sector_factor(params: ModelParams, n: int, t: float,
+def _sector_factor(params: ModelParams, n: int, t,
                    t_primes: np.ndarray) -> np.ndarray:
     """Sector-n factor at every entry of the 1-D array ``t_primes``.
 
-    Applies exp(-iH11 t), exp(+iH10 t), exp(-iH10 t'), exp(+iH01 t'),
+    ``t`` is a scalar or one value per entry of ``t_primes``.  Applies
+    exp(-iH11 t), exp(+iH10 t), exp(-iH10 t'), exp(+iH01 t'),
     exp(-iH01 t), exp(+iH11 t) to the mode-1-empty basis vector, in that
     order, and reads its own component back.
     """
@@ -127,43 +129,54 @@ def _sector_factor(params: ModelParams, n: int, t: float,
                      for m, n_sys in ((1, 1), (1, 0), (0, 1)))
     start = np.zeros((n + 1, 1), dtype=complex)
     start[0] = 1.0
-    # the first two propagators act before t' enters
-    head = _evolve(h10, -t, _evolve(h11, t, start))
     out = np.empty(t_primes.size, dtype=complex)
     for lo in range(0, t_primes.size, _TAU_BLOCK):
         tp = t_primes[lo:lo + _TAU_BLOCK]
-        v = _evolve(h10, tp, head)
+        tb = t if np.ndim(t) == 0 else t[lo:lo + _TAU_BLOCK]
+        v = _evolve(h11, tb, start)
+        v = _evolve(h10, -tb, v)
+        v = _evolve(h10, tp, v)
         v = _evolve(h01, -tp, v)
-        v = _evolve(h01, t, v)
-        v = _evolve(h11, -t, v)
+        v = _evolve(h01, tb, v)
+        v = _evolve(h11, -tb, v)
         out[lo:lo + tp.size] = v[0]
     return out
 
 
-def _times(t_prime) -> np.ndarray:
+def _times(t, t_prime):
+    """(t, t') as (scalar or 1-D t, 1-D t', whether both were scalars).
+
+    ``t`` broadcasts against ``t_prime``; a scalar ``t`` stays scalar, so
+    the two propagators before t' enters act on one column only.
+    """
+    t = np.asarray(t, dtype=float)
     times = np.asarray(t_prime, dtype=float)
-    if times.ndim > 1:
-        raise ValueError(f"t_prime must be a scalar or 1-D, got shape {times.shape}")
-    return times
+    shape = np.broadcast_shapes(t.shape, times.shape)
+    if len(shape) > 1:
+        raise ValueError(f"t and t_prime must be scalars or 1-D, got shapes "
+                         f"{t.shape} and {times.shape}")
+    t = float(t) if t.ndim == 0 else np.broadcast_to(t, shape).reshape(-1)
+    return t, np.broadcast_to(times, shape).reshape(-1), not shape
 
 
-def decoherence_factor_oracle_fock(params: ModelParams, n: int, t: float,
+def decoherence_factor_oracle_fock(params: ModelParams, n: int, t,
                                    t_prime):
     """Decoherence factor of the n-quantum preparation, by dense propagators.
 
     Applies the six sequence propagators exp(+iH11 t), exp(-iH01 t),
     exp(+iH01 t'), exp(-iH10 t'), exp(+iH10 t), exp(-iH11 t) (the rightmost
     acts first) to the mode-1-empty state and returns its amplitude to end
-    where it started.  A scalar ``t_prime`` gives a complex; a 1-D array
-    gives one complex per entry.
+    where it started.  Scalar ``t`` and ``t_prime`` give a complex; a 1-D
+    array for either (the other broadcasts against it) gives one complex
+    per entry, all from one eigensystem set.
     """
     if n > SECTOR_GUARD:
         raise SectorTooLarge(f"sector {n} exceeds the dense guard {SECTOR_GUARD}")
     if n < 0:
         raise ValueError(f"occupation must be >= 0, got {n}")
-    times = _times(t_prime)
-    f = _sector_factor(params, n, t, times.reshape(-1))
-    return complex(f[0]) if times.ndim == 0 else f
+    t, times, scalar = _times(t, t_prime)
+    f = _sector_factor(params, n, t, times)
+    return complex(f[0]) if scalar else f
 
 
 class CoherentOracleResult(NamedTuple):
@@ -187,7 +200,7 @@ def _poisson_tail_bound(x: float, cutoff: int) -> float:
 
 
 def decoherence_factor_oracle_coherent(params: ModelParams, beta0: complex,
-                                       t: float, t_prime,
+                                       t, t_prime,
                                        cutoff: int) -> CoherentOracleResult:
     """Coherent-preparation factor as a Poisson mixture over sectors.
 
@@ -196,22 +209,24 @@ def decoherence_factor_oracle_coherent(params: ModelParams, beta0: complex,
     w_n = exp(-x) x^n / n!, x = |beta0|^2.  Each |F_n| <= 1, so the
     truncation error is bounded by the discarded tail mass, whose upper
     bound is returned alongside the value.  Sectors are evaluated one at a
-    time; a 1-D ``t_prime`` gives one value per entry.
+    time, each eigendecomposed once for the whole grid; ``t`` and
+    ``t_prime`` broadcast as in decoherence_factor_oracle_fock, and an
+    array gives one value per entry.
     """
     x = abs(beta0) ** 2
     if cutoff < 10 * x:
         raise CutoffTooSmall(f"cutoff {cutoff} < 10*|beta0|^2 = {10 * x:g}")
     if cutoff > SECTOR_GUARD:
         raise SectorTooLarge(f"cutoff {cutoff} exceeds the dense guard {SECTOR_GUARD}")
-    times = _times(t_prime)
     if x == 0:
         return CoherentOracleResult(
-            decoherence_factor_oracle_fock(params, 0, t, times), 0.0)
+            decoherence_factor_oracle_fock(params, 0, t, t_prime), 0.0)
+    t, times, scalar = _times(t, t_prime)
     log_x = math.log(x)
     value = np.zeros(times.size, dtype=complex)
     for n in range(cutoff + 1):
         w = math.exp(-x + n * log_x - math.lgamma(n + 1.0))
-        value += w * _sector_factor(params, n, t, times.reshape(-1))
+        value += w * _sector_factor(params, n, t, times)
     # cutoff >= 10 x, so cutoff + 2 > x as the bound needs
     tail = _poisson_tail_bound(x, cutoff)
-    return CoherentOracleResult(complex(value[0]) if times.ndim == 0 else value, tail)
+    return CoherentOracleResult(complex(value[0]) if scalar else value, tail)

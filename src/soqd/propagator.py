@@ -86,13 +86,18 @@ def build_schedule(params: ModelParams, t: float, t_prime: float) -> Schedule:
     signs), steps 2/3 carry d_e, steps 4/5 carry d_g; steps 3 and 4 last
     t', the rest last t.  Step 6 is step 1 with every coefficient negated.
     """
-    validate(params)
-    if t < 0 or t_prime < 0:
-        raise NegativeTime(f"measurement times must be >= 0, got t={t}, t'={t_prime}")
-    rows = _schedule_rows(params, t, t_prime)
+    rows = _checked_rows(params, t, t_prime)
     steps = tuple(StepParams(a1, a2, b, d, index=k + 1)
                   for k, (a1, a2, b, d) in enumerate(rows))
     return Schedule(steps)
+
+
+def _checked_rows(params: ModelParams, t: float, t_prime: float) -> tuple:
+    """_schedule_rows of one (t, t') pair, after checking params and times."""
+    validate(params)
+    if t < 0 or t_prime < 0:
+        raise NegativeTime(f"measurement times must be >= 0, got t={t}, t'={t_prime}")
+    return _schedule_rows(params, t, t_prime)
 
 
 def gamma(step: StepParams) -> float:

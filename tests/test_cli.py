@@ -414,6 +414,22 @@ def test_main_golden_regen_reproduces_pinned_values(tmp_path, derived_values):
     assert len(panels) == 12 and panels[0] == "fig1a.csv"
 
 
+def test_main_maps_unphysical_point_to_exit_3(tmp_path):
+    """Under ``python -O`` too, a correlation outside [0, 1] is a typed
+    error with exit code 3, not a traceback and not a silent row."""
+    script = (
+        "import sys\n"
+        "from soqd import cli\n"
+        "cli.g2_interacting = lambda *args: 1.5\n"
+        "sys.exit(cli.main(['sweep', '--config', sys.argv[1]]))\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", script, write_config(tmp_path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 3, proc.stderr
+    assert "unphysical result: g = 1.5" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_module_entry_point_subprocess(tmp_path):
     cfg = write_config(tmp_path)
     proc = subprocess.run([sys.executable, "-m", "soqd", "sweep", "--config", cfg],

@@ -1,12 +1,16 @@
 """Closed-form factors, quadrature twin, correlation assembly, threshold search."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import soqd
 from soqd import (
     CoherentState,
     DecoherenceNotReached,
@@ -179,6 +183,52 @@ def test_gauss_laguerre_matches_numpy():
     assert np.max(np.abs(np.exp(log_w) - ref_w)) <= 1e-12
 
 
+def _laguerre_rule_mp(order, start):
+    """Gauss-Laguerre nodes and log-weights at 40 digits, by Newton on the
+    roots of L_order from ``start``; w = x / ((R+1) L_{R+1}(x))^2."""
+    mp = pytest.importorskip("mpmath").mp
+
+    def laguerre(x):  # (L_{R-1}(x), L_R(x)) by the three-term recurrence
+        prev, cur = mp.mpf(1), 1 - x
+        for j in range(1, order):
+            prev, cur = cur, ((2 * j + 1 - x) * cur - j * prev) / (j + 1)
+        return prev, cur
+
+    nodes, log_w = [], []
+    with mp.workdps(40):
+        for x0 in start:
+            x = mp.mpf(float(x0))
+            for _ in range(4):  # quadratic convergence from ~1e-13
+                below, at = laguerre(x)
+                x -= at * x / (order * (at - below))  # L_R' = R (L_R - L_{R-1}) / x
+            below, _ = laguerre(x)
+            nodes.append(float(x))
+            # at a root of L_R, (R+1) L_{R+1} = -R L_{R-1}
+            log_w.append(float(mp.log(x) - 2 * mp.log(abs(order * below))))
+    return np.array(nodes), np.array(log_w)
+
+
+@pytest.mark.parametrize("order", [64, 168])
+def test_gauss_laguerre_rule_matches_a_40_digit_reference(order):
+    nodes, log_w = _gauss_laguerre_log(order)
+    ref_nodes, ref_log_w = _laguerre_rule_mp(order, nodes)
+    assert np.all(np.diff(ref_nodes) > 0), "Newton did not find every root"
+    assert np.max(np.abs(nodes - ref_nodes) / ref_nodes) <= 1e-12
+    assert np.max(np.abs(log_w - ref_log_w)) <= 2e-10
+
+
+def test_import_soqd_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(soqd.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))}
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, soqd; print([m for m in sys.modules if m.startswith('scipy')])"],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_gauss_laguerre_rule_is_computed_once_per_order():
     nodes, log_w = _gauss_laguerre_log(24)
     assert _gauss_laguerre_log(24)[0] is nodes
@@ -290,15 +340,16 @@ def test_factor_over_tau_matches_scalar_coherent(preset_params):
     got = factor_over_tau(preset_params, CoherentState(0j, 1.5 - 0.5j), 3.0, taus)
     for tau, f in zip(taus, got):
         want = decoherence_factor_coherent(preset_params, 1.5 - 0.5j, 3.0, 3.0 + float(tau))
-        assert abs(f - want) <= 1e-12
+        assert f == want
 
 
 def test_factor_over_tau_matches_scalar_fock(preset_params):
     taus = np.linspace(0.0, 8.0, 17)
-    got = factor_over_tau(preset_params, FockState(12), 0.0, taus)
-    for tau, f in zip(taus, got):
-        want = decoherence_factor_fock_closed(preset_params, 12, 0.0, float(tau))
-        assert abs(f - want) <= 1e-12
+    for t in (0.0, 3.0):
+        got = factor_over_tau(preset_params, FockState(12), t, taus)
+        for tau, f in zip(taus, got):
+            want = decoherence_factor_fock_closed(preset_params, 12, t, t + float(tau))
+            assert f == want
 
 
 def test_factor_over_tau_empty_fock_is_flat(preset_params):

@@ -1,6 +1,8 @@
 """Parameter validation, apparatus serialization, result bounds."""
 
 import math
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given
@@ -16,6 +18,7 @@ from soqd import (
     NegativeTime,
     NonFiniteParameter,
     StepParams,
+    UnphysicalFactor,
     apparatus_from_json,
     apparatus_to_json,
     model_params_from_json,
@@ -149,11 +152,24 @@ def test_correlation_point_accepts_physical_values():
 
 
 def test_correlation_point_rejects_oversized_factor():
-    with pytest.raises(AssertionError):
+    with pytest.raises(UnphysicalFactor):
         CorrelationPoint(t=0.0, tau=1.0, f=1.5 + 0j, g=0.5)
 
 
-@pytest.mark.parametrize("g", [-0.1, 1.1])
+@pytest.mark.parametrize("g", [-0.1, 1.1, math.nan])
 def test_correlation_point_rejects_out_of_range_g(g):
-    with pytest.raises(AssertionError):
+    with pytest.raises(UnphysicalFactor):
         CorrelationPoint(t=0.0, tau=1.0, f=0j, g=g)
+
+
+def test_correlation_point_check_survives_optimize():
+    """``python -O`` strips asserts; the bound check must not be one."""
+    script = (
+        "from soqd import CorrelationPoint, UnphysicalFactor\n"
+        "try:\n"
+        "    CorrelationPoint(t=0.0, tau=1.0, f=1.5 + 0j, g=0.5)\n"
+        "except UnphysicalFactor:\n"
+        "    raise SystemExit(7)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 7, proc.stderr

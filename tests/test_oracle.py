@@ -20,11 +20,14 @@ from soqd import (
     decoherence_factor_coherent,
     decoherence_factor_oracle_coherent,
     decoherence_factor_oracle_fock,
+    run_sweep,
     sector_hamiltonian,
     sector_propagator,
     step_transform,
+    sweep_config_from_json,
 )
 from soqd import oracle as oracle_module
+from soqd.cli import FIGURE_PARAMS, _coherent_cutoff
 from soqd.oracle import SECTOR_GUARD
 
 
@@ -289,6 +292,39 @@ def test_coherent_oracle_eigendecomposes_once_per_sector(preset_params, monkeypa
     decoherence_factor_oracle_coherent(preset_params, 1.0 + 1.0j, 0.0,
                                        np.linspace(0.0, 3.0, steps), cutoff=25)
     assert len(calls) == 3 * 26
+
+
+def test_oracle_takes_one_t_per_t_prime(preset_params):
+    """300 (t, t') pairs, so the t columns cross a block boundary."""
+    rng = np.random.default_rng(7)
+    t = rng.uniform(0.0, 5.0, 300)
+    t_prime = rng.uniform(0.0, 5.0, 300)
+    batch = decoherence_factor_oracle_fock(preset_params, 6, t, t_prime)
+    assert batch.shape == (300,)
+    for i in (0, 255, 256, 299):
+        single = decoherence_factor_oracle_fock(preset_params, 6, t[i], t_prime[i])
+        assert abs(single - batch[i]) <= 1e-12
+
+
+def test_oracle_sweep_eigendecomposes_once_per_sector_for_every_t(tmp_path,
+                                                                  monkeypatch):
+    """Two t values share one eigensystem set per sector: 3 (C + 1) eigh
+    calls, not 3 (C + 1) per t."""
+    config = sweep_config_from_json({
+        "omega1": 0.2, "omega2": 1.3, "d_e": 0.8, "d_g": 0.2, "omega_e": 1.0,
+        "apparatus": {"kind": "coherent", "n": 2}, "t_values": [0.0, 1.5],
+        "tau_min": 0.0, "tau_max": 3.0, "tau_steps": 7, "method": "oracle",
+        "output_path": str(tmp_path / "oracle.csv")})
+    cutoff = _coherent_cutoff(config.state)
+    calls = _count_eigh(monkeypatch)
+    points = run_sweep(config)
+    assert len(calls) == 3 * (cutoff + 1)
+    taus = np.linspace(0.0, 3.0, 7)
+    for t in config.t_values:
+        per_t = decoherence_factor_oracle_coherent(
+            FIGURE_PARAMS, config.state.beta0, t, t + taus, cutoff).value
+        swept = np.array([p.f for p in points if p.t == t])
+        assert np.max(np.abs(swept - per_t)) <= 1e-12
 
 
 def test_oracle_memory_does_not_grow_with_the_grid(preset_params):
