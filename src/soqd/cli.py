@@ -21,6 +21,7 @@ import numpy as np
 
 from .correlation import (
     QUADRATURE_OCCUPATION_GUARD,
+    _complex,
     decoherence_factor_fock_closed,
     decoherence_factor_fock_quadrature,
     decoherence_time,
@@ -47,6 +48,7 @@ from .oracle import (
     SECTOR_GUARD,
     decoherence_factor_oracle_coherent,
     decoherence_factor_oracle_fock,
+    min_cutoff,
 )
 
 __all__ = [
@@ -68,7 +70,10 @@ __all__ = [
     "main",
 ]
 
-CSV_HEADER = "t,tau,re_F,im_F,abs_F,G"
+#: one column per field of a sweep row, in CSV order; JSON rows use the same keys
+CSV_COLUMNS = ("t", "tau", "re_F", "im_F", "abs_F", "G")
+CSV_HEADER = ",".join(CSV_COLUMNS)
+_CSV_ROW = ",".join(["%.17g"] * len(CSV_COLUMNS)) + "\n"
 
 #: parameters behind every preset panel
 FIGURE_PARAMS = ModelParams(omega1=0.2, omega2=1.3, d_e=0.8, d_g=0.2, omega_e=1.0)
@@ -89,6 +94,11 @@ FIGURE_TAU_STEPS = 600
 
 #: largest discarded Poisson mass an oracle sweep accepts (gate 5's bound)
 ORACLE_TAIL_TOLERANCE = 1e-9
+
+#: largest len(t_values) * tau_steps a sweep accepts.  A sweep peaks at
+#: about 250 bytes per row with CSV output and 530 with JSON (tracemalloc,
+#: 10^5-row sweeps), so the largest one stays near 1 GiB
+MAX_SWEEP_ROWS = 2_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +184,7 @@ def sweep_config_from_json(obj: dict) -> SweepConfig:
 
 
 def _coherent_cutoff(state: CoherentState) -> int:
-    return max(20, math.ceil(10 * abs(state.beta0) ** 2))
+    return max(20, min_cutoff(abs(state.beta0) ** 2))
 
 
 def _validate_sweep_config(config: SweepConfig) -> None:
@@ -182,6 +192,10 @@ def _validate_sweep_config(config: SweepConfig) -> None:
         raise ConfigError("'tau_min' must be strictly below 'tau_max'")
     if config.tau_steps < 2:
         raise ConfigError("'tau_steps' must be >= 2")
+    rows = len(config.t_values) * config.tau_steps
+    if rows > MAX_SWEEP_ROWS:
+        raise ConfigError(f"sweep of {rows} rows exceeds the limit of {MAX_SWEEP_ROWS} "
+                          "(len(t_values) * tau_steps); split it into smaller sweeps")
     if min(config.t_values) + config.tau_min < 0:
         raise ConfigError("t + tau must stay >= 0 over the grid")
     if config.method not in ("closed", "quadrature", "oracle"):
@@ -241,45 +255,42 @@ def sweep_config_to_json(config: SweepConfig) -> dict:
 # sweep driver
 # ---------------------------------------------------------------------------
 
-def _factor_series(config: SweepConfig, taus: np.ndarray) -> np.ndarray:
-    """F over the whole grid, one row per entry of ``t_values``."""
+def _factor_series(config: SweepConfig, taus: np.ndarray, t: np.ndarray,
+                   t_prime: np.ndarray) -> np.ndarray:
+    """F over the (t, tau) grid flattened t-major: ``taus`` is one t block,
+    ``t`` and ``t_prime`` = t + tau are the flat grid."""
     params, state = config.params, config.state
     if config.method == "closed":
-        return np.array([factor_over_tau(params, state, t, taus)
-                         for t in config.t_values])
+        return np.concatenate([factor_over_tau(params, state, t0, taus)
+                               for t0 in config.t_values])
     if config.method == "quadrature":
         quad = default_quadrature(state.n)
-        return np.array([[
-            decoherence_factor_fock_quadrature(params, state.n, t, t + tau, quad)
-            for tau in taus] for t in config.t_values])
-    # one oracle call for the whole (t, tau) grid, flattened t-major
-    t_values = np.array(config.t_values)
-    t = np.repeat(t_values, taus.size)
-    t_prime = (t_values[:, None] + taus).reshape(-1)
+        return np.array([
+            decoherence_factor_fock_quadrature(params, state.n, t0, t1, quad)
+            for t0, t1 in zip(t.tolist(), t_prime.tolist())])
+    # one oracle call for the whole grid
     if isinstance(state, FockState):
-        f = decoherence_factor_oracle_fock(params, state.n, t, t_prime)
-    else:
-        result = decoherence_factor_oracle_coherent(
-            params, state.beta0, t, t_prime, _coherent_cutoff(state))
-        if result.tail_bound > ORACLE_TAIL_TOLERANCE:
-            raise ToleranceExceeded(
-                f"oracle tail bound {result.tail_bound:.3e} > {ORACLE_TAIL_TOLERANCE:g}")
-        f = result.value
-    return f.reshape(t_values.size, taus.size)
+        return decoherence_factor_oracle_fock(params, state.n, t, t_prime)
+    result = decoherence_factor_oracle_coherent(
+        params, state.beta0, t, t_prime, _coherent_cutoff(state))
+    if result.tail_bound > ORACLE_TAIL_TOLERANCE:
+        raise ToleranceExceeded(
+            f"oracle tail bound {result.tail_bound:.3e} > {ORACLE_TAIL_TOLERANCE:g}")
+    return result.value
 
 
-def run_sweep(config: SweepConfig) -> list:
-    """Evaluate the sweep and write its output file(s).
+def run_sweep(config: SweepConfig) -> CorrelationPoint:
+    """Evaluate the sweep, write its output file(s) and return its columns.
 
-    Rows come out t-major with tau ascending, one CorrelationPoint per
-    grid node, so reruns of the same config are byte-identical.
+    Rows come out t-major with tau ascending, one per grid node, so
+    reruns of the same config are byte-identical.
     """
     taus = np.linspace(config.tau_min, config.tau_max, config.tau_steps)
-    points = []
-    for t, factors in zip(config.t_values, _factor_series(config, taus)):
-        for tau, f in zip(taus, factors):
-            g = g2_interacting(complex(f), t, t + tau, config.params.omega_e)
-            points.append(CorrelationPoint(float(t), float(tau), complex(f), g))
+    t = np.repeat(config.t_values, taus.size)
+    tau = np.tile(taus, len(config.t_values))
+    t_prime = t + tau
+    f = _factor_series(config, taus, t, t_prime)
+    points = CorrelationPoint(t, tau, f, g2_interacting(f, t, t_prime, config.params.omega_e))
 
     if config.output_format == "csv":
         write_points_csv(config.output_path, points)
@@ -308,36 +319,47 @@ def _plot_title(config: SweepConfig) -> str:
 # serialization
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _columns(points: CorrelationPoint) -> zip:
+    """Rows of (t, tau, re_F, im_F, abs_F, G) as Python floats."""
+    f = points.f
+    return zip(points.t.tolist(), points.tau.tolist(), f.real.tolist(),
+               f.imag.tolist(), np.hypot(f.real, f.imag).tolist(), points.g.tolist())
 
 
-def write_points_csv(path: str, points: list) -> None:
+def write_points_csv(path: str, points: CorrelationPoint) -> None:
     """CSV with 17 significant digits: parsing recovers every bit."""
-    lines = [CSV_HEADER]
-    for p in points:
-        lines.append(",".join([
-            _fmt(p.t), _fmt(p.tau), _fmt(p.f.real), _fmt(p.f.imag),
-            _fmt(abs(p.f)), _fmt(p.g)]))
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(CSV_HEADER + "\n")
+        fh.writelines(_CSV_ROW % cells for cells in _columns(points))
 
 
-def read_points_csv(path: str) -> list:
+def read_points_csv(path: str) -> CorrelationPoint:
+    """Parse a sweep CSV back into validated columns.
+
+    Raises ConfigError for a bad header, no rows, a short or long row or
+    a non-numeric cell, and UnphysicalFactor for a row outside the
+    physical bounds (CorrelationPoint's checks).
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != CSV_HEADER:
-        raise ConfigError(f"{path!r} is not a sweep CSV (bad header)")
-    points = []
-    for line in lines[1:]:
-        t, tau, re_f, im_f, _abs_f, g = (float(x) for x in line.split(","))
-        points.append(CorrelationPoint(t, tau, complex(re_f, im_f), g))
-    return points
+        if fh.readline().rstrip("\r\n") != CSV_HEADER:
+            raise ConfigError(f"{path!r} is not a sweep CSV (bad header)")
+        body = fh.tell()
+        if not fh.readline().strip():
+            raise ConfigError(f"{path!r} has no rows")
+        fh.seek(body)
+        try:
+            cols = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except ValueError as exc:
+            raise ConfigError(f"{path!r}: malformed row: {exc}") from exc
+    if cols.shape[1] != len(CSV_COLUMNS):
+        raise ConfigError(f"{path!r}: rows have {cols.shape[1]} cells, "
+                          f"expected {len(CSV_COLUMNS)}")
+    t, tau, re_f, im_f, _abs_f, g = cols.T
+    return CorrelationPoint(t, tau, _complex(re_f, im_f), g)
 
 
-def write_points_json(path: str, points: list) -> None:
-    rows = [{"t": p.t, "tau": p.tau, "re_F": p.f.real, "im_F": p.f.imag,
-             "abs_F": abs(p.f), "G": p.g} for p in points]
+def write_points_json(path: str, points: CorrelationPoint) -> None:
+    rows = [dict(zip(CSV_COLUMNS, cells)) for cells in _columns(points)]
     with open(path, "w", encoding="utf-8") as fh:
         json.dump({"points": rows}, fh, indent=1)
         fh.write("\n")
@@ -350,23 +372,22 @@ def write_points_json(path: str, points: list) -> None:
 _PALETTE = ("#1f6feb", "#d73a49", "#2da44e", "#8250df", "#bf8700")
 
 
-def write_svg_plot(path: str, points: list, title: str = "") -> None:
+def write_svg_plot(path: str, points: CorrelationPoint, title: str = "") -> None:
     """Fixed 800x500 polyline plot of G against tau, one line per t."""
     width, height = 800, 500
     left, right, top, bottom = 70, 20, 40, 55
     inner_w = width - left - right
     inner_h = height - top - bottom
 
-    taus = sorted({p.tau for p in points})
-    t_values = sorted({p.t for p in points})
-    tau_lo, tau_hi = taus[0], taus[-1]
+    t_values = np.unique(points.t).tolist()
+    tau_lo, tau_hi = float(points.tau.min()), float(points.tau.max())
     span = tau_hi - tau_lo or 1.0
 
     def px(tau):
         return left + (tau - tau_lo) / span * inner_w
 
     def py(g):
-        return top + (1.0 - min(max(g, 0.0), 1.0)) * inner_h
+        return top + (1.0 - np.minimum(np.maximum(g, 0.0), 1.0)) * inner_h
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -399,9 +420,11 @@ def write_svg_plot(path: str, points: list, title: str = "") -> None:
 
     for i, t in enumerate(t_values):
         color = _PALETTE[i % len(_PALETTE)]
-        series = [(p.tau, p.g) for p in points if p.t == t]
-        series.sort()
-        coords = " ".join(f"{px(tau):.2f},{py(g):.2f}" for tau, g in series)
+        series = points.t == t
+        tau, g = points.tau[series], points.g[series]
+        order = np.lexsort((g, tau))
+        xy = zip(px(tau[order]).tolist(), py(g[order]).tolist())
+        coords = " ".join(["%.2f,%.2f" % cell for cell in xy])
         parts.append(f'<polyline points="{coords}" fill="none" stroke="{color}" '
                      'stroke-width="1.3"/>')
         if len(t_values) > 1:

@@ -32,8 +32,7 @@ from .model import (
     ModelParams,
     NotNormalized,
     SectorTooLarge,
-    UNIT_BOUND_SLACK,
-    UnphysicalFactor,
+    _check_unit_disk,
 )
 from .propagator import (
     _checked_rows,
@@ -266,15 +265,21 @@ def decoherence_factor_fock_quadrature(params: ModelParams, n: int, t: float,
 # correlation assembly
 # ---------------------------------------------------------------------------
 
-def g2_interacting(f: complex, t: float, t_prime: float, omega_e: float) -> float:
-    """Fold a decoherence factor into the two-time correlation.
+def g2_interacting(f, t, t_prime, omega_e: float) -> np.ndarray:
+    """Fold decoherence factors into the two-time correlation, elementwise.
 
-    Equal internal weights are hard-wired: the fringe term enters with
-    coefficient 1/2 on top of the 1/2 plateau.
+    f, t and t_prime broadcast against each other; scalars give a 0-d
+    array.  Equal internal weights are hard-wired: the fringe term enters
+    with coefficient 1/2 on top of the 1/2 plateau.  The real part of
+    exp(i*omega_e*(t - t')) * f is taken as e.re*f.re - e.im*f.im on real
+    arrays, never through a complex multiply, so the bits do not depend on
+    SIMD dispatch.  Raises UnphysicalFactor when any |f| exceeds 1 by more
+    than roundoff.
     """
-    if not abs(f) <= 1 + UNIT_BOUND_SLACK:
-        raise UnphysicalFactor(f"|f| = {abs(f)} exceeds 1 beyond roundoff")
-    return float(0.5 + 0.5 * np.real(np.exp(1j * omega_e * (t - t_prime)) * f))
+    f = np.asarray(f, dtype=complex)
+    _check_unit_disk(f)
+    e = np.exp(_complex(0.0, omega_e * (t - t_prime)))
+    return 0.5 + 0.5 * (e.real * f.real - e.imag * f.imag)
 
 
 def factor_over_tau(params: ModelParams, state: ApparatusState, t: float,

@@ -328,21 +328,48 @@ def apparatus_from_json(obj: dict) -> ApparatusState:
 UNIT_BOUND_SLACK = 1e-9
 
 
-@dataclass(frozen=True)
-class CorrelationPoint:
-    """One sweep sample: decoherence factor f and correlation g at (t, tau).
+def _check_unit_disk(f: np.ndarray) -> None:
+    """Raise UnphysicalFactor, naming the worst entry, if any |f| exceeds 1
+    by more than UNIT_BOUND_SLACK (NaN included)."""
+    abs_f = np.hypot(f.real, f.imag)
+    bad = ~(abs_f <= 1 + UNIT_BOUND_SLACK)
+    if bad.any():
+        # np.max propagates NaN, so a NaN entry is reported first
+        raise UnphysicalFactor(f"|f| = {np.max(abs_f[bad])} exceeds 1 beyond roundoff")
 
-    Raises UnphysicalFactor when f or g leaves its physical range by more
-    than UNIT_BOUND_SLACK (NaN included).
+
+@dataclass(frozen=True, eq=False)
+class CorrelationPoint:
+    """Sweep samples as columns: decoherence factor f and correlation g
+    at (t, tau).
+
+    t, tau (float), f (complex) and g (float) are equal-length 1-D
+    arrays, one entry per row; scalars are stored as the length-1 case,
+    and len() is the row count.  Sweeps come out t-major with tau
+    ascending.  Raises UnphysicalFactor, naming the worst entry, when any
+    f or g leaves its physical range by more than UNIT_BOUND_SLACK (NaN
+    included), and ValueError when the columns differ in length.
     """
 
-    t: float
-    tau: float
-    f: complex
-    g: float
+    t: np.ndarray
+    tau: np.ndarray
+    f: np.ndarray
+    g: np.ndarray
 
     def __post_init__(self):
-        if not abs(self.f) <= 1 + UNIT_BOUND_SLACK:
-            raise UnphysicalFactor(f"|f| = {abs(self.f)} exceeds 1 beyond roundoff")
-        if not -UNIT_BOUND_SLACK <= self.g <= 1 + UNIT_BOUND_SLACK:
-            raise UnphysicalFactor(f"g = {self.g} outside [0, 1] beyond roundoff")
+        shapes = []
+        for name, dtype in (("t", float), ("tau", float), ("f", complex), ("g", float)):
+            column = np.atleast_1d(np.asarray(getattr(self, name), dtype=dtype))
+            object.__setattr__(self, name, column)
+            shapes.append(column.shape)
+        if len(set(shapes)) != 1 or len(shapes[0]) != 1:
+            raise ValueError(f"t, tau, f and g must be 1-D and of one length, got shapes {shapes}")
+        _check_unit_disk(self.f)
+        bad = ~((self.g >= -UNIT_BOUND_SLACK) & (self.g <= 1 + UNIT_BOUND_SLACK))
+        if bad.any():
+            # farthest from [0, 1]; argmax picks a NaN entry first
+            worst = self.g[bad][np.argmax(np.abs(self.g[bad] - 0.5))]
+            raise UnphysicalFactor(f"g = {worst} outside [0, 1] beyond roundoff")
+
+    def __len__(self) -> int:
+        return self.t.size

@@ -35,6 +35,7 @@ from .model import (
 
 __all__ = [
     "SECTOR_GUARD",
+    "min_cutoff",
     "SectorMatrix",
     "sector_hamiltonian",
     "sector_propagator",
@@ -199,6 +200,16 @@ def _poisson_tail_bound(x: float, cutoff: int) -> float:
     return math.exp(log_first) / (1.0 - x / (cutoff + 2.0))
 
 
+def min_cutoff(x: float) -> int:
+    """Smallest mixture cutoff accepted for mean occupation x: ceil(10 x).
+
+    x = |beta0|^2 of the shorthand state sqrt(k) is k squared back, a few
+    ULP off, so 10 x is pulled down by 4 ULP before the ceil: k = 2 needs
+    20, not 21.  The returned tail bound is what certifies the truncation.
+    """
+    return math.ceil(10 * x * (1 - 4 * np.finfo(float).eps))
+
+
 def decoherence_factor_oracle_coherent(params: ModelParams, beta0: complex,
                                        t, t_prime,
                                        cutoff: int) -> CoherentOracleResult:
@@ -214,7 +225,7 @@ def decoherence_factor_oracle_coherent(params: ModelParams, beta0: complex,
     array gives one value per entry.
     """
     x = abs(beta0) ** 2
-    if cutoff < 10 * x:
+    if cutoff < min_cutoff(x):
         raise CutoffTooSmall(f"cutoff {cutoff} < 10*|beta0|^2 = {10 * x:g}")
     if cutoff > SECTOR_GUARD:
         raise SectorTooLarge(f"cutoff {cutoff} exceeds the dense guard {SECTOR_GUARD}")
@@ -227,6 +238,6 @@ def decoherence_factor_oracle_coherent(params: ModelParams, beta0: complex,
     for n in range(cutoff + 1):
         w = math.exp(-x + n * log_x - math.lgamma(n + 1.0))
         value += w * _sector_factor(params, n, t, times)
-    # cutoff >= 10 x, so cutoff + 2 > x as the bound needs
+    # cutoff >= ~10 x, so cutoff + 2 > x as the bound needs
     tail = _poisson_tail_bound(x, cutoff)
     return CoherentOracleResult(complex(value[0]) if scalar else value, tail)

@@ -202,7 +202,7 @@ def test_09_free_fringe_is_an_undamped_cosine():
 
 def test_10_preset_panels_are_deterministic(tmp_path, golden_dir):
     """All 12 preset panels, driven through the CLI, under 10 s total and
-    byte-identical to the pinned CSVs."""
+    byte-identical to the pinned CSVs and SVGs."""
     start = time.perf_counter()
     for figure in (1, 2):
         for panel in "abcdef":
@@ -212,9 +212,10 @@ def test_10_preset_panels_are_deterministic(tmp_path, golden_dir):
     elapsed = time.perf_counter() - start
     for figure in (1, 2):
         for panel in "abcdef":
-            name = f"fig{figure}{panel}.csv"
-            fresh = (tmp_path / name).read_bytes()
-            with open(os.path.join(golden_dir, "figures", name), "rb") as fh:
-                pinned = fh.read()
-            assert fresh == pinned, f"{name} deviates from its pinned bytes"
+            for ext in ("csv", "svg"):
+                name = f"fig{figure}{panel}.{ext}"
+                fresh = (tmp_path / name).read_bytes()
+                with open(os.path.join(golden_dir, "figures", name), "rb") as fh:
+                    pinned = fh.read()
+                assert fresh == pinned, f"{name} deviates from its pinned bytes"
     assert elapsed < 10.0

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from soqd import (
     ConfigError,
     FockState,
     ToleranceExceeded,
+    UnphysicalFactor,
+    apparatus_from_json,
     compare_methods,
     load_sweep_config,
     main,
@@ -24,7 +27,7 @@ from soqd import (
     sweep_config_to_json,
 )
 from soqd import cli as cli_module
-from soqd.cli import CSV_HEADER, _coherent_cutoff
+from soqd.cli import CSV_HEADER, MAX_SWEEP_ROWS, _coherent_cutoff
 
 
 def make_config(**overrides):
@@ -167,6 +170,35 @@ def test_coherent_cutoff_floor():
     assert _coherent_cutoff(CoherentState(0j, 3.0 + 0j)) == 90
 
 
+def test_coherent_cutoff_of_the_shorthand_is_exact():
+    """sqrt(k) squared back lands a few ULP above k for many k (k = 2 gave
+    cutoff 21, k = 10 gave 101); the cutoff must not pay for that."""
+    for k in range(1, 301):
+        state = apparatus_from_json({"kind": "coherent", "n": k})
+        assert _coherent_cutoff(state) == max(20, 10 * k), k
+
+
+def test_config_refuses_a_sweep_too_large_to_hold(tmp_path, capsys):
+    """10^9 tau steps would need hundreds of GB; refused before anything
+    is allocated or written."""
+    cfg = write_config(tmp_path, tau_steps=10**9)
+    tracemalloc.start()
+    try:
+        rc = main(["sweep", "--config", cfg])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    assert f"exceeds the limit of {MAX_SWEEP_ROWS}" in capsys.readouterr().err
+    assert peak < 1e6
+    assert not (tmp_path / "out.csv").exists()
+    # the limit is on len(t_values) * tau_steps, inclusive
+    sweep_config_from_json(make_config(t_values=[0.0, 1.0], tau_steps=MAX_SWEEP_ROWS // 2))
+    with pytest.raises(ConfigError, match="exceeds the limit"):
+        sweep_config_from_json(make_config(t_values=[0.0, 1.0],
+                                           tau_steps=MAX_SWEEP_ROWS // 2 + 1))
+
+
 # ---------------------------------------------------------------------------
 # sweep driver and serialization
 # ---------------------------------------------------------------------------
@@ -176,19 +208,20 @@ def test_run_sweep_rows_are_t_major(tmp_path):
         make_config(output_path=str(tmp_path / "o.csv")))
     points = run_sweep(config)
     assert len(points) == 18
-    assert [p.t for p in points] == [0.0] * 9 + [2.0] * 9
-    taus = [p.tau for p in points[:9]]
-    assert taus == sorted(taus) and taus[0] == 0.0 and taus[-1] == 4.0
+    for name in ("t", "tau", "f", "g"):
+        assert getattr(points, name).shape == (18,), name
+    assert np.array_equal(points.t, [0.0] * 9 + [2.0] * 9)
+    taus = np.linspace(0.0, 4.0, 9)
+    assert np.array_equal(points.tau, np.concatenate([taus, taus]))
 
 
 def test_csv_round_trip_is_bit_exact(tmp_path):
     path = str(tmp_path / "o.csv")
     config = sweep_config_from_json(make_config(output_path=path))
-    points = run_sweep(config)
-    back = read_points_csv(path)
+    points, back = run_sweep(config), read_points_csv(path)
     assert len(back) == len(points)
-    for a, b in zip(points, back):
-        assert (a.t, a.tau, a.f, a.g) == (b.t, b.tau, b.f, b.g)
+    for name in ("t", "tau", "f", "g"):
+        assert np.array_equal(getattr(back, name), getattr(points, name)), name
 
 
 def test_csv_header_is_stable(tmp_path):
@@ -206,6 +239,42 @@ def test_read_csv_rejects_bad_header(tmp_path):
         read_points_csv(str(path))
 
 
+GOOD_ROW = "0,0.5,0.25,-0.5,0.55901699437494745,0.75"
+
+
+def write_csv_rows(tmp_path, *rows):
+    path = tmp_path / "o.csv"
+    path.write_text("\n".join((CSV_HEADER,) + rows) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def test_read_csv_rejects_a_short_row(tmp_path):
+    path = write_csv_rows(tmp_path, GOOD_ROW, "0,0.75,0.25,-0.5,0.75")
+    with pytest.raises(ConfigError, match="malformed row"):
+        read_points_csv(path)
+    path = write_csv_rows(tmp_path, "0,0.75,0.25,-0.5,0.75")
+    with pytest.raises(ConfigError, match="rows have 5 cells"):
+        read_points_csv(path)
+
+
+def test_read_csv_rejects_a_file_without_rows(tmp_path):
+    with pytest.raises(ConfigError, match="has no rows"):
+        read_points_csv(write_csv_rows(tmp_path))
+
+
+def test_read_csv_rejects_a_non_numeric_cell(tmp_path):
+    path = write_csv_rows(tmp_path, GOOD_ROW, "0,0.75,0.25,x,0.5,0.75")
+    with pytest.raises(ConfigError, match="malformed row"):
+        read_points_csv(path)
+
+
+def test_read_csv_rejects_an_unphysical_row(tmp_path):
+    for bad in ("0,0.75,1.5,0,1.5,0.75", "0,0.75,0.25,-0.5,0.55,1.5",
+                "0,0.75,nan,0,nan,0.5"):
+        with pytest.raises(UnphysicalFactor):
+            read_points_csv(write_csv_rows(tmp_path, GOOD_ROW, bad))
+
+
 def test_json_output(tmp_path):
     path = str(tmp_path / "o.json")
     config = sweep_config_from_json(
@@ -215,10 +284,13 @@ def test_json_output(tmp_path):
         data = json.load(fh)
     assert set(data) == {"points"}
     assert len(data["points"]) == 18
-    first = data["points"][0]
-    assert set(first) == {"t", "tau", "re_F", "im_F", "abs_F", "G"}
-    assert first["re_F"] == points[0].f.real
-    assert first["G"] == points[0].g
+    rows = data["points"]
+    assert all(set(row) == {"t", "tau", "re_F", "im_F", "abs_F", "G"} for row in rows)
+    want = {"t": points.t, "tau": points.tau, "re_F": points.f.real,
+            "im_F": points.f.imag, "abs_F": [abs(complex(f)) for f in points.f],
+            "G": points.g}
+    for key, column in want.items():
+        assert np.array_equal([row[key] for row in rows], column), key
 
 
 def test_sweep_emits_svg_plot(tmp_path):
@@ -237,9 +309,9 @@ def test_equal_couplings_sweep_is_pure_fringe(tmp_path):
     config = sweep_config_from_json(make_config(
         d_e=0.5, d_g=0.5, apparatus={"kind": "coherent", "n": 4},
         t_values=[1.0], output_path=str(tmp_path / "o.csv")))
-    for p in run_sweep(config):
-        assert abs(abs(p.f) - 1) <= 1e-9
-        assert p.g == pytest.approx(0.5 + 0.5 * math.cos(p.tau), abs=1e-9)
+    points = run_sweep(config)
+    assert np.max(np.abs(np.abs(points.f) - 1)) <= 1e-9
+    assert np.max(np.abs(points.g - (0.5 + 0.5 * np.cos(points.tau)))) <= 1e-9
 
 
 def test_sweep_methods_agree(tmp_path):
@@ -250,8 +322,9 @@ def test_sweep_methods_agree(tmp_path):
             output_path=str(tmp_path / f"{method}.csv")))
         points[method] = run_sweep(config)
     for method in ("quadrature", "oracle"):
-        for a, b in zip(points["closed"], points[method]):
-            assert abs(a.f - b.f) <= 1e-9
+        assert np.array_equal(points[method].t, points["closed"].t)
+        assert np.array_equal(points[method].tau, points["closed"].tau)
+        assert np.max(np.abs(points[method].f - points["closed"].f)) <= 1e-9
 
 
 def test_coherent_oracle_sweep_matches_closed_form(tmp_path):
@@ -261,8 +334,10 @@ def test_coherent_oracle_sweep_matches_closed_form(tmp_path):
             method=method, apparatus={"kind": "coherent", "n": 2}, t_values=[0.0, 1.5],
             tau_max=3.0, tau_steps=7, output_path=str(tmp_path / f"{method}.csv")))
         points[method] = run_sweep(config)
-    for a, b in zip(points["closed"], points["oracle"]):
-        assert abs(a.f - b.f) <= 1e-9
+    assert len(points["oracle"]) == 14
+    assert np.array_equal(points["oracle"].t, points["closed"].t)
+    assert np.array_equal(points["oracle"].tau, points["closed"].tau)
+    assert np.max(np.abs(points["oracle"].f - points["closed"].f)) <= 1e-9
 
 
 def test_oracle_sweep_refuses_a_large_tail_bound(tmp_path, monkeypatch, capsys):
@@ -419,8 +494,9 @@ def test_main_maps_unphysical_point_to_exit_3(tmp_path):
     error with exit code 3, not a traceback and not a silent row."""
     script = (
         "import sys\n"
+        "import numpy as np\n"
         "from soqd import cli\n"
-        "cli.g2_interacting = lambda *args: 1.5\n"
+        "cli.g2_interacting = lambda f, *args: np.full(f.shape, 1.5)\n"
         "sys.exit(cli.main(['sweep', '--config', sys.argv[1]]))\n")
     proc = subprocess.run([sys.executable, "-O", "-c", script, write_config(tmp_path)],
                           capture_output=True, text=True)

@@ -321,6 +321,33 @@ def test_g2_interacting_complex_factor():
 def test_g2_interacting_rejects_unphysical_factor():
     with pytest.raises(UnphysicalFactor):
         g2_interacting(1.1 + 0j, 0.0, 1.0, omega_e=1.0)
+    f = np.array([0.5, 1.2 + 0j, 1.7j, 0.0])
+    with pytest.raises(UnphysicalFactor, match=r"\|f\| = 1\.7 "):
+        g2_interacting(f, 0.0, np.linspace(0.0, 1.0, 4), omega_e=1.0)
+    with pytest.raises(UnphysicalFactor, match="nan"):
+        g2_interacting(np.array([0.5, complex(math.nan, 0.0)]), 0.0, 1.0, omega_e=1.0)
+
+
+def test_g2_interacting_array_matches_scalar_calls_bit_for_bit():
+    """10^4 points, f = 0 and |f| = 1 among them: the array path equals
+    per-element calls and the complex-multiply scalar formula exactly."""
+    rng = np.random.default_rng(11)
+    size = 10_000
+    f = np.sqrt(rng.uniform(0.0, 1.0, size)) * np.exp(1j * rng.uniform(-np.pi, np.pi, size))
+    f[:50] = 0.0
+    f[50:100] = np.exp(1j * rng.uniform(-np.pi, np.pi, 50))
+    f[100:104] = (1.0, -1.0, 1j, -1j)
+    t = rng.uniform(0.0, 20.0, size)
+    t_prime = t + rng.uniform(-5.0, 30.0, size)
+    omega_e = 1.3
+    got = g2_interacting(f, t, t_prime, omega_e)
+    assert got.shape == (size,)
+    per_element = [g2_interacting(complex(z), float(a), float(b), omega_e)
+                   for z, a, b in zip(f, t, t_prime)]
+    formula = [0.5 + 0.5 * np.real(np.exp(1j * omega_e * (float(a) - float(b))) * complex(z))
+               for z, a, b in zip(f, t, t_prime)]
+    assert np.array_equal(got, per_element)
+    assert np.array_equal(got, formula)
 
 
 def test_equal_couplings_reduce_to_free_fringe():

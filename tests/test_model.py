@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -148,7 +149,33 @@ def test_fock_serialization_round_trips_bit_exactly(n):
 
 
 def test_correlation_point_accepts_physical_values():
-    CorrelationPoint(t=0.0, tau=1.0, f=0.3 - 0.4j, g=0.75)
+    point = CorrelationPoint(t=0.0, tau=1.0, f=0.3 - 0.4j, g=0.75)
+    assert len(point) == 1
+    assert point.f.dtype == complex and point.f.shape == (1,)
+    assert point.g.dtype == float and point.g.shape == (1,)
+
+
+def test_correlation_point_holds_equal_length_columns():
+    taus = np.linspace(0.0, 1.0, 5)
+    points = CorrelationPoint(np.zeros(5), taus, np.full(5, 0.5j), np.full(5, 0.5))
+    assert len(points) == 5
+    with pytest.raises(ValueError, match="one length"):
+        CorrelationPoint(np.zeros(5), taus, np.full(4, 0.5j), np.full(5, 0.5))
+    with pytest.raises(ValueError, match="1-D"):
+        CorrelationPoint(np.zeros((1, 5)), taus[None], np.full((1, 5), 0.5j),
+                         np.full((1, 5), 0.5))
+
+
+def test_correlation_point_names_the_worst_row():
+    f = np.array([0.5, 1.2, 1.7j, 0.0])
+    with pytest.raises(UnphysicalFactor, match=r"\|f\| = 1\.7 "):
+        CorrelationPoint(np.zeros(4), np.arange(4.0), f, np.full(4, 0.5))
+    g = np.array([0.5, -0.25, 1.5, 1.0])
+    with pytest.raises(UnphysicalFactor, match=r"g = 1\.5 "):
+        CorrelationPoint(np.zeros(4), np.arange(4.0), np.zeros(4), g)
+    g[1] = math.nan
+    with pytest.raises(UnphysicalFactor, match="g = nan"):
+        CorrelationPoint(np.zeros(4), np.arange(4.0), np.zeros(4), g)
 
 
 def test_correlation_point_rejects_oversized_factor():

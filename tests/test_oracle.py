@@ -323,8 +323,7 @@ def test_oracle_sweep_eigendecomposes_once_per_sector_for_every_t(tmp_path,
     for t in config.t_values:
         per_t = decoherence_factor_oracle_coherent(
             FIGURE_PARAMS, config.state.beta0, t, t + taus, cutoff).value
-        swept = np.array([p.f for p in points if p.t == t])
-        assert np.max(np.abs(swept - per_t)) <= 1e-12
+        assert np.max(np.abs(points.f[points.t == t] - per_t)) <= 1e-12
 
 
 def test_oracle_memory_does_not_grow_with_the_grid(preset_params):

@@ -33,10 +33,10 @@ def _active_dispatched_features():
 
 
 def test_panel_bytes_do_not_depend_on_blas_kernel_or_simd_dispatch(tmp_path):
-    """All 12 panels, rendered in fresh interpreters under different
-    OpenBLAS core types and with numpy's dispatched SIMD targets masked,
-    come out byte-identical: a kernel-dependent operation in the closed
-    form shows here on a single host."""
+    """All 12 panels (CSV and SVG), rendered in fresh interpreters under
+    different OpenBLAS core types and with numpy's dispatched SIMD targets
+    masked, come out byte-identical: a kernel-dependent operation in the
+    closed form or the writers shows here on a single host."""
     masked = ",".join(_active_dispatched_features())
     settings = {
         "default": {},
@@ -58,11 +58,12 @@ def test_panel_bytes_do_not_depend_on_blas_kernel_or_simd_dispatch(tmp_path):
                               env={**base, **extra}, capture_output=True, text=True)
         assert proc.returncode == 0, f"{name}: {proc.stderr}"
     for figure, panel in PANELS:
-        csv = f"fig{figure}{panel}.csv"
-        want = (tmp_path / "default" / csv).read_bytes()
-        for name in settings:
-            assert (tmp_path / name / csv).read_bytes() == want, \
-                f"{csv} under {name} differs from the default run"
+        for ext in ("csv", "svg"):
+            file = f"fig{figure}{panel}.{ext}"
+            want = (tmp_path / "default" / file).read_bytes()
+            for name in settings:
+                assert (tmp_path / name / file).read_bytes() == want, \
+                    f"{file} under {name} differs from the default run"
 
 
 # ---------------------------------------------------------------------------
@@ -115,8 +116,10 @@ def test_panels_match_a_200_bit_reference(tmp_path):
         for figure, panel in PANELS:
             n, _ = PANEL_SETTINGS[panel]
             points = read_points_csv(reproduce_figure(figure, panel, str(tmp_path))["csv"])
-            for p in points[::ROW_STRIDE] + points[-1:]:
-                f_ref, g_ref = _reference(mp, figure, n, p.t, p.t + p.tau)
-                rel_f = float(abs(mp.mpc(p.f) - f_ref) / abs(f_ref))
-                assert rel_f <= F_REL_BOUND, (figure, panel, p.tau, rel_f)
-                assert float(abs(p.g - g_ref)) <= G_ABS_BOUND, (figure, panel, p.tau)
+            rows = list(range(0, len(points), ROW_STRIDE)) + [len(points) - 1]
+            for t, tau, f, g in zip(points.t[rows].tolist(), points.tau[rows].tolist(),
+                                    points.f[rows].tolist(), points.g[rows].tolist()):
+                f_ref, g_ref = _reference(mp, figure, n, t, t + tau)
+                rel_f = float(abs(mp.mpc(f) - f_ref) / abs(f_ref))
+                assert rel_f <= F_REL_BOUND, (figure, panel, tau, rel_f)
+                assert float(abs(g - g_ref)) <= G_ABS_BOUND, (figure, panel, tau)
