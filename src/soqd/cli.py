@@ -22,7 +22,6 @@ import numpy as np
 from .correlation import (
     QUADRATURE_OCCUPATION_GUARD,
     _complex,
-    decoherence_factor_fock_closed,
     decoherence_factor_fock_quadrature,
     decoherence_time,
     default_quadrature,
@@ -74,6 +73,8 @@ __all__ = [
 CSV_COLUMNS = ("t", "tau", "re_F", "im_F", "abs_F", "G")
 CSV_HEADER = ",".join(CSV_COLUMNS)
 _CSV_ROW = ",".join(["%.17g"] * len(CSV_COLUMNS)) + "\n"
+#: one JSON row object as json.dump(..., indent=1) lays it out in the list
+_JSON_ROW = "\n  {\n" + ",\n".join(f'   "{key}": %r' for key in CSV_COLUMNS) + "\n  }"
 
 #: parameters behind every preset panel
 FIGURE_PARAMS = ModelParams(omega1=0.2, omega2=1.3, d_e=0.8, d_g=0.2, omega_e=1.0)
@@ -96,8 +97,8 @@ FIGURE_TAU_STEPS = 600
 ORACLE_TAIL_TOLERANCE = 1e-9
 
 #: largest len(t_values) * tau_steps a sweep accepts.  A sweep peaks at
-#: about 250 bytes per row with CSV output and 530 with JSON (tracemalloc,
-#: 10^5-row sweeps), so the largest one stays near 1 GiB
+#: about 245 bytes per row with CSV or JSON output (tracemalloc, 10^5-row
+#: sweeps), so the largest one stays near 0.5 GB
 MAX_SWEEP_ROWS = 2_000_000
 
 
@@ -184,7 +185,7 @@ def sweep_config_from_json(obj: dict) -> SweepConfig:
 
 
 def _coherent_cutoff(state: CoherentState) -> int:
-    return max(20, min_cutoff(abs(state.beta0) ** 2))
+    return min_cutoff(abs(state.beta0) ** 2)
 
 
 def _validate_sweep_config(config: SweepConfig) -> None:
@@ -359,10 +360,24 @@ def read_points_csv(path: str) -> CorrelationPoint:
 
 
 def write_points_json(path: str, points: CorrelationPoint) -> None:
-    rows = [dict(zip(CSV_COLUMNS, cells)) for cells in _columns(points)]
+    """{"points": [row, ...]} with the keys of CSV_COLUMNS, streamed one
+    row at a time.
+
+    The bytes are those of json.dump(..., indent=1) plus a newline: a
+    float cell is written as its repr, as json does for finite values
+    (sweep grids are finite, and CorrelationPoint refuses non-finite f
+    and g).
+    """
+    rows = (_JSON_ROW % cells for cells in _columns(points))
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"points": rows}, fh, indent=1)
-        fh.write("\n")
+        fh.write('{\n "points": [')
+        first = next(rows, None)
+        if first is None:
+            fh.write("]\n}\n")
+            return
+        fh.write(first)
+        fh.writelines("," + row for row in rows)
+        fh.write("\n ]\n}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -496,9 +511,9 @@ def compare_methods(params: ModelParams, n: int, t: float, tau_grid,
     quad = default_quadrature(n)
     taus = np.asarray(tau_grid, dtype=float)
     oracle = decoherence_factor_oracle_fock(params, n, t, t + taus)
+    closed = factor_over_tau(params, FockState(n), t, taus)
     rows = []
-    for tau, fo in zip(taus, oracle.tolist()):
-        fc = decoherence_factor_fock_closed(params, n, t, t + tau)
+    for tau, fc, fo in zip(taus, closed.tolist(), oracle.tolist()):
         fq = decoherence_factor_fock_quadrature(params, n, t, t + tau, quad)
         delta = max(abs(fc - fq), abs(fc - fo), abs(fq - fo))
         rows.append(ComparisonRow(float(tau), fc, fq, fo, delta))

@@ -86,7 +86,8 @@ class SectorTooLarge(SimulationError):
 
 
 class CutoffTooSmall(SimulationError):
-    """Mixture cutoff too small for the requested mean occupation."""
+    """Mixture cutoff whose certified Poisson tail exceeds 2^-53 at the
+    requested mean occupation (below oracle.min_cutoff)."""
 
 
 class ConfigError(SimulationError):

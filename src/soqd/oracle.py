@@ -16,7 +16,9 @@ at honest matrix-product cost.
 
 Coherent preparations are Poisson mixtures over sectors, summed one
 sector at a time, with a log-space upper bound on the discarded Poisson
-mass.
+mass.  That bound also sets the cutoff: the smallest one whose certified
+tail is at most 2^-53 (min_cutoff), so no sector is summed that could
+not change a bit of the result, and every sector that could is.
 """
 
 import math
@@ -35,6 +37,7 @@ from .model import (
 
 __all__ = [
     "SECTOR_GUARD",
+    "MIXTURE_TAIL_TARGET",
     "min_cutoff",
     "SectorMatrix",
     "sector_hamiltonian",
@@ -47,6 +50,10 @@ __all__ = [
 #: largest sector dimension the dense path accepts; keeps a single
 #: eigendecomposition + products well under a second
 SECTOR_GUARD = 512
+
+#: largest certified Poisson tail a mixture cutoff may leave: the unit
+#: roundoff of a double, since the mixture value has |value| <= 1
+MIXTURE_TAIL_TARGET = 2.0 ** -53
 
 #: t' columns pushed through the propagators together; bounds the work
 #: arrays at (n + 1) x _TAU_BLOCK complex entries whatever the grid size
@@ -201,13 +208,20 @@ def _poisson_tail_bound(x: float, cutoff: int) -> float:
 
 
 def min_cutoff(x: float) -> int:
-    """Smallest mixture cutoff accepted for mean occupation x: ceil(10 x).
+    """Smallest mixture cutoff C for mean occupation x whose certified tail,
+    _poisson_tail_bound(x, C), is at most MIXTURE_TAIL_TARGET.
 
-    x = |beta0|^2 of the shorthand state sqrt(k) is k squared back, a few
-    ULP off, so 10 x is pulled down by 4 ULP before the ceil: k = 2 needs
-    20, not 21.  The returned tail bound is what certifies the truncation.
+    The search starts at ceil(x), so C + 2 > x as the bound needs, and
+    stops at SECTOR_GUARD + 1: that value means no cutoff the dense path
+    accepts is enough.  x = 0 gives 0, since Poisson(0) has no tail.
     """
-    return math.ceil(10 * x * (1 - 4 * np.finfo(float).eps))
+    if x == 0:
+        return 0
+    cutoff = math.ceil(min(x, SECTOR_GUARD + 1))
+    while (cutoff <= SECTOR_GUARD
+           and _poisson_tail_bound(x, cutoff) > MIXTURE_TAIL_TARGET):
+        cutoff += 1
+    return cutoff
 
 
 def decoherence_factor_oracle_coherent(params: ModelParams, beta0: complex,
@@ -222,11 +236,16 @@ def decoherence_factor_oracle_coherent(params: ModelParams, beta0: complex,
     bound is returned alongside the value.  Sectors are evaluated one at a
     time, each eigendecomposed once for the whole grid; ``t`` and
     ``t_prime`` broadcast as in decoherence_factor_oracle_fock, and an
-    array gives one value per entry.
+    array gives one value per entry.  Raises CutoffTooSmall when the
+    cutoff's certified tail exceeds MIXTURE_TAIL_TARGET (cutoff below
+    min_cutoff(x)), and SectorTooLarge above SECTOR_GUARD.
     """
     x = abs(beta0) ** 2
-    if cutoff < min_cutoff(x):
-        raise CutoffTooSmall(f"cutoff {cutoff} < 10*|beta0|^2 = {10 * x:g}")
+    needed = min_cutoff(x)
+    if cutoff < needed:
+        raise CutoffTooSmall(
+            f"cutoff {cutoff} leaves a Poisson tail above 2^-53 at "
+            f"|beta0|^2 = {x:g}; the smallest certified cutoff is {needed}")
     if cutoff > SECTOR_GUARD:
         raise SectorTooLarge(f"cutoff {cutoff} exceeds the dense guard {SECTOR_GUARD}")
     if x == 0:
@@ -238,6 +257,6 @@ def decoherence_factor_oracle_coherent(params: ModelParams, beta0: complex,
     for n in range(cutoff + 1):
         w = math.exp(-x + n * log_x - math.lgamma(n + 1.0))
         value += w * _sector_factor(params, n, t, times)
-    # cutoff >= ~10 x, so cutoff + 2 > x as the bound needs
+    # cutoff >= min_cutoff(x) >= ceil(x), so cutoff + 2 > x as the bound needs
     tail = _poisson_tail_bound(x, cutoff)
     return CoherentOracleResult(complex(value[0]) if scalar else value, tail)

@@ -18,6 +18,7 @@ from soqd import (
     UnphysicalFactor,
     apparatus_from_json,
     compare_methods,
+    decoherence_factor_fock_closed,
     load_sweep_config,
     main,
     read_points_csv,
@@ -27,7 +28,8 @@ from soqd import (
     sweep_config_to_json,
 )
 from soqd import cli as cli_module
-from soqd.cli import CSV_HEADER, MAX_SWEEP_ROWS, _coherent_cutoff
+from soqd.cli import CSV_COLUMNS, CSV_HEADER, MAX_SWEEP_ROWS, _coherent_cutoff
+from soqd.oracle import _poisson_tail_bound, min_cutoff
 
 
 def make_config(**overrides):
@@ -150,7 +152,7 @@ def test_config_guards_oracle_method():
             apparatus={"kind": "coherent", "alpha0": [0.5, 0.0], "beta0": [1.0, 0.0]}))
     with pytest.raises(ConfigError, match="too large for the dense oracle"):
         sweep_config_from_json(make_config(
-            method="oracle", apparatus={"kind": "coherent", "n": 64}))
+            method="oracle", apparatus={"kind": "coherent", "n": 400}))
 
 
 def test_load_sweep_config_missing_file(tmp_path):
@@ -165,17 +167,28 @@ def test_load_sweep_config_invalid_json(tmp_path):
         load_sweep_config(str(path))
 
 
-def test_coherent_cutoff_floor():
-    assert _coherent_cutoff(CoherentState(0j, 0.5 + 0j)) == 20
-    assert _coherent_cutoff(CoherentState(0j, 3.0 + 0j)) == 90
+def _assert_minimal_and_certified(x, cutoff):
+    """The certified tail is below double rounding (2^-53), one sector less's is not."""
+    assert _poisson_tail_bound(x, cutoff) <= 2.0 ** -53 < \
+        _poisson_tail_bound(x, cutoff - 1), (x, cutoff)
+
+
+def test_coherent_cutoff_is_minimal_and_certified():
+    """Small occupations get the certified cutoff, with no floor."""
+    assert _coherent_cutoff(CoherentState(0j, 0.5 + 0j)) == 11
+    assert _coherent_cutoff(CoherentState(0j, 3.0 + 0j)) == 43
+    for x, cutoff in ((0.25, 11), (9.0, 43)):
+        _assert_minimal_and_certified(x, cutoff)
 
 
 def test_coherent_cutoff_of_the_shorthand_is_exact():
-    """sqrt(k) squared back lands a few ULP above k for many k (k = 2 gave
-    cutoff 21, k = 10 gave 101); the cutoff must not pay for that."""
+    """sqrt(k) squared back lands a few ULP above k for many k; the cutoff
+    must be the one of the exact x = k, and minimal and certified."""
     for k in range(1, 301):
         state = apparatus_from_json({"kind": "coherent", "n": k})
-        assert _coherent_cutoff(state) == max(20, 10 * k), k
+        cutoff = _coherent_cutoff(state)
+        assert cutoff == min_cutoff(float(k)), k
+        _assert_minimal_and_certified(float(k), cutoff)
 
 
 def test_config_refuses_a_sweep_too_large_to_hold(tmp_path, capsys):
@@ -291,6 +304,10 @@ def test_json_output(tmp_path):
             "G": points.g}
     for key, column in want.items():
         assert np.array_equal([row[key] for row in rows], column), key
+    # streamed, but the bytes of one json.dump of the whole document
+    reference = [dict(zip(CSV_COLUMNS, cells)) for cells in cli_module._columns(points)]
+    with open(path, encoding="utf-8") as fh:
+        assert fh.read() == json.dumps({"points": reference}, indent=1) + "\n"
 
 
 def test_sweep_emits_svg_plot(tmp_path):
@@ -384,6 +401,10 @@ def test_compare_methods_report(preset_params):
     assert [r.tau for r in report.rows] == list(grid)
     assert report.max_delta == max(r.max_delta for r in report.rows)
     assert report.max_delta <= 1e-9
+    # the closed column comes from one grid call, bit for bit the scalar path
+    for r in report.rows:
+        assert type(r.f_closed) is complex
+        assert r.f_closed == decoherence_factor_fock_closed(preset_params, 2, 0.0, r.tau)
 
 
 def test_compare_methods_raises_on_tight_tolerance(preset_params):

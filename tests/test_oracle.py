@@ -28,11 +28,12 @@ from soqd import (
 )
 from soqd import oracle as oracle_module
 from soqd.cli import FIGURE_PARAMS, _coherent_cutoff
-from soqd.oracle import SECTOR_GUARD
+from soqd.oracle import MIXTURE_TAIL_TARGET, SECTOR_GUARD, min_cutoff
 
 
 def test_sector_guard_value():
     assert SECTOR_GUARD == 512
+    assert MIXTURE_TAIL_TARGET == 2.0 ** -53
 
 
 def test_sector_hamiltonian_single_quantum(preset_params):
@@ -178,6 +179,10 @@ def test_oracle_coherent_empty_preparation_is_unity(preset_params):
     result = decoherence_factor_oracle_coherent(preset_params, 0j, 0.0, 7.0, cutoff=5)
     assert result.value == pytest.approx(1.0)
     assert result.tail_bound == 0.0
+    # Poisson(0) has no tail: sector 0 alone is the exact mixture
+    assert min_cutoff(0.0) == 0
+    exact = decoherence_factor_oracle_coherent(preset_params, 0j, 0.0, 7.0, cutoff=0)
+    assert exact.value == 1.0 and exact.tail_bound == 0.0
 
 
 def test_oracle_coherent_equal_couplings_is_unity():
@@ -187,8 +192,9 @@ def test_oracle_coherent_equal_couplings_is_unity():
 
 
 def test_oracle_coherent_rejects_small_cutoff(preset_params):
-    with pytest.raises(CutoffTooSmall):
-        decoherence_factor_oracle_coherent(preset_params, 2.0 + 0j, 0.0, 1.0, cutoff=39)
+    assert min_cutoff(4.0) - 1 == 28
+    with pytest.raises(CutoffTooSmall, match="smallest certified cutoff is 29"):
+        decoherence_factor_oracle_coherent(preset_params, 2.0 + 0j, 0.0, 1.0, cutoff=28)
 
 
 def test_oracle_coherent_rejects_oversized_cutoff(preset_params):
@@ -209,6 +215,62 @@ def test_oracle_coherent_matches_closed_form(preset_params):
     got = decoherence_factor_oracle_coherent(preset_params, beta0, 0.0, 2.0, cutoff=120)
     want = decoherence_factor_coherent(preset_params, beta0, 0.0, 2.0)
     assert abs(got.value - want) <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# certified cutoff
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("x", [0.25, 2.0, 10.0, 100.0, 348.0])
+def test_certified_cutoff_bounds_the_true_tail(x):
+    """At the cutoff actually used, the discarded Poisson mass summed at
+    200 bits stays below the bound, and the bound below 2^-53."""
+    mpmath = pytest.importorskip("mpmath")
+    cutoff = min_cutoff(x)
+    assert cutoff <= SECTOR_GUARD
+    with mpmath.workprec(200):
+        # terms past C + 1 > x fall geometrically; stop far below the sum
+        term = mpmath.exp(-x) * mpmath.mpf(x) ** (cutoff + 1) / mpmath.factorial(cutoff + 1)
+        tail, k = mpmath.mpf(0), cutoff + 1
+        while term > tail * mpmath.mpf(2) ** -100:
+            tail += term
+            k += 1
+            term = term * x / k
+        bound = oracle_module._poisson_tail_bound(x, cutoff)
+        assert 0 < tail <= bound <= MIXTURE_TAIL_TARGET
+
+
+@pytest.mark.parametrize("x", [2.0, 10.0])
+def test_certified_cutoff_agrees_with_the_old_cutoff(preset_params, x):
+    """50 (t, t') cells.  The reference sums at least the sectors of the
+    old max(20, 10 x) rule; at x = 2 that rule's own tail (6.1e-15) is
+    above 1e-15, so there the reference takes twice the new cutoff."""
+    rng = np.random.default_rng(11)
+    t = rng.uniform(0.0, 10.0, 50)
+    t_prime = t + rng.uniform(0.0, 5.0, 50)
+    beta0 = complex(math.sqrt(x))
+    cutoff = min_cutoff(x)
+    got = decoherence_factor_oracle_coherent(preset_params, beta0, t, t_prime, cutoff)
+    old = max(20, math.ceil(10 * x))
+    ref = decoherence_factor_oracle_coherent(preset_params, beta0, t, t_prime,
+                                             max(old, 2 * cutoff))
+    assert np.max(np.abs(got.value - ref.value)) <= 1e-15
+    assert got.tail_bound <= MIXTURE_TAIL_TARGET
+
+
+def test_oracle_coherent_reaches_large_occupation(preset_params):
+    """|beta0|^2 = 100 needs cutoff 193, past the old rule's reach
+    (10 x <= 512 stopped at x = 51)."""
+    beta0 = 10.0 + 0j
+    assert min_cutoff(100.0) == 193
+    t = np.repeat([0.0, 10.0], 3)
+    t_prime = t + np.tile([0.0, 0.05, 0.2], 2)
+    got = decoherence_factor_oracle_coherent(preset_params, beta0, t, t_prime,
+                                             min_cutoff(100.0))
+    want = [decoherence_factor_coherent(preset_params, beta0, t0, t1)
+            for t0, t1 in zip(t.tolist(), t_prime.tolist())]
+    assert np.max(np.abs(got.value - want)) <= 1e-6
+    assert got.tail_bound <= MIXTURE_TAIL_TARGET
 
 
 # ---------------------------------------------------------------------------
@@ -309,16 +371,17 @@ def test_oracle_takes_one_t_per_t_prime(preset_params):
 def test_oracle_sweep_eigendecomposes_once_per_sector_for_every_t(tmp_path,
                                                                   monkeypatch):
     """Two t values share one eigensystem set per sector: 3 (C + 1) eigh
-    calls, not 3 (C + 1) per t."""
+    calls, not 3 (C + 1) per t.  |beta0|^2 = 10 sums sectors 0..45."""
     config = sweep_config_from_json({
         "omega1": 0.2, "omega2": 1.3, "d_e": 0.8, "d_g": 0.2, "omega_e": 1.0,
-        "apparatus": {"kind": "coherent", "n": 2}, "t_values": [0.0, 1.5],
+        "apparatus": {"kind": "coherent", "n": 10}, "t_values": [0.0, 1.5],
         "tau_min": 0.0, "tau_max": 3.0, "tau_steps": 7, "method": "oracle",
         "output_path": str(tmp_path / "oracle.csv")})
     cutoff = _coherent_cutoff(config.state)
     calls = _count_eigh(monkeypatch)
     points = run_sweep(config)
-    assert len(calls) == 3 * (cutoff + 1)
+    assert cutoff == 45
+    assert len(calls) == 3 * 46
     taus = np.linspace(0.0, 3.0, 7)
     for t in config.t_values:
         per_t = decoherence_factor_oracle_coherent(
