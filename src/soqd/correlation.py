@@ -10,16 +10,15 @@ through the six-step schedule.  F is evaluated three independent ways:
 
 * closed form  - compose the 2x2 mode transforms (production path),
 * quadrature   - integrate the coherent-state resolution of the number
-                 state over the complex plane,
+                 state over the complex plane (see :mod:`soqd.quadrature`),
 * oracle       - dense sector products (see :mod:`soqd.oracle`).
 
-The first two live here; routine agreement between all three is what the
-test suite is built around.
+The closed form lives here, on the transforms of :mod:`soqd.propagator`;
+routine agreement between all three is what the test suite is built
+around.
 """
 
-import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,37 +27,21 @@ from .model import (
     CoherentState,
     DecoherenceNotReached,
     FockState,
-    InsufficientOrder,
     ModelParams,
     NotNormalized,
-    SectorTooLarge,
     _check_unit_disk,
 )
-from .propagator import (
-    _checked_rows,
-    _schedule_product,
-    build_schedule,
-    compose,
-    transform_over_tau,
-)
+from .propagator import _checked_rows, _schedule_product, transform_over_tau
 
 __all__ = [
-    "QUADRATURE_OCCUPATION_GUARD",
-    "QuadratureSpec",
-    "default_quadrature",
     "two_time_amplitude",
     "g2_free",
     "decoherence_factor_coherent",
     "decoherence_factor_fock_closed",
-    "decoherence_factor_fock_quadrature",
     "factor_over_tau",
     "g2_interacting",
     "decoherence_time",
 ]
-
-#: the quadrature path refuses occupations above this; the closed form
-#: covers arbitrary n, so past a few hundred the integral is all cost
-QUADRATURE_OCCUPATION_GUARD = 256
 
 #: threshold search window for decoherence_time
 TAU_MAX_DEFAULT = 200.0
@@ -156,109 +139,6 @@ def _complex(re, im) -> np.ndarray:
     out = np.empty(np.broadcast_shapes(np.shape(re), np.shape(im)), dtype=complex)
     out.real, out.imag = re, im
     return out
-
-
-# ---------------------------------------------------------------------------
-# decoherence factor (quadrature over the coherent resolution)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Node counts for the polar phase-space integral."""
-
-    radial_order: int
-    angular_order: int
-
-    def __post_init__(self):
-        if self.radial_order < 1 or self.angular_order < 1:
-            raise ValueError("quadrature orders must be >= 1")
-
-
-def default_quadrature(n: int) -> QuadratureSpec:
-    """Defaults that integrate the occupation-n case exactly with margin."""
-    return QuadratureSpec(radial_order=max(64, n + 8), angular_order=64)
-
-
-@functools.lru_cache(maxsize=32)
-def _gauss_laguerre_log(order: int):
-    """Gauss-Laguerre nodes and log-weights for weight exp(-u) on [0, inf).
-
-    The rule depends on the order alone, so it is computed once per order
-    and cached; the returned arrays are read-only.
-
-    Nodes are the eigenvalues of the symmetrized Jacobi matrix (diagonal
-    2k+1, off-diagonal k), from a dense symmetric eigensolve of that
-    order x order matrix (Golub & Welsch, Math. Comp. 23, 1969), which
-    keeps the runtime on numpy alone.  Weights do NOT come from the
-    eigenvectors: the first components fall below the eigensolver's
-    absolute accuracy long before the rule's tail does, which silently
-    corrupts every weight under ~1e-14 -- exactly the ones a
-    high-occupation integrand leans on.  Instead each log-weight is
-    evaluated from the analytic form w = u / ((R+1) * L_{R+1}(u))^2, with
-    L_{R+1} run up by the three-term recurrence and renormalized on the
-    fly so the recursion stays finite while log(w) keeps full relative
-    accuracy at any magnitude.
-    """
-    k = np.arange(order, dtype=float)
-    jacobi = np.diag(2.0 * k + 1.0) + np.diag(k[1:], 1) + np.diag(k[1:], -1)
-    nodes = np.linalg.eigvalsh(jacobi)
-    prev = np.ones_like(nodes)  # L_0
-    cur = 1.0 - nodes  # L_1
-    shift = np.zeros_like(nodes)  # accumulated log of the renormalizations
-    for j in range(1, order + 1):
-        prev, cur = cur, ((2.0 * j + 1.0 - nodes) * cur - j * prev) / (j + 1.0)
-        big = np.abs(cur) > 1e100
-        if big.any():
-            factor = np.where(big, np.abs(cur), 1.0)
-            cur /= factor
-            prev /= factor
-            shift += np.log(factor)
-    log_tail = shift + np.log(np.abs(cur))
-    log_w = np.log(nodes) - 2.0 * (math.log(order + 1.0) + log_tail)
-    nodes.flags.writeable = False
-    log_w.flags.writeable = False
-    return nodes, log_w
-
-
-def decoherence_factor_fock_quadrature(params: ModelParams, n: int, t: float,
-                                       t_prime: float,
-                                       quad: QuadratureSpec) -> complex:
-    """Number-state factor by direct phase-space integration.
-
-    Resolve |n> on coherent states: F = integral d^2beta/pi of
-    <0,n | image of (0,beta)> <beta | n>.  In polar form with u = |beta|^2
-    the radial integral carries weight exp(-u) (Gauss-Laguerre) and the
-    phase integral is 2*pi-periodic with finite harmonic content (uniform
-    trapezoid).  The non-weight radial factor is a degree-n polynomial in
-    u, so radial_order >= n + 1 integrates it exactly; everything is
-    assembled in log space (lgamma + complex log-powers) and exponentiated
-    once per node.
-    """
-    if n < 0:
-        raise ValueError(f"occupation must be >= 0, got {n}")
-    if n > QUADRATURE_OCCUPATION_GUARD:
-        raise SectorTooLarge(
-            f"occupation {n} exceeds the quadrature guard {QUADRATURE_OCCUPATION_GUARD}")
-    if quad.radial_order < n + 1:
-        raise InsufficientOrder(
-            f"radial_order {quad.radial_order} < n + 1 = {n + 1}")
-    m = compose(build_schedule(params, t, t_prime))
-    u, log_w = _gauss_laguerre_log(quad.radial_order)
-    theta = 2.0 * math.pi * np.arange(quad.angular_order) / quad.angular_order
-    beta = np.sqrt(u)[:, None] * np.exp(1j * theta)[None, :]
-    # preparation has mode 1 empty, so the image of (0, beta) is:
-    a6 = m.m12 * beta
-    b6 = m.m22 * beta
-    log_radial = (log_w + u)[:, None]
-    exponent = (-0.5 * (np.abs(a6) ** 2 + np.abs(b6) ** 2)
-                - 0.5 * u[:, None] + log_radial)
-    if n > 0:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            power = n * (np.log(b6) + np.log(np.conj(beta)))
-        power = np.where(np.isfinite(power.real), power, -np.inf)
-        exponent = exponent + power - math.lgamma(n + 1.0)
-    total = np.exp(exponent)
-    return complex(total.sum() / quad.angular_order)
 
 
 # ---------------------------------------------------------------------------

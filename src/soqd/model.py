@@ -1,8 +1,8 @@
 """Shared parameter types, state descriptions and error taxonomy.
 
-Everything downstream (propagator, correlation, oracle, cli) imports from
-here.  Units: hbar = 1, so frequencies and couplings are inverse time and
-all times are dimensionless.
+Everything downstream (propagator, correlation, quadrature, oracle, cli)
+imports from here.  Units: hbar = 1, so frequencies and couplings are
+inverse time and all times are dimensionless.
 """
 
 import math
@@ -14,7 +14,6 @@ __all__ = [
     "SimulationError",
     "NonFiniteParameter",
     "NegativeTime",
-    "NonPositiveStep",
     "NotNormalized",
     "InsufficientOrder",
     "UnphysicalFactor",
@@ -28,8 +27,6 @@ __all__ = [
     "validate",
     "model_params_to_json",
     "model_params_from_json",
-    "StepParams",
-    "ModeTransform",
     "CoherentState",
     "FockState",
     "ApparatusState",
@@ -53,11 +50,7 @@ class NonFiniteParameter(SimulationError):
 
 
 class NegativeTime(SimulationError):
-    """A measurement time or step duration is negative."""
-
-
-class NonPositiveStep(SimulationError):
-    """An integrator step size is zero or negative."""
+    """A measurement time is negative."""
 
 
 class NotNormalized(SimulationError):
@@ -164,69 +157,20 @@ def model_params_from_json(obj: dict) -> ModelParams:
         raise ConfigError(str(exc)) from exc
 
 
-@dataclass(frozen=True)
-class StepParams:
-    """One piecewise-constant evolution step of the two-mode field.
+def _time_grid(t, t_prime):
+    """(t, t') as (scalar or 1-D t, 1-D t', whether both were scalars).
 
-    The step Hamiltonian is ``alpha1 n1 + alpha2 n2 + beta (exchange)``
-    acting for ``duration``; ``index`` is the 1-based position of the step
-    inside a six-step schedule.
+    ``t`` broadcasts against ``t_prime``; a scalar ``t`` stays scalar, so
+    the propagators before t' enters act on one column only.
     """
-
-    alpha1: float
-    alpha2: float
-    beta: float
-    duration: float
-    index: int = 1
-
-    def __post_init__(self):
-        if self.duration < 0:
-            raise NegativeTime(f"step duration must be >= 0, got {self.duration}")
-        if self.index not in (1, 2, 3, 4, 5, 6):
-            raise ValueError(f"step index must be in 1..6, got {self.index}")
-
-
-# ---------------------------------------------------------------------------
-# mode transform
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ModeTransform:
-    """2x2 complex matrix acting on the pair of mode amplitudes.
-
-    Entry layout is row-major: rows/columns 1 and 2 are field modes 1 and 2,
-    so a coherent pair (alpha, beta) maps to
-    (m11*alpha + m12*beta, m21*alpha + m22*beta).
-    """
-
-    m11: complex
-    m12: complex
-    m21: complex
-    m22: complex
-
-    @classmethod
-    def identity(cls) -> "ModeTransform":
-        return cls(1.0 + 0j, 0j, 0j, 1.0 + 0j)
-
-    @classmethod
-    def from_array(cls, a) -> "ModeTransform":
-        a = np.asarray(a, dtype=complex)
-        if a.shape != (2, 2):
-            raise ValueError(f"expected a 2x2 array, got shape {a.shape}")
-        return cls(complex(a[0, 0]), complex(a[0, 1]),
-                   complex(a[1, 0]), complex(a[1, 1]))
-
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.m11, self.m12], [self.m21, self.m22]],
-                        dtype=complex)
-
-    def unitarity_defect(self) -> float:
-        """Max-norm of M^dagger M - I."""
-        m = self.as_array()
-        return float(np.max(np.abs(m.conj().T @ m - np.eye(2))))
-
-    def __matmul__(self, other: "ModeTransform") -> "ModeTransform":
-        return ModeTransform.from_array(self.as_array() @ other.as_array())
+    t = np.asarray(t, dtype=float)
+    times = np.asarray(t_prime, dtype=float)
+    shape = np.broadcast_shapes(t.shape, times.shape)
+    if len(shape) > 1:
+        raise ValueError(f"t and t_prime must be scalars or 1-D, got shapes "
+                         f"{t.shape} and {times.shape}")
+    t = float(t) if t.ndim == 0 else np.broadcast_to(t, shape).reshape(-1)
+    return t, np.broadcast_to(times, shape).reshape(-1), not shape
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from .model import (
     EigenFailure,
     ModelParams,
     SectorTooLarge,
+    _time_grid,
     validate,
 )
 
@@ -151,22 +152,6 @@ def _sector_factor(params: ModelParams, n: int, t,
     return out
 
 
-def _times(t, t_prime):
-    """(t, t') as (scalar or 1-D t, 1-D t', whether both were scalars).
-
-    ``t`` broadcasts against ``t_prime``; a scalar ``t`` stays scalar, so
-    the two propagators before t' enters act on one column only.
-    """
-    t = np.asarray(t, dtype=float)
-    times = np.asarray(t_prime, dtype=float)
-    shape = np.broadcast_shapes(t.shape, times.shape)
-    if len(shape) > 1:
-        raise ValueError(f"t and t_prime must be scalars or 1-D, got shapes "
-                         f"{t.shape} and {times.shape}")
-    t = float(t) if t.ndim == 0 else np.broadcast_to(t, shape).reshape(-1)
-    return t, np.broadcast_to(times, shape).reshape(-1), not shape
-
-
 def decoherence_factor_oracle_fock(params: ModelParams, n: int, t,
                                    t_prime):
     """Decoherence factor of the n-quantum preparation, by dense propagators.
@@ -182,7 +167,7 @@ def decoherence_factor_oracle_fock(params: ModelParams, n: int, t,
         raise SectorTooLarge(f"sector {n} exceeds the dense guard {SECTOR_GUARD}")
     if n < 0:
         raise ValueError(f"occupation must be >= 0, got {n}")
-    t, times, scalar = _times(t, t_prime)
+    t, times, scalar = _time_grid(t, t_prime)
     f = _sector_factor(params, n, t, times)
     return complex(f[0]) if scalar else f
 
@@ -251,7 +236,7 @@ def decoherence_factor_oracle_coherent(params: ModelParams, beta0: complex,
     if x == 0:
         return CoherentOracleResult(
             decoherence_factor_oracle_fock(params, 0, t, t_prime), 0.0)
-    t, times, scalar = _times(t, t_prime)
+    t, times, scalar = _time_grid(t, t_prime)
     log_x = math.log(x)
     value = np.zeros(times.size, dtype=complex)
     for n in range(cutoff + 1):

@@ -7,7 +7,12 @@ Each step evolves the two field modes under a constant bilinear Hamiltonian
 which acts on coherent amplitudes through the 2x2 matrix exp(-i*H*duration)
 with H = [[alpha1, beta], [beta, alpha2]].  The decoherence factor of the
 full measurement sequence is an overlap taken after six such steps whose
-frequencies and couplings alternate in sign.
+frequencies and couplings alternate in sign.  ``_schedule_rows`` is the one
+table of those steps, ``_mode_entries`` the half-angle kernel of one step,
+and ``transform_over_tau`` the composed transform over a whole tau grid,
+which the closed-form factors in :mod:`soqd.correlation` read.  The
+quadrature and the oracle build their transforms on their own and share
+none of this.
 
 Composition order: step 1 acts first, so the combined transform is the
 matrix product M6 @ M5 @ M4 @ M3 @ M2 @ M1.  Keep it that way; reversing
@@ -25,48 +30,25 @@ lets the preset panels be pinned byte for byte.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    ModelParams,
-    ModeTransform,
-    NegativeTime,
-    NonPositiveStep,
-    StepParams,
-    validate,
-)
+from .model import ModelParams, NegativeTime, validate
 
-__all__ = [
-    "Schedule",
-    "build_schedule",
-    "gamma",
-    "step_transform",
-    "step_transform_ode",
-    "compose",
-    "apply_to_coherent",
-    "transform_over_tau",
-]
+__all__ = ["transform_over_tau"]
 
 #: treat sin(x)/x as 1 below this angle; the relative error of the
 #: replacement is < x^2/6 ~ 1.7e-17, under double roundoff
 _SMALL_ANGLE = 1e-8
 
 
-@dataclass(frozen=True)
-class Schedule:
-    """The six evolution steps of one (t, t') measurement sequence."""
-
-    steps: tuple
-
-    def __post_init__(self):
-        if len(self.steps) != 6:
-            raise ValueError(f"a schedule holds exactly 6 steps, got {len(self.steps)}")
-
-
 def _schedule_rows(params: ModelParams, t, t_prime) -> tuple:
-    """(alpha1, alpha2, beta, duration) of the six steps, step 1 first."""
+    """(alpha1, alpha2, beta, duration) of the six steps, step 1 first.
+
+    Steps 1 and 6 carry the summed coupling d_e + d_g (with opposite
+    signs), steps 2/3 carry d_e, steps 4/5 carry d_g; steps 3 and 4 last
+    t', the rest last t.  Step 6 is step 1 with every coefficient negated.
+    """
     w1, w2 = params.omega1, params.omega2
     de, dg = params.d_e, params.d_g
     return (
@@ -79,30 +61,12 @@ def _schedule_rows(params: ModelParams, t, t_prime) -> tuple:
     )
 
 
-def build_schedule(params: ModelParams, t: float, t_prime: float) -> Schedule:
-    """Six-step schedule for measurement times t and t' (both >= 0).
-
-    Steps 1 and 6 carry the summed coupling d_e + d_g (with opposite
-    signs), steps 2/3 carry d_e, steps 4/5 carry d_g; steps 3 and 4 last
-    t', the rest last t.  Step 6 is step 1 with every coefficient negated.
-    """
-    rows = _checked_rows(params, t, t_prime)
-    steps = tuple(StepParams(a1, a2, b, d, index=k + 1)
-                  for k, (a1, a2, b, d) in enumerate(rows))
-    return Schedule(steps)
-
-
 def _checked_rows(params: ModelParams, t: float, t_prime: float) -> tuple:
     """_schedule_rows of one (t, t') pair, after checking params and times."""
     validate(params)
     if t < 0 or t_prime < 0:
         raise NegativeTime(f"measurement times must be >= 0, got t={t}, t'={t_prime}")
     return _schedule_rows(params, t, t_prime)
-
-
-def gamma(step: StepParams) -> float:
-    """Precession rate sqrt(((alpha2 - alpha1)/2)^2 + beta^2) of one step."""
-    return math.hypot(0.5 * (step.alpha2 - step.alpha1), step.beta)
 
 
 def _times(x, y):
@@ -162,57 +126,12 @@ def _schedule_product(rows) -> np.ndarray:
     return out
 
 
-def step_transform(step: StepParams) -> ModeTransform:
-    """Closed-form mode transform of a single step."""
-    return ModeTransform.from_array(_schedule_product(
-        [(step.alpha1, step.alpha2, step.beta, step.duration)]))
-
-
-def step_transform_ode(step: StepParams, dt: float = 1e-3) -> ModeTransform:
-    """Same transform, integrated numerically: the independent cross-check.
-
-    Classical fixed-step 4th-order Runge-Kutta applied to the matrix system
-    i dM/dt = H M, M(0) = I.  For a constant linear right-hand side the four
-    RK stages collapse exactly to the quartic Taylor map
-    R = sum_{j<=4} (-i*h*H)^j / j!, so n identical steps compose to R**n;
-    the matrix power is bit-for-bit the sequential iteration up to
-    float associativity.
-    """
-    if dt <= 0:
-        raise NonPositiveStep(f"integrator step must be > 0, got {dt}")
-    if step.duration == 0:
-        return ModeTransform.identity()
-    n = max(1, math.ceil(step.duration / dt))
-    h = step.duration / n
-    ham = np.array([[step.alpha1, step.beta], [step.beta, step.alpha2]],
-                   dtype=complex)
-    x = -1j * h * ham
-    one_step = np.eye(2, dtype=complex)
-    term = np.eye(2, dtype=complex)
-    for j in (1, 2, 3, 4):
-        term = term @ x / j
-        one_step = one_step + term
-    return ModeTransform.from_array(np.linalg.matrix_power(one_step, n))
-
-
-def compose(schedule: Schedule) -> ModeTransform:
-    """Combined transform of a schedule, step 1 applied first."""
-    return ModeTransform.from_array(_schedule_product(
-        [(s.alpha1, s.alpha2, s.beta, s.duration) for s in schedule.steps]))
-
-
-def apply_to_coherent(m: ModeTransform, alpha: complex, beta: complex):
-    """Map a coherent amplitude pair through a mode transform."""
-    return (m.m11 * alpha + m.m12 * beta, m.m21 * alpha + m.m22 * beta)
-
-
 def transform_over_tau(params: ModelParams, t: float, taus) -> np.ndarray:
     """Composed transforms for t' = t + tau over a whole tau grid at once.
 
-    Returns an array of shape (len(taus), 2, 2).  This is the vectorized
-    twin of compose(build_schedule(params, t, t + tau)) used by sweeps and
-    threshold searches, and bit-identical to it: both run the same
-    elementwise arithmetic.  Steps 3 and 4 get the array duration, the
+    Returns an array of shape (len(taus), 2, 2), bit-identical at each tau
+    to _schedule_product(_checked_rows(params, t, t + tau)): both run the
+    same elementwise arithmetic.  Steps 3 and 4 get the array duration, the
     four t-steps stay scalar and broadcast.
     """
     validate(params)

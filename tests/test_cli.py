@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from soqd import (
-    CoherentOracleResult,
     CoherentState,
     ConfigError,
     FockState,
@@ -19,16 +18,21 @@ from soqd import (
     apparatus_from_json,
     compare_methods,
     decoherence_factor_fock_closed,
-    load_sweep_config,
     main,
     read_points_csv,
-    reproduce_figure,
     run_sweep,
+)
+from soqd import cli as cli_module
+from soqd.cli import (
+    CSV_COLUMNS,
+    CSV_HEADER,
+    MAX_SWEEP_ROWS,
+    _coherent_cutoff,
+    load_sweep_config,
+    reproduce_figure,
     sweep_config_from_json,
     sweep_config_to_json,
 )
-from soqd import cli as cli_module
-from soqd.cli import CSV_COLUMNS, CSV_HEADER, MAX_SWEEP_ROWS, _coherent_cutoff
 from soqd.oracle import _poisson_tail_bound, min_cutoff
 
 
@@ -355,18 +359,6 @@ def test_coherent_oracle_sweep_matches_closed_form(tmp_path):
     assert np.array_equal(points["oracle"].t, points["closed"].t)
     assert np.array_equal(points["oracle"].tau, points["closed"].tau)
     assert np.max(np.abs(points["oracle"].f - points["closed"].f)) <= 1e-9
-
-
-def test_oracle_sweep_refuses_a_large_tail_bound(tmp_path, monkeypatch, capsys):
-    """The bound is never this large for a valid config, so fake it."""
-    def leaky(params, beta0, t, t_prime, cutoff):
-        return CoherentOracleResult(np.ones(np.size(t_prime), dtype=complex), 2e-9)
-
-    monkeypatch.setattr(cli_module, "decoherence_factor_oracle_coherent", leaky)
-    cfg = write_config(tmp_path, method="oracle", apparatus={"kind": "coherent", "n": 2})
-    assert main(["sweep", "--config", cfg]) == 3
-    assert "tail bound 2.000e-09" in capsys.readouterr().err
-    assert not (tmp_path / "out.csv").exists()
 
 
 # ---------------------------------------------------------------------------

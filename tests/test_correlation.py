@@ -18,24 +18,21 @@ from soqd import (
     InsufficientOrder,
     ModelParams,
     NotNormalized,
-    QuadratureSpec,
     SectorTooLarge,
     UnphysicalFactor,
-    build_schedule,
-    compose,
     decoherence_factor_coherent,
     decoherence_factor_fock_closed,
     decoherence_factor_fock_quadrature,
     decoherence_time,
     default_quadrature,
     factor_over_tau,
-    g2_free,
     g2_interacting,
-    two_time_amplitude,
 )
-from soqd.correlation import (
+from soqd.correlation import TAU_MAX_DEFAULT, g2_free, two_time_amplitude
+from soqd.propagator import transform_over_tau
+from soqd.quadrature import (
     QUADRATURE_OCCUPATION_GUARD,
-    TAU_MAX_DEFAULT,
+    QuadratureSpec,
     _gauss_laguerre_log,
 )
 
@@ -122,7 +119,7 @@ def test_coherent_factor_exponential_identity(preset_params, rng):
     for _ in range(10):
         beta0 = complex(*rng.uniform(-3, 3, size=2))
         t, tp = rng.uniform(0, 10, size=2)
-        m22 = compose(build_schedule(preset_params, t, tp)).m22
+        m22 = transform_over_tau(preset_params, t, [tp - t])[0, 1, 1]
         want = np.exp(abs(beta0) ** 2 * (m22 - 1))
         got = decoherence_factor_coherent(preset_params, beta0, t, tp)
         assert abs(got - want) <= 1e-12

@@ -12,17 +12,16 @@ from hypothesis import strategies as st
 from soqd import (
     CoherentState,
     ConfigError,
-    CorrelationPoint,
     FockState,
     ModelParams,
-    ModeTransform,
-    NegativeTime,
     NonFiniteParameter,
-    StepParams,
     UnphysicalFactor,
     apparatus_from_json,
-    apparatus_to_json,
     model_params_from_json,
+)
+from soqd.model import (
+    CorrelationPoint,
+    apparatus_to_json,
     model_params_to_json,
     validate,
 )
@@ -61,34 +60,6 @@ def test_params_json_rejects_non_numbers(preset_params):
     obj["d_e"] = "0.8"
     with pytest.raises(ConfigError):
         model_params_from_json(obj)
-
-
-def test_step_params_rejects_negative_duration():
-    with pytest.raises(NegativeTime):
-        StepParams(alpha1=0.2, alpha2=1.3, beta=1.0, duration=-0.5)
-
-
-def test_step_params_rejects_bad_index():
-    with pytest.raises(ValueError):
-        StepParams(alpha1=0.0, alpha2=0.0, beta=0.0, duration=1.0, index=7)
-
-
-def test_mode_transform_identity_round_trip():
-    eye = ModeTransform.identity()
-    assert ModeTransform.from_array(eye.as_array()) == eye
-    assert eye.unitarity_defect() == 0.0
-
-
-def test_mode_transform_rejects_bad_shape():
-    with pytest.raises(ValueError):
-        ModeTransform.from_array([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-
-
-def test_mode_transform_matmul_is_matrix_product():
-    swap = ModeTransform(0j, 1 + 0j, 1 + 0j, 0j)
-    scale = ModeTransform(2 + 0j, 0j, 0j, 3 + 0j)
-    prod = scale @ swap
-    assert (prod.m11, prod.m12, prod.m21, prod.m22) == (0j, 2 + 0j, 3 + 0j, 0j)
 
 
 @pytest.mark.parametrize("bad", [-1, 2.5, True])
@@ -192,7 +163,7 @@ def test_correlation_point_rejects_out_of_range_g(g):
 def test_correlation_point_check_survives_optimize():
     """``python -O`` strips asserts; the bound check must not be one."""
     script = (
-        "from soqd import CorrelationPoint, UnphysicalFactor\n"
+        "from soqd.model import CorrelationPoint, UnphysicalFactor\n"
         "try:\n"
         "    CorrelationPoint(t=0.0, tau=1.0, f=1.5 + 0j, g=0.5)\n"
         "except UnphysicalFactor:\n"

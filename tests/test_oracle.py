@@ -13,22 +13,23 @@ from soqd import (
     EigenFailure,
     ModelParams,
     SectorTooLarge,
-    StepParams,
-    build_schedule,
     compare_methods,
-    compose,
     decoherence_factor_coherent,
     decoherence_factor_oracle_coherent,
     decoherence_factor_oracle_fock,
     run_sweep,
-    sector_hamiltonian,
-    sector_propagator,
-    step_transform,
-    sweep_config_from_json,
 )
 from soqd import oracle as oracle_module
-from soqd.cli import FIGURE_PARAMS, _coherent_cutoff
-from soqd.oracle import MIXTURE_TAIL_TARGET, SECTOR_GUARD, min_cutoff
+from soqd import quadrature as quadrature_module
+from soqd.cli import FIGURE_PARAMS, _coherent_cutoff, sweep_config_from_json
+from soqd.oracle import (
+    MIXTURE_TAIL_TARGET,
+    SECTOR_GUARD,
+    min_cutoff,
+    sector_hamiltonian,
+    sector_propagator,
+)
+from soqd.propagator import _schedule_product, transform_over_tau
 
 
 def test_sector_guard_value():
@@ -113,8 +114,8 @@ def test_sector1_propagator_is_step_transform_with_modes_swapped(preset_params):
     h = sector_hamiltonian(preset_params, 1, 1, 1)
     u = sector_propagator(h, 1.0).entries
     g = preset_params.d_e + preset_params.d_g
-    m = step_transform(StepParams(preset_params.omega1, preset_params.omega2, g, 1.0))
-    swapped = np.array([[m.m22, m.m21], [m.m12, m.m11]])
+    m = _schedule_product([(preset_params.omega1, preset_params.omega2, g, 1.0)])
+    swapped = m[::-1, ::-1]
     assert np.max(np.abs(u - swapped)) <= 1e-9
 
 
@@ -160,13 +161,13 @@ def test_oracle_fock_single_quantum_equals_m22(preset_params, rng):
         w1, w2, de, dg = rng.uniform(-2, 2, size=4)
         params = ModelParams(w1, w2, de, dg, omega_e=1.0)
         t, tp = rng.uniform(0, 8, size=2)
-        m22 = compose(build_schedule(params, t, tp)).m22
+        m22 = transform_over_tau(params, t, [tp - t])[0, 1, 1]
         f = decoherence_factor_oracle_fock(params, 1, t, tp)
         assert abs(f - m22) <= 1e-9
 
 
 def test_oracle_fock_agrees_with_m22_power(preset_params):
-    m22 = compose(build_schedule(preset_params, 0.0, 2.0)).m22
+    m22 = transform_over_tau(preset_params, 0.0, [2.0])[0, 1, 1]
     f = decoherence_factor_oracle_fock(preset_params, 10, 0.0, 2.0)
     assert abs(f - m22**10) <= 1e-9
 
@@ -222,9 +223,10 @@ def test_oracle_coherent_matches_closed_form(preset_params):
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("x", [0.25, 2.0, 10.0, 100.0, 348.0])
-def test_certified_cutoff_bounds_the_true_tail(x):
+def test_certified_cutoff_bounds_the_true_tail(x, monkeypatch):
     """At the cutoff actually used, the discarded Poisson mass summed at
-    200 bits stays below the bound, and the bound below 2^-53."""
+    200 bits stays below the bound, and the bound below 2^-53, also as the
+    oracle reports it."""
     mpmath = pytest.importorskip("mpmath")
     cutoff = min_cutoff(x)
     assert cutoff <= SECTOR_GUARD
@@ -238,6 +240,13 @@ def test_certified_cutoff_bounds_the_true_tail(x):
             term = term * x / k
         bound = oracle_module._poisson_tail_bound(x, cutoff)
         assert 0 < tail <= bound <= MIXTURE_TAIL_TARGET
+    # only the reported bound is under test here, and 513 real sectors at
+    # x = 348 would take many seconds, so the sectors are stubbed
+    monkeypatch.setattr(oracle_module, "_sector_factor",
+                        lambda params, n, t, t_primes: np.ones(t_primes.size, complex))
+    result = decoherence_factor_oracle_coherent(FIGURE_PARAMS, complex(math.sqrt(x)),
+                                                0.0, 1.0, cutoff)
+    assert result.tail_bound <= MIXTURE_TAIL_TARGET
 
 
 @pytest.mark.parametrize("x", [2.0, 10.0])
@@ -344,7 +353,9 @@ def _count_eigh(monkeypatch):
 def test_compare_eigendecomposes_each_hamiltonian_once(preset_params, monkeypatch):
     calls = _count_eigh(monkeypatch)
     compare_methods(preset_params, 12, 10.0, np.linspace(0.0, 10.0, 11))
-    assert calls == [(13, 13)] * 3
+    # three sector-12 Hamiltonians for the oracle, three single-quantum
+    # ones for the quadrature's own transform
+    assert calls == [(13, 13)] * 3 + [(2, 2)] * 3
 
 
 @pytest.mark.parametrize("steps", [1, 9])
@@ -403,17 +414,26 @@ def test_oracle_memory_does_not_grow_with_the_grid(preset_params):
     assert peak < 20e6
 
 
-def test_oracle_imports_nothing_from_the_other_methods():
-    tree = ast.parse(inspect.getsource(oracle_module))
+def _imported_modules(module):
     imported = set()
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse(inspect.getsource(module))):
         if isinstance(node, ast.ImportFrom):
             imported.add(node.module or "")
         elif isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
     assert imported, "no imports found; the check is not reading the module"
-    for name in imported:
+    return imported
+
+
+def test_oracle_imports_nothing_from_the_other_methods():
+    """The oracle and the quadrature each build their own transform: neither
+    imports the closed form (propagator, correlation) or the other."""
+    for name in _imported_modules(oracle_module):
         assert "propagator" not in name and "correlation" not in name, name
+        assert "quadrature" not in name, name
+    for name in _imported_modules(quadrature_module):
+        for other in ("propagator", "correlation", "oracle"):
+            assert other not in name, name
 
 
 def test_oracle_tail_bound_is_tight_and_positive(preset_params):

@@ -9,14 +9,14 @@ import sys
 import pytest
 
 import soqd
-from soqd import read_points_csv, reproduce_figure
-from soqd.cli import FIGURE_PARAMS, PANEL_SETTINGS
+from soqd import read_points_csv
+from soqd.cli import FIGURE_PARAMS, PANEL_SETTINGS, reproduce_figure
 
 PANELS = [(figure, panel) for figure in (1, 2) for panel in PANEL_SETTINGS]
 
 _RENDER_ALL = """
 import sys
-from soqd import reproduce_figure
+from soqd.cli import reproduce_figure
 for figure in (1, 2):
     for panel in "abcdef":
         reproduce_figure(figure, panel, sys.argv[1])
