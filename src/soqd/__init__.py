@@ -27,6 +27,7 @@ from .model import (
     NotNormalized,
     SectorTooLarge,
     SimulationError,
+    TauUnresolved,
     ToleranceExceeded,
     UnphysicalFactor,
     apparatus_from_json,

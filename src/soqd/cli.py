@@ -6,8 +6,9 @@ Subcommands
     compare  cross-check closed form vs quadrature vs dense oracle
     golden   regenerate the pinned golden files (oracle-derived)
 
-Exit codes: 0 success, 2 config/usage error, 3 tolerance failure or
-unphysical result (UnphysicalFactor), 4 I/O failure.
+Exit codes: 0 success, 2 config/usage error (also a grid on which t + tau
+loses tau to rounding, TauUnresolved), 3 tolerance failure or unphysical
+result (UnphysicalFactor), 4 I/O failure.
 """
 
 import argparse
@@ -15,6 +16,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +37,7 @@ from .model import (
     SimulationError,
     ToleranceExceeded,
     UnphysicalFactor,
+    _t_prime,
     apparatus_from_json,
     apparatus_to_json,
     model_params_from_json,
@@ -74,9 +77,21 @@ __all__ = [
 #: one column per field of a sweep row, in CSV order; JSON rows use the same keys
 CSV_COLUMNS = ("t", "tau", "re_F", "im_F", "abs_F", "G")
 CSV_HEADER = ",".join(CSV_COLUMNS)
-_CSV_ROW = ",".join(["%.17g"] * len(CSV_COLUMNS)) + "\n"
+#: columns that repeat values (t per block, tau in every t block, G on the
+#: decayed plateau): converted once per distinct value, then placed as text
+_TEXT_COLUMNS = ("t", "tau", "G")
+
+
+def _row_cells(number: str) -> list:
+    return ["%s" if key in _TEXT_COLUMNS else number for key in CSV_COLUMNS]
+
+
+_CSV_ROW = ",".join(_row_cells("%.17g")) + "\n"
 #: one JSON row object as json.dump(..., indent=1) lays it out in the list
-_JSON_ROW = "\n  {\n" + ",\n".join(f'   "{key}": %r' for key in CSV_COLUMNS) + "\n  }"
+_JSON_ROW = "\n  {\n" + ",\n".join(
+    f'   "{key}": {cell}' for key, cell in zip(CSV_COLUMNS, _row_cells("%r"))) + "\n  }"
+#: rows per formatted block of a CSV, JSON or SVG write: one % call each
+_ROW_BLOCK = 2 ** 11
 
 #: parameters behind every preset panel
 FIGURE_PARAMS = ModelParams(omega1=0.2, omega2=1.3, d_e=0.8, d_g=0.2, omega_e=1.0)
@@ -96,8 +111,8 @@ FIGURE_TAU_MAX = {10: 20.0, 100: 5.0, 10_000: 0.5}
 FIGURE_TAU_STEPS = 600
 
 #: largest len(t_values) * tau_steps a sweep accepts.  A sweep peaks at
-#: about 245 bytes per row with CSV or JSON output (tracemalloc, 10^5-row
-#: sweeps), so the largest one stays near 0.5 GB
+#: about 155 bytes per row with CSV, CSV + SVG or JSON output (tracemalloc,
+#: 10^5-row sweeps), so the largest one stays near 0.3 GB
 MAX_SWEEP_ROWS = 2_000_000
 
 
@@ -282,7 +297,7 @@ def run_sweep(config: SweepConfig) -> CorrelationPoint:
     taus = np.linspace(config.tau_min, config.tau_max, config.tau_steps)
     t = np.repeat(config.t_values, taus.size)
     tau = np.tile(taus, len(config.t_values))
-    t_prime = t + tau
+    t_prime = _t_prime(t, tau)
     f = _factor_series(config, taus, t, t_prime)
     points = CorrelationPoint(t, tau, f, g2_interacting(f, t, t_prime, config.params.omega_e))
 
@@ -313,18 +328,48 @@ def _plot_title(config: SweepConfig) -> str:
 # serialization
 # ---------------------------------------------------------------------------
 
-def _columns(points: CorrelationPoint) -> zip:
-    """Rows of (t, tau, re_F, im_F, abs_F, G) as Python floats."""
+def _text_column(column: np.ndarray, number: str) -> np.ndarray:
+    """``number % value`` of every entry as an object array of str, one
+    conversion per distinct value.  Values are told apart by their bits,
+    so -0.0 keeps its own text."""
+    bits, where = np.unique(column.view(np.uint64), return_inverse=True)
+    text = np.array([number % v for v in bits.view(np.float64).tolist()], dtype=object)
+    return text[where]
+
+
+def _blocks(row: str, sep: str, columns) -> Iterator[str]:
+    """Rows formatted by ``row`` and joined by ``sep``, _ROW_BLOCK rows at
+    a time: row i takes the i-th entry of every column, in order, and a
+    block is one % over a flat tuple.  Concatenated, the pieces are
+    sep.join(row % cells for each row)."""
+    size = len(columns[0])
+    for lo in range(0, size, _ROW_BLOCK):
+        cells = np.empty((min(_ROW_BLOCK, size - lo), len(columns)), dtype=object)
+        for j, column in enumerate(columns):
+            cells[:, j] = column[lo:lo + _ROW_BLOCK]
+        if lo:
+            yield sep
+        yield sep.join([row] * len(cells)) % tuple(cells.ravel().tolist())
+
+
+def _row_blocks(points: CorrelationPoint, row: str, number: str,
+                sep: str = "") -> Iterator[str]:
+    """Sweep rows in CSV_COLUMNS order as text blocks: t, tau and G are
+    converted by ``number`` once per distinct value, re_F, im_F and abs_F
+    reach ``row`` as floats."""
     f = points.f
-    return zip(points.t.tolist(), points.tau.tolist(), f.real.tolist(),
-               f.imag.tolist(), np.hypot(f.real, f.imag).tolist(), points.g.tolist())
+    columns = {"t": points.t, "tau": points.tau, "re_F": f.real, "im_F": f.imag,
+               "abs_F": np.hypot(f.real, f.imag), "G": points.g}
+    return _blocks(row, sep, [_text_column(columns[key], number)
+                              if key in _TEXT_COLUMNS else columns[key]
+                              for key in CSV_COLUMNS])
 
 
 def write_points_csv(path: str, points: CorrelationPoint) -> None:
     """CSV with 17 significant digits: parsing recovers every bit."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(CSV_HEADER + "\n")
-        fh.writelines(_CSV_ROW % cells for cells in _columns(points))
+        fh.writelines(_row_blocks(points, _CSV_ROW, "%.17g"))
 
 
 def read_points_csv(path: str) -> CorrelationPoint:
@@ -353,24 +398,18 @@ def read_points_csv(path: str) -> CorrelationPoint:
 
 
 def write_points_json(path: str, points: CorrelationPoint) -> None:
-    """{"points": [row, ...]} with the keys of CSV_COLUMNS, streamed one
-    row at a time.
+    """{"points": [row, ...]} with the keys of CSV_COLUMNS, streamed in
+    blocks of rows.
 
     The bytes are those of json.dump(..., indent=1) plus a newline: a
     float cell is written as its repr, as json does for finite values
     (sweep grids are finite, and CorrelationPoint refuses non-finite f
     and g).
     """
-    rows = (_JSON_ROW % cells for cells in _columns(points))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write('{\n "points": [')
-        first = next(rows, None)
-        if first is None:
-            fh.write("]\n}\n")
-            return
-        fh.write(first)
-        fh.writelines("," + row for row in rows)
-        fh.write("\n ]\n}\n")
+        fh.writelines(_row_blocks(points, _JSON_ROW, "%r", ","))
+        fh.write("\n ]\n}\n" if len(points) else "]\n}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +420,8 @@ _PALETTE = ("#1f6feb", "#d73a49", "#2da44e", "#8250df", "#bf8700")
 
 
 def write_svg_plot(path: str, points: CorrelationPoint, title: str = "") -> None:
-    """Fixed 800x500 polyline plot of G against tau, one line per t."""
+    """Fixed 800x500 polyline plot of G against tau, one line per t,
+    written as its points are formatted."""
     width, height = 800, 500
     left, right, top, bottom = 70, 20, 40, 55
     inner_w = width - left - right
@@ -426,23 +466,21 @@ def write_svg_plot(path: str, points: CorrelationPoint, title: str = "") -> None
     parts.append(f'<text x="20" y="{top + inner_h / 2:.0f}" font-family="sans-serif" '
                  'font-size="14" text-anchor="middle">G</text>')
 
-    for i, t in enumerate(t_values):
-        color = _PALETTE[i % len(_PALETTE)]
-        series = points.t == t
-        tau, g = points.tau[series], points.g[series]
-        order = np.lexsort((g, tau))
-        xy = zip(px(tau[order]).tolist(), py(g[order]).tolist())
-        coords = " ".join(["%.2f,%.2f" % cell for cell in xy])
-        parts.append(f'<polyline points="{coords}" fill="none" stroke="{color}" '
-                     'stroke-width="1.3"/>')
-        if len(t_values) > 1:
-            parts.append(f'<text x="{left + inner_w - 6}" y="{top + 16 + 16 * i}" '
-                         f'font-family="sans-serif" font-size="12" text-anchor="end" '
-                         f'fill="{color}">t = {t:g}</text>')
-
-    parts.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(parts) + "\n")
+        fh.writelines(part + "\n" for part in parts)
+        for i, t in enumerate(t_values):
+            color = _PALETTE[i % len(_PALETTE)]
+            series = points.t == t
+            tau, g = points.tau[series], points.g[series]
+            order = np.lexsort((g, tau))
+            fh.write('<polyline points="')
+            fh.writelines(_blocks("%.2f,%.2f", " ", (px(tau[order]), py(g[order]))))
+            fh.write(f'" fill="none" stroke="{color}" stroke-width="1.3"/>\n')
+            if len(t_values) > 1:
+                fh.write(f'<text x="{left + inner_w - 6}" y="{top + 16 + 16 * i}" '
+                         f'font-family="sans-serif" font-size="12" text-anchor="end" '
+                         f'fill="{color}">t = {t:g}</text>\n')
+        fh.write("</svg>\n")
 
 
 # ---------------------------------------------------------------------------
@@ -668,9 +706,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except ToleranceExceeded as exc:
-        print(f"tolerance failure: {exc}", file=sys.stderr)
-        return 3
     except UnphysicalFactor as exc:
         print(f"unphysical result: {exc}", file=sys.stderr)
         return 3

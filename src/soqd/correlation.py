@@ -46,6 +46,10 @@ __all__ = [
 #: threshold search window for decoherence_time
 TAU_MAX_DEFAULT = 200.0
 
+#: taus per closed-form block: the transform and overlap hold about 165
+#: bytes per tau in flight, so a long grid is evaluated this many at a time
+_TAU_BLOCK = 2 ** 12
+
 
 # ---------------------------------------------------------------------------
 # free two-level interference (no field coupling)
@@ -168,8 +172,15 @@ def factor_over_tau(params: ModelParams, state: ApparatusState, t: float,
 
     Vectorized companion of the scalar factor functions, through the same
     kernel; sweeps, figures and the threshold search all run through here.
+    The arithmetic is elementwise per tau, so evaluating a long grid in
+    blocks of _TAU_BLOCK gives the same bits as one call.
     """
-    return _overlap(state, transform_over_tau(params, t, taus))
+    taus = np.asarray(taus, dtype=float)
+    if taus.size <= _TAU_BLOCK:
+        return _overlap(state, transform_over_tau(params, t, taus))
+    return np.concatenate([
+        _overlap(state, transform_over_tau(params, t, taus[lo:lo + _TAU_BLOCK]))
+        for lo in range(0, taus.size, _TAU_BLOCK)])
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ __all__ = [
     "SimulationError",
     "NonFiniteParameter",
     "NegativeTime",
+    "TauUnresolved",
     "NotNormalized",
     "InsufficientOrder",
     "UnphysicalFactor",
@@ -23,6 +24,7 @@ __all__ = [
     "CutoffTooSmall",
     "ConfigError",
     "ToleranceExceeded",
+    "TAU_ROUNDING_BUDGET",
     "ModelParams",
     "validate",
     "model_params_to_json",
@@ -51,6 +53,11 @@ class NonFiniteParameter(SimulationError):
 
 class NegativeTime(SimulationError):
     """A measurement time is negative."""
+
+
+class TauUnresolved(SimulationError):
+    """t + tau rounds so coarsely at this t that tau is lost: (t + tau) - t
+    differs from tau by more than TAU_ROUNDING_BUDGET * |tau|."""
 
 
 class NotNormalized(SimulationError):
@@ -155,6 +162,30 @@ def model_params_from_json(obj: dict) -> ModelParams:
         return validate(ModelParams(**vals))
     except NonFiniteParameter as exc:
         raise ConfigError(str(exc)) from exc
+
+
+#: largest relative error in tau that forming t' = t + tau may introduce;
+#: past it the grid no longer resolves tau at that t (t = 1e17 turns every
+#: tau below 8 into 0 or 16)
+TAU_ROUNDING_BUDGET = 1e-8
+
+
+def _t_prime(t, tau):
+    """t' = t + tau elementwise, after checking that it keeps tau.
+
+    Raises TauUnresolved, naming the first lost entry, where
+    |((t + tau) - t) - tau| > TAU_ROUNDING_BUDGET * |tau|.
+    """
+    t_prime = t + tau
+    lost = np.abs((t_prime - t) - tau) > TAU_ROUNDING_BUDGET * np.abs(tau)
+    if np.any(lost):
+        t, tau = np.broadcast_arrays(t, tau)
+        i = np.flatnonzero(lost)[0]
+        t0, tau0 = float(t.flat[i]), float(tau.flat[i])
+        raise TauUnresolved(
+            f"tau = {tau0!r} is lost at t = {t0!r}: (t + tau) - t = "
+            f"{(t0 + tau0) - t0!r}, beyond the relative budget {TAU_ROUNDING_BUDGET:g}")
+    return t_prime
 
 
 def _time_grid(t, t_prime):

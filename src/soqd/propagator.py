@@ -33,7 +33,7 @@ import math
 
 import numpy as np
 
-from .model import ModelParams, NegativeTime, validate
+from .model import ModelParams, NegativeTime, _t_prime, validate
 
 __all__ = ["transform_over_tau"]
 
@@ -132,7 +132,8 @@ def transform_over_tau(params: ModelParams, t: float, taus) -> np.ndarray:
     Returns an array of shape (len(taus), 2, 2), bit-identical at each tau
     to _schedule_product(_checked_rows(params, t, t + tau)): both run the
     same elementwise arithmetic.  Steps 3 and 4 get the array duration, the
-    four t-steps stay scalar and broadcast.
+    four t-steps stay scalar and broadcast.  Raises TauUnresolved where
+    t + tau loses tau to rounding.
     """
     validate(params)
     taus = np.asarray(taus, dtype=float)
@@ -140,4 +141,4 @@ def transform_over_tau(params: ModelParams, t: float, taus) -> np.ndarray:
         raise NegativeTime(f"measurement time must be >= 0, got t={t}")
     if taus.size and float(np.min(taus)) < -t:
         raise NegativeTime("t + tau must stay >= 0 across the grid")
-    return _schedule_product(_schedule_rows(params, t, t + taus))
+    return _schedule_product(_schedule_rows(params, t, _t_prime(t, taus)))

@@ -13,6 +13,7 @@ from soqd import (
     CoherentState,
     ConfigError,
     FockState,
+    TauUnresolved,
     ToleranceExceeded,
     UnphysicalFactor,
     apparatus_from_json,
@@ -24,6 +25,7 @@ from soqd import (
 )
 from soqd import cli as cli_module
 from soqd.cli import (
+    _ROW_BLOCK,
     CSV_COLUMNS,
     CSV_HEADER,
     MAX_SWEEP_ROWS,
@@ -32,7 +34,11 @@ from soqd.cli import (
     reproduce_figure,
     sweep_config_from_json,
     sweep_config_to_json,
+    write_points_csv,
+    write_points_json,
+    write_svg_plot,
 )
+from soqd.model import CorrelationPoint
 from soqd.oracle import _poisson_tail_bound, min_cutoff
 
 
@@ -292,6 +298,150 @@ def test_read_csv_rejects_an_unphysical_row(tmp_path):
             read_points_csv(write_csv_rows(tmp_path, GOOD_ROW, bad))
 
 
+# per-row reference writers: each row is formatted on its own, from Python
+# floats, as the writers did before they formatted blocks of rows
+
+def reference_rows(points):
+    f = points.f
+    return zip(points.t.tolist(), points.tau.tolist(), f.real.tolist(),
+               f.imag.tolist(), np.hypot(f.real, f.imag).tolist(), points.g.tolist())
+
+
+def reference_csv(points):
+    row = ",".join(["%.17g"] * len(CSV_COLUMNS)) + "\n"
+    return CSV_HEADER + "\n" + "".join(row % cells for cells in reference_rows(points))
+
+
+def reference_json(points):
+    rows = [dict(zip(CSV_COLUMNS, cells)) for cells in reference_rows(points)]
+    return json.dumps({"points": rows}, indent=1) + "\n"
+
+
+def reference_svg(points, title):
+    width, height = 800, 500
+    left, right, top, bottom = 70, 20, 40, 55
+    inner_w = width - left - right
+    inner_h = height - top - bottom
+    t_values = np.unique(points.t).tolist()
+    tau_lo, tau_hi = float(points.tau.min()), float(points.tau.max())
+    span = tau_hi - tau_lo or 1.0
+
+    def px(tau):
+        return left + (tau - tau_lo) / span * inner_w
+
+    def py(g):
+        return top + (1.0 - np.minimum(np.maximum(g, 0.0), 1.0)) * inner_h
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<text x="{left}" y="24" font-family="sans-serif" font-size="15">{title}</text>',
+        f'<line x1="{left}" y1="{top}" x2="{left}" y2="{top + inner_h}" '
+        'stroke="black" stroke-width="1"/>',
+        f'<line x1="{left}" y1="{top + inner_h}" x2="{left + inner_w}" '
+        f'y2="{top + inner_h}" stroke="black" stroke-width="1"/>',
+    ]
+    for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
+        y = py(frac)
+        parts.append(f'<line x1="{left - 4}" y1="{y:.2f}" x2="{left}" y2="{y:.2f}" '
+                     'stroke="black" stroke-width="1"/>')
+        parts.append(f'<text x="{left - 8}" y="{y + 4:.2f}" font-family="sans-serif" '
+                     f'font-size="12" text-anchor="end">{frac:g}</text>')
+    for tau in np.linspace(tau_lo, tau_hi, 6):
+        x = px(tau)
+        parts.append(f'<line x1="{x:.2f}" y1="{top + inner_h}" x2="{x:.2f}" '
+                     f'y2="{top + inner_h + 4}" stroke="black" stroke-width="1"/>')
+        parts.append(f'<text x="{x:.2f}" y="{top + inner_h + 18}" font-family="sans-serif" '
+                     f'font-size="12" text-anchor="middle">{tau:.4g}</text>')
+    parts.append(f'<text x="{left + inner_w / 2:.0f}" y="{height - 12}" '
+                 'font-family="sans-serif" font-size="14" '
+                 'text-anchor="middle">&#964; = t&#8242; &#8722; t</text>')
+    parts.append(f'<text x="20" y="{top + inner_h / 2:.0f}" font-family="sans-serif" '
+                 'font-size="14" text-anchor="middle">G</text>')
+    for i, t in enumerate(t_values):
+        color = cli_module._PALETTE[i % len(cli_module._PALETTE)]
+        series = points.t == t
+        tau, g = points.tau[series], points.g[series]
+        order = np.lexsort((g, tau))
+        xy = zip(px(tau[order]).tolist(), py(g[order]).tolist())
+        coords = " ".join(["%.2f,%.2f" % cell for cell in xy])
+        parts.append(f'<polyline points="{coords}" fill="none" stroke="{color}" '
+                     'stroke-width="1.3"/>')
+        if len(t_values) > 1:
+            parts.append(f'<text x="{left + inner_w - 6}" y="{top + 16 + 16 * i}" '
+                         f'font-family="sans-serif" font-size="12" text-anchor="end" '
+                         f'fill="{color}">t = {t:g}</text>')
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+def edge_points(rows):
+    """Columns that stress the text conversions: t in {0, -0, 1e-300},
+    tau with signed zeros, values near 1e-300 and subnormals, F with
+    subnormal and signed-zero parts, and G repeating a few values."""
+    i = np.arange(rows)
+    t = np.array([0.0, -0.0, 1e-300])[i % 3]
+    tau = np.linspace(0.0, 3.0, rows)
+    tau[i % 4 == 1] = -0.0
+    tau[i % 5 == 2] = 5e-324
+    tau[i % 7 == 3] = 1e-300
+    f = np.exp(-0.01 * i) * np.exp(1j * 0.3 * i)
+    f.real[i % 6 == 4] = -0.0
+    f.imag[i % 8 == 5] = 2.5e-310
+    g = np.array([0.5, 1.0, 0.0, -0.0, 1e-300, 0.25 + 1e-17])[i % 6]
+    return CorrelationPoint(t, tau, f, g)
+
+
+@pytest.mark.parametrize("rows", [1, _ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1,
+                                  2 * _ROW_BLOCK + 3])
+def test_block_writers_match_the_per_row_reference(tmp_path, rows):
+    points = edge_points(rows)
+    writers = {"o.csv": (write_points_csv, reference_csv),
+               "o.json": (write_points_json, reference_json)}
+    for name, (write, reference) in writers.items():
+        write(str(tmp_path / name), points)
+        assert (tmp_path / name).read_text(encoding="utf-8") == reference(points), name
+    write_svg_plot(str(tmp_path / "o.svg"), points, title="edge")
+    assert (tmp_path / "o.svg").read_text(encoding="utf-8") == reference_svg(points, "edge")
+
+
+def test_signed_zero_times_keep_their_sign(tmp_path):
+    """t = -0.0 is its own value: it is written as -0, not merged into 0."""
+    config = sweep_config_from_json(make_config(
+        t_values=[0.0, -0.0], tau_min=-0.0, output_path=str(tmp_path / "o.csv"),
+        emit_plot=True))
+    points = run_sweep(config)
+    text = (tmp_path / "o.csv").read_text(encoding="utf-8")
+    assert text == reference_csv(points)
+    assert text.splitlines()[10].startswith("-0,0,")
+    assert (tmp_path / "o.svg").read_text(encoding="utf-8") == reference_svg(
+        points, cli_module._plot_title(config))
+    json_path = str(tmp_path / "o.json")
+    write_points_json(json_path, points)
+    assert '"t": -0.0' in (tmp_path / "o.json").read_text(encoding="utf-8")
+
+
+#: bytes per row a 10^5-row sweep may hold at its peak (tracemalloc); the
+#: per-row writers peaked at 244, the block writers at about 155
+SWEEP_PEAK_BYTES_PER_ROW = 170
+
+
+@pytest.mark.parametrize("output_format, emit_plot", [("csv", True), ("json", False)])
+def test_sweep_memory_stays_bounded_per_row(tmp_path, output_format, emit_plot):
+    config = sweep_config_from_json(make_config(
+        apparatus={"kind": "fock", "n": 10_000}, t_values=[0.0, 10.0], tau_max=0.5,
+        tau_steps=50_000, output_format=output_format, emit_plot=emit_plot,
+        output_path=str(tmp_path / f"o.{output_format}")))
+    tracemalloc.start()
+    try:
+        points = run_sweep(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / len(points) <= SWEEP_PEAK_BYTES_PER_ROW
+
+
 def test_json_output(tmp_path):
     path = str(tmp_path / "o.json")
     config = sweep_config_from_json(
@@ -309,9 +459,8 @@ def test_json_output(tmp_path):
     for key, column in want.items():
         assert np.array_equal([row[key] for row in rows], column), key
     # streamed, but the bytes of one json.dump of the whole document
-    reference = [dict(zip(CSV_COLUMNS, cells)) for cells in cli_module._columns(points)]
     with open(path, encoding="utf-8") as fh:
-        assert fh.read() == json.dumps({"points": reference}, indent=1) + "\n"
+        assert fh.read() == reference_json(points)
 
 
 def test_sweep_emits_svg_plot(tmp_path):
@@ -441,6 +590,13 @@ def test_main_unwritable_output_exits_4(tmp_path, capsys):
     cfg.write_text(json.dumps(obj), encoding="utf-8")
     assert main(["sweep", "--config", str(cfg)]) == 4
     assert "i/o error" in capsys.readouterr().err
+
+
+def test_main_sweep_refuses_tau_lost_to_rounding(tmp_path, capsys):
+    rc = main(["sweep", "--config", write_config(tmp_path, t_values=[1e17])])
+    assert rc == 2
+    assert "tau = 0.5 is lost at t = 1e+17" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_main_compare_ok(capsys):

@@ -19,6 +19,7 @@ from soqd import (
     ModelParams,
     NotNormalized,
     SectorTooLarge,
+    TauUnresolved,
     UnphysicalFactor,
     decoherence_factor_coherent,
     decoherence_factor_fock_closed,
@@ -28,7 +29,7 @@ from soqd import (
     factor_over_tau,
     g2_interacting,
 )
-from soqd.correlation import TAU_MAX_DEFAULT, g2_free, two_time_amplitude
+from soqd.correlation import _TAU_BLOCK, TAU_MAX_DEFAULT, _overlap, g2_free, two_time_amplitude
 from soqd.propagator import transform_over_tau
 from soqd.quadrature import (
     QUADRATURE_OCCUPATION_GUARD,
@@ -379,6 +380,28 @@ def test_factor_over_tau_matches_scalar_fock(preset_params):
 def test_factor_over_tau_empty_fock_is_flat(preset_params):
     got = factor_over_tau(preset_params, FockState(0), 1.0, np.linspace(0, 5, 9))
     assert np.array_equal(got, np.ones(9, dtype=complex))
+
+
+@pytest.mark.parametrize("state", [FockState(10_000), CoherentState(0.3j, 1.5 - 0.5j)])
+def test_factor_over_tau_in_blocks_keeps_every_bit(preset_params, state):
+    """A grid of 2 full blocks and a partial one gives the bits of one
+    unblocked evaluation: the arithmetic is elementwise per tau."""
+    taus = np.linspace(0.0, 0.5, 2 * _TAU_BLOCK + 3)
+    for t in (0.0, 10.0):
+        whole = _overlap(state, transform_over_tau(preset_params, t, taus))
+        got = factor_over_tau(preset_params, state, t, taus)
+        assert got.shape == taus.shape
+        assert np.array_equal(got.view(np.uint64), whole.view(np.uint64))
+
+
+def test_factor_over_tau_refuses_tau_lost_to_rounding(preset_params):
+    """At t = 1e17 the spacing of doubles is 16, so t + tau drops every
+    tau below 8; the grid is refused instead of returning F(t, t) = 1."""
+    with pytest.raises(TauUnresolved, match=r"tau = 0.5 is lost at t = 1e\+17"):
+        factor_over_tau(preset_params, FockState(100), 1e17, [0.5, 1.0, 4.0])
+    # tau = 0 is exact at any t, and t = 10 still resolves tau = 1e-5
+    factor_over_tau(preset_params, FockState(100), 1e17, [0.0])
+    factor_over_tau(preset_params, FockState(100), 10.0, [1e-5, 0.5])
 
 
 # ---------------------------------------------------------------------------
