@@ -20,7 +20,6 @@ from .model import (
     DecoherenceNotReached,
     EigenFailure,
     FockState,
-    InsufficientOrder,
     ModelParams,
     NegativeTime,
     NonFiniteParameter,
@@ -33,14 +32,8 @@ from .model import (
     apparatus_from_json,
     model_params_from_json,
 )
-from .correlation import (
-    decoherence_factor_coherent,
-    decoherence_factor_fock_closed,
-    decoherence_time,
-    factor_over_tau,
-    g2_interacting,
-)
-from .quadrature import decoherence_factor_fock_quadrature, default_quadrature
+from .correlation import decoherence_time, factor_over_tau, g2_interacting
+from .quadrature import decoherence_factor_fock_quadrature
 from .oracle import decoherence_factor_oracle_coherent, decoherence_factor_oracle_fock
 from .cli import SweepConfig, compare_methods, main, read_points_csv, run_sweep
 

@@ -49,11 +49,7 @@ from .oracle import (
     decoherence_factor_oracle_fock,
     min_cutoff,
 )
-from .quadrature import (
-    QUADRATURE_OCCUPATION_GUARD,
-    decoherence_factor_fock_quadrature,
-    default_quadrature,
-)
+from .quadrature import QUADRATURE_OCCUPATION_GUARD, decoherence_factor_fock_quadrature
 
 __all__ = [
     "SweepConfig",
@@ -67,7 +63,6 @@ __all__ = [
     "FIGURE_TAU_MAX",
     "FIGURE_TAU_STEPS",
     "reproduce_figure",
-    "ComparisonRow",
     "MethodComparison",
     "compare_methods",
     "regenerate_golden",
@@ -280,8 +275,7 @@ def _factor_series(config: SweepConfig, taus: np.ndarray, t: np.ndarray,
                                for t0 in config.t_values])
     # one quadrature or oracle call for the whole grid
     if config.method == "quadrature":
-        return decoherence_factor_fock_quadrature(params, state.n, t, t_prime,
-                                                  default_quadrature(state.n))
+        return decoherence_factor_fock_quadrature(params, state.n, t, t_prime)
     if isinstance(state, FockState):
         return decoherence_factor_oracle_fock(params, state.n, t, t_prime)
     return decoherence_factor_oracle_coherent(
@@ -427,7 +421,11 @@ def write_svg_plot(path: str, points: CorrelationPoint, title: str = "") -> None
     inner_w = width - left - right
     inner_h = height - top - bottom
 
-    t_values = np.unique(points.t).tolist()
+    # series are keyed on the bits of t, as _text_column keys its text, so
+    # t = -0.0 gets its own line and legend; ascending t, 0.0 before -0.0
+    t_bits = points.t.view(np.uint64)
+    keys = np.unique(t_bits)
+    keys = keys[np.argsort(keys.view(np.float64), kind="stable")]
     tau_lo, tau_hi = float(points.tau.min()), float(points.tau.max())
     span = tau_hi - tau_lo or 1.0
 
@@ -468,15 +466,15 @@ def write_svg_plot(path: str, points: CorrelationPoint, title: str = "") -> None
 
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.writelines(part + "\n" for part in parts)
-        for i, t in enumerate(t_values):
+        for i, (key, t) in enumerate(zip(keys.tolist(), keys.view(np.float64).tolist())):
             color = _PALETTE[i % len(_PALETTE)]
-            series = points.t == t
+            series = t_bits == key
             tau, g = points.tau[series], points.g[series]
             order = np.lexsort((g, tau))
             fh.write('<polyline points="')
             fh.writelines(_blocks("%.2f,%.2f", " ", (px(tau[order]), py(g[order]))))
             fh.write(f'" fill="none" stroke="{color}" stroke-width="1.3"/>\n')
-            if len(t_values) > 1:
+            if len(keys) > 1:
                 fh.write(f'<text x="{left + inner_w - 6}" y="{top + 16 + 16 * i}" '
                          f'font-family="sans-serif" font-size="12" text-anchor="end" '
                          f'fill="{color}">t = {t:g}</text>\n')
@@ -517,18 +515,16 @@ def reproduce_figure(figure: int, panel: str, out_dir: str) -> dict:
 # method comparison
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ComparisonRow:
-    tau: float
-    f_closed: complex
-    f_quadrature: complex
-    f_oracle: complex
-    max_delta: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MethodComparison:
-    rows: tuple
+    """The three factor columns on a tau grid, one entry per tau, with
+    each row's largest pairwise |delta| and the largest over the grid."""
+
+    tau: np.ndarray
+    f_closed: np.ndarray
+    f_quadrature: np.ndarray
+    f_oracle: np.ndarray
+    delta: np.ndarray
     max_delta: float
 
 
@@ -540,16 +536,15 @@ def compare_methods(params: ModelParams, n: int, t: float, tau_grid,
     beats ``tolerance``.
     """
     taus = np.asarray(tau_grid, dtype=float)
-    oracle = decoherence_factor_oracle_fock(params, n, t, t + taus)
+    t_prime = _t_prime(t, taus)
+    oracle = decoherence_factor_oracle_fock(params, n, t, t_prime)
     closed = factor_over_tau(params, FockState(n), t, taus)
-    quadrature = decoherence_factor_fock_quadrature(params, n, t, t + taus,
-                                                    default_quadrature(n))
-    rows = []
-    for tau, fc, fq, fo in zip(taus, closed.tolist(), quadrature.tolist(),
-                               oracle.tolist()):
-        delta = max(abs(fc - fq), abs(fc - fo), abs(fq - fo))
-        rows.append(ComparisonRow(float(tau), fc, fq, fo, delta))
-    report = MethodComparison(tuple(rows), max(r.max_delta for r in rows))
+    quadrature = decoherence_factor_fock_quadrature(params, n, t, t_prime)
+    # every pairwise |difference|, as hypot of the parts: the bits of abs()
+    f = np.stack([closed, quadrature, oracle])
+    d = f[[0, 0, 1]] - f[[1, 2, 2]]
+    delta = np.max(np.hypot(d.real, d.imag), axis=0)
+    report = MethodComparison(taus, closed, quadrature, oracle, delta, float(np.max(delta)))
     if report.max_delta > tolerance:
         raise ToleranceExceeded(
             f"methods disagree: max |delta| = {report.max_delta:.3e} "
@@ -560,11 +555,13 @@ def compare_methods(params: ModelParams, n: int, t: float, tau_grid,
 def _print_comparison(report: MethodComparison) -> None:
     print(f"{'tau':>10}  {'closed':>25}  {'quadrature':>25}  "
           f"{'oracle':>25}  {'max|delta|':>11}")
-    for r in report.rows:
-        print(f"{r.tau:10.5f}  {r.f_closed.real:+.9f}{r.f_closed.imag:+.9f}j  "
-              f"{r.f_quadrature.real:+.9f}{r.f_quadrature.imag:+.9f}j  "
-              f"{r.f_oracle.real:+.9f}{r.f_oracle.imag:+.9f}j  "
-              f"{r.max_delta:11.3e}")
+    columns = (report.tau, report.f_closed, report.f_quadrature, report.f_oracle,
+               report.delta)
+    for tau, fc, fq, fo, delta in zip(*(column.tolist() for column in columns)):
+        print(f"{tau:10.5f}  {fc.real:+.9f}{fc.imag:+.9f}j  "
+              f"{fq.real:+.9f}{fq.imag:+.9f}j  "
+              f"{fo.real:+.9f}{fo.imag:+.9f}j  "
+              f"{delta:11.3e}")
     print(f"max pairwise |delta| = {report.max_delta:.3e}")
 
 

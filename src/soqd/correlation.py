@@ -24,20 +24,17 @@ import numpy as np
 
 from .model import (
     ApparatusState,
-    CoherentState,
     DecoherenceNotReached,
     FockState,
     ModelParams,
     NotNormalized,
     _check_unit_disk,
 )
-from .propagator import _checked_rows, _schedule_product, transform_over_tau
+from .propagator import transform_over_tau
 
 __all__ = [
     "two_time_amplitude",
     "g2_free",
-    "decoherence_factor_coherent",
-    "decoherence_factor_fock_closed",
     "factor_over_tau",
     "g2_interacting",
     "decoherence_time",
@@ -81,38 +78,16 @@ def g2_free(c_e: complex, c_g: complex, omega_e: float, omega_g: float,
 # decoherence factors (closed form)
 # ---------------------------------------------------------------------------
 
-def decoherence_factor_coherent(params: ModelParams, beta0: complex,
-                                t: float, t_prime: float) -> complex:
-    """Overlap of the coherent preparation (0, beta0) with its image.
-
-    The schedule maps (0, beta0) to (a6, b6); the factor is the coherent
-    overlap exp(-|a6|^2/2) * exp(-(|beta0|^2 + |b6|^2)/2 + conj(beta0)*b6).
-    Length-1 case of the kernel behind factor_over_tau.
-    """
-    m = _schedule_product(_checked_rows(params, t, t_prime))
-    return complex(_overlap(CoherentState(0j, complex(beta0)), m))
-
-
-def decoherence_factor_fock_closed(params: ModelParams, n: int,
-                                   t: float, t_prime: float) -> complex:
-    """Number-state factor m22**n, evaluated as exp(n*log(m22)).
-
-    The log-power form survives n ~ 1e4: the magnitude just underflows
-    smoothly toward zero instead of degrading term by term.  Length-1 case
-    of the kernel behind factor_over_tau.
-    """
-    m = _schedule_product(_checked_rows(params, t, t_prime))
-    return complex(_overlap(FockState(n), m))
-
-
 def _overlap(state: ApparatusState, m: np.ndarray) -> np.ndarray:
     """Closed-form factor of ``state`` from composed transforms m (..., 2, 2).
 
-    Number states give m22**n as exp(n*log(m22)); coherent states give the
-    overlap of the preparation with its image.  Like the transform, the
-    overlap is assembled on real and imaginary parts with + - * only
-    (|z|^2 as re^2 + im^2), and the one complex log/exp per point rounds
-    the same under every SIMD target, so the bits depend on the code alone.
+    Number states give m22**n as exp(n*log(m22)), which underflows smoothly
+    toward zero at large n instead of degrading term by term; coherent
+    states give the overlap of the preparation with its image.  Like the
+    transform, the overlap is assembled on real and imaginary parts with
+    + - * only (|z|^2 as re^2 + im^2), and the one complex log/exp per
+    point rounds the same under every SIMD target, so the bits depend on
+    the code alone.
     """
     if isinstance(state, FockState):
         if state.n == 0:
@@ -170,10 +145,13 @@ def factor_over_tau(params: ModelParams, state: ApparatusState, t: float,
                     taus) -> np.ndarray:
     """Decoherence factor on a whole tau grid (t' = t + tau), closed form.
 
-    Vectorized companion of the scalar factor functions, through the same
-    kernel; sweeps, figures and the threshold search all run through here.
-    The arithmetic is elementwise per tau, so evaluating a long grid in
-    blocks of _TAU_BLOCK gives the same bits as one call.
+    The closed form's one entry point: a scalar F is
+    ``factor_over_tau(params, state, t, [tau])[0]``, and sweeps, figures
+    and the threshold search all run through here.  The arithmetic is
+    elementwise per tau, so a length-1 call gives the bits of its entry in
+    a whole grid, and evaluating a long grid in blocks of _TAU_BLOCK gives
+    the same bits as one call.  Raises NegativeTime where t or t + tau is
+    below 0.
     """
     taus = np.asarray(taus, dtype=float)
     if taus.size <= _TAU_BLOCK:

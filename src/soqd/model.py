@@ -16,7 +16,6 @@ __all__ = [
     "NegativeTime",
     "TauUnresolved",
     "NotNormalized",
-    "InsufficientOrder",
     "UnphysicalFactor",
     "DecoherenceNotReached",
     "EigenFailure",
@@ -26,7 +25,6 @@ __all__ = [
     "ToleranceExceeded",
     "TAU_ROUNDING_BUDGET",
     "ModelParams",
-    "validate",
     "model_params_to_json",
     "model_params_from_json",
     "CoherentState",
@@ -62,10 +60,6 @@ class TauUnresolved(SimulationError):
 
 class NotNormalized(SimulationError):
     """Internal-state amplitudes do not have unit norm."""
-
-
-class InsufficientOrder(SimulationError):
-    """Quadrature order too low to integrate the requested occupation exactly."""
 
 
 class UnphysicalFactor(SimulationError):
@@ -112,7 +106,9 @@ class ModelParams:
 
     omega1, omega2 are the two field-mode frequencies, d_e and d_g the
     exchange-coupling strengths selected by the excited and ground internal
-    states, and omega_e the internal transition frequency.
+    states, and omega_e the internal transition frequency.  Raises
+    NonFiniteParameter, naming each offending field, for NaN or infinite
+    values.
     """
 
     omega1: float
@@ -121,14 +117,10 @@ class ModelParams:
     d_g: float
     omega_e: float
 
-
-def validate(params: ModelParams) -> ModelParams:
-    """Return ``params`` unchanged, or raise NonFiniteParameter."""
-    bad = [f.name for f in fields(params)
-           if not math.isfinite(getattr(params, f.name))]
-    if bad:
-        raise NonFiniteParameter(f"non-finite model parameters: {', '.join(bad)}")
-    return params
+    def __post_init__(self):
+        bad = [f.name for f in fields(self) if not math.isfinite(getattr(self, f.name))]
+        if bad:
+            raise NonFiniteParameter(f"non-finite model parameters: {', '.join(bad)}")
 
 
 def model_params_to_json(params: ModelParams) -> dict:
@@ -159,7 +151,7 @@ def model_params_from_json(obj: dict) -> ModelParams:
             raise ConfigError(f"model parameter {key!r} must be a real number")
         vals[key] = float(v)
     try:
-        return validate(ModelParams(**vals))
+        return ModelParams(**vals)
     except NonFiniteParameter as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -170,13 +162,22 @@ def model_params_from_json(obj: dict) -> ModelParams:
 TAU_ROUNDING_BUDGET = 1e-8
 
 
-def _t_prime(t, tau):
-    """t' = t + tau elementwise, after checking that it keeps tau.
+def _check_nonnegative(t, t_prime) -> None:
+    """Raise NegativeTime, naming the lowest time, if any t or t' is below 0."""
+    low = float(min(np.min(t, initial=0.0), np.min(t_prime, initial=0.0)))
+    if low < 0:
+        raise NegativeTime(f"measurement times must be >= 0, got {low!r}")
 
-    Raises TauUnresolved, naming the first lost entry, where
+
+def _t_prime(t, tau):
+    """t' = t + tau elementwise, after checking the times it forms.
+
+    Raises NegativeTime where t or t' is below 0, then TauUnresolved,
+    naming the first lost entry, where
     |((t + tau) - t) - tau| > TAU_ROUNDING_BUDGET * |tau|.
     """
     t_prime = t + tau
+    _check_nonnegative(t, t_prime)
     lost = np.abs((t_prime - t) - tau) > TAU_ROUNDING_BUDGET * np.abs(tau)
     if np.any(lost):
         t, tau = np.broadcast_arrays(t, tau)
@@ -192,7 +193,8 @@ def _time_grid(t, t_prime):
     """(t, t') as (scalar or 1-D t, 1-D t', whether both were scalars).
 
     ``t`` broadcasts against ``t_prime``; a scalar ``t`` stays scalar, so
-    the propagators before t' enters act on one column only.
+    the propagators before t' enters act on one column only.  Raises
+    NegativeTime where t or t' is below 0.
     """
     t = np.asarray(t, dtype=float)
     times = np.asarray(t_prime, dtype=float)
@@ -200,6 +202,7 @@ def _time_grid(t, t_prime):
     if len(shape) > 1:
         raise ValueError(f"t and t_prime must be scalars or 1-D, got shapes "
                          f"{t.shape} and {times.shape}")
+    _check_nonnegative(t, times)
     t = float(t) if t.ndim == 0 else np.broadcast_to(t, shape).reshape(-1)
     return t, np.broadcast_to(times, shape).reshape(-1), not shape
 

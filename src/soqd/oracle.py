@@ -22,25 +22,16 @@ not change a bit of the result, and every sector that could is.
 """
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .model import (
-    CutoffTooSmall,
-    EigenFailure,
-    ModelParams,
-    SectorTooLarge,
-    _time_grid,
-    validate,
-)
+from .model import CutoffTooSmall, EigenFailure, ModelParams, SectorTooLarge, _time_grid
 
 __all__ = [
     "SECTOR_GUARD",
     "MIXTURE_TAIL_TARGET",
     "min_cutoff",
-    "SectorMatrix",
     "sector_hamiltonian",
     "sector_propagator",
     "decoherence_factor_oracle_fock",
@@ -61,26 +52,16 @@ MIXTURE_TAIL_TARGET = 2.0 ** -53
 _TAU_BLOCK = 256
 
 
-@dataclass(eq=False)
-class SectorMatrix:
-    """Dense operator on the total-occupation-n sector.
-
-    Basis vector k is the product state with k quanta in mode 1 and
-    n - k in mode 2, k = 0 .. n; index 0 is the mode-1-empty state.
-    """
-
-    n: int
-    entries: np.ndarray
-
-
-def sector_hamiltonian(params: ModelParams, m: int, n_sys: int, sector: int) -> SectorMatrix:
+def sector_hamiltonian(params: ModelParams, m: int, n_sys: int, sector: int) -> np.ndarray:
     """Sector-restricted step Hamiltonian for internal populations (m, n_sys).
 
-    The exchange strength is g = d_e*m + d_g*n_sys.  Diagonal entries are
-    omega1*k + omega2*(sector - k); the sub/super-diagonal carries
+    A real symmetric (sector + 1) x (sector + 1) array: basis vector k is
+    the product state with k quanta in mode 1 and sector - k in mode 2,
+    so index 0 is the mode-1-empty state.  The exchange strength is
+    g = d_e*m + d_g*n_sys.  Diagonal entries are omega1*k +
+    omega2*(sector - k); the sub/super-diagonal carries
     g*sqrt((k+1)*(sector-k)) from the two-mode ladder algebra.
     """
-    validate(params)
     if m not in (0, 1) or n_sys not in (0, 1):
         raise ValueError(f"internal populations must be 0 or 1, got ({m}, {n_sys})")
     if sector < 0:
@@ -94,25 +75,24 @@ def sector_hamiltonian(params: ModelParams, m: int, n_sys: int, sector: int) -> 
         off = g * np.sqrt((kk + 1.0) * (sector - kk))
         h[kk, kk + 1] = off
         h[kk + 1, kk] = off
-    return SectorMatrix(sector, h)
+    return h
 
 
-def _eigensystem(h: SectorMatrix):
+def _eigensystem(h: np.ndarray):
     """Eigenvalues and orthonormal eigenvectors (columns) of a sector Hamiltonian."""
     try:
-        return np.linalg.eigh(h.entries)
+        return np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
-        raise EigenFailure(f"sector-{h.n} eigendecomposition failed: {exc}") from exc
+        raise EigenFailure(f"sector-{len(h) - 1} eigendecomposition failed: {exc}") from exc
 
 
-def sector_propagator(h: SectorMatrix, duration: float) -> SectorMatrix:
+def sector_propagator(h: np.ndarray, duration: float) -> np.ndarray:
     """exp(-i * H * duration) via Hermitian eigendecomposition.
 
     Negative durations are allowed and give the inverse propagator.
     """
     evals, vecs = _eigensystem(h)
-    u = (vecs * np.exp(-1j * evals * duration)) @ vecs.conj().T
-    return SectorMatrix(h.n, u)
+    return (vecs * np.exp(-1j * evals * duration)) @ vecs.conj().T
 
 
 def _evolve(system, duration, v: np.ndarray) -> np.ndarray:
@@ -161,7 +141,8 @@ def decoherence_factor_oracle_fock(params: ModelParams, n: int, t,
     acts first) to the mode-1-empty state and returns its amplitude to end
     where it started.  Scalar ``t`` and ``t_prime`` give a complex; a 1-D
     array for either (the other broadcasts against it) gives one complex
-    per entry, all from one eigensystem set.
+    per entry, all from one eigensystem set.  Raises NegativeTime where t
+    or t' is below 0.
     """
     if n > SECTOR_GUARD:
         raise SectorTooLarge(f"sector {n} exceeds the dense guard {SECTOR_GUARD}")

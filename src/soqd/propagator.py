@@ -33,7 +33,7 @@ import math
 
 import numpy as np
 
-from .model import ModelParams, NegativeTime, _t_prime, validate
+from .model import ModelParams, _t_prime
 
 __all__ = ["transform_over_tau"]
 
@@ -59,14 +59,6 @@ def _schedule_rows(params: ModelParams, t, t_prime) -> tuple:
         (w1, w2, dg, t),
         (-w1, -w2, -de - dg, t),
     )
-
-
-def _checked_rows(params: ModelParams, t: float, t_prime: float) -> tuple:
-    """_schedule_rows of one (t, t') pair, after checking params and times."""
-    validate(params)
-    if t < 0 or t_prime < 0:
-        raise NegativeTime(f"measurement times must be >= 0, got t={t}, t'={t_prime}")
-    return _schedule_rows(params, t, t_prime)
 
 
 def _times(x, y):
@@ -129,16 +121,11 @@ def _schedule_product(rows) -> np.ndarray:
 def transform_over_tau(params: ModelParams, t: float, taus) -> np.ndarray:
     """Composed transforms for t' = t + tau over a whole tau grid at once.
 
-    Returns an array of shape (len(taus), 2, 2), bit-identical at each tau
-    to _schedule_product(_checked_rows(params, t, t + tau)): both run the
-    same elementwise arithmetic.  Steps 3 and 4 get the array duration, the
-    four t-steps stay scalar and broadcast.  Raises TauUnresolved where
-    t + tau loses tau to rounding.
+    Returns an array of shape (len(taus), 2, 2); the arithmetic is
+    elementwise, so each tau gets the bits of a length-1 call.  Steps 3
+    and 4 get the array duration, the four t-steps stay scalar and
+    broadcast.  Raises NegativeTime where t or t + tau is below 0 and
+    TauUnresolved where t + tau loses tau to rounding.
     """
-    validate(params)
     taus = np.asarray(taus, dtype=float)
-    if t < 0:
-        raise NegativeTime(f"measurement time must be >= 0, got t={t}")
-    if taus.size and float(np.min(taus)) < -t:
-        raise NegativeTime("t + tau must stay >= 0 across the grid")
     return _schedule_product(_schedule_rows(params, t, _t_prime(t, taus)))

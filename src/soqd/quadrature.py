@@ -17,24 +17,13 @@ those shows up as a disagreement with this path.
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    EigenFailure,
-    InsufficientOrder,
-    ModelParams,
-    NegativeTime,
-    SectorTooLarge,
-    _time_grid,
-    validate,
-)
+from .model import EigenFailure, ModelParams, SectorTooLarge, _time_grid
 
 __all__ = [
     "QUADRATURE_OCCUPATION_GUARD",
-    "QuadratureSpec",
-    "default_quadrature",
     "decoherence_factor_fock_quadrature",
 ]
 
@@ -47,22 +36,15 @@ QUADRATURE_OCCUPATION_GUARD = 256
 #: one t' worth whatever the grid size
 _NODE_BUDGET = 2 ** 14
 
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Node counts for the polar phase-space integral."""
-
-    radial_order: int
-    angular_order: int
-
-    def __post_init__(self):
-        if self.radial_order < 1 or self.angular_order < 1:
-            raise ValueError("quadrature orders must be >= 1")
+#: uniform trapezoid nodes on the phase circle
+_ANGULAR_ORDER = 64
 
 
-def default_quadrature(n: int) -> QuadratureSpec:
-    """Defaults that integrate the occupation-n case exactly with margin."""
-    return QuadratureSpec(radial_order=max(64, n + 8), angular_order=64)
+def _radial_order(n: int) -> int:
+    """Gauss-Laguerre order for occupation n: the radial factor is a
+    degree-n polynomial, which n + 1 nodes integrate exactly; n + 8 and a
+    floor of 64 add margin."""
+    return max(64, n + 8)
 
 
 @functools.lru_cache(maxsize=32)
@@ -157,38 +139,34 @@ def _image_of_mode2(params: ModelParams, t, t_primes: np.ndarray):
     return v[0], v[1]
 
 
-def decoherence_factor_fock_quadrature(params: ModelParams, n: int, t,
-                                       t_prime, quad: QuadratureSpec):
+def decoherence_factor_fock_quadrature(params: ModelParams, n: int, t, t_prime):
     """Number-state factor by direct phase-space integration.
 
     Resolve |n> on coherent states: F = integral d^2beta/pi of
     <0,n | image of (0,beta)> <beta | n>.  In polar form with u = |beta|^2
     the radial integral carries weight exp(-u) (Gauss-Laguerre) and the
     phase integral is 2*pi-periodic with finite harmonic content (uniform
-    trapezoid).  The non-weight radial factor is a degree-n polynomial in
-    u, so radial_order >= n + 1 integrates it exactly; everything is
+    trapezoid).  The orders follow from n alone: the non-weight radial
+    factor is a degree-n polynomial in u, so any radial order >= n + 1
+    integrates it exactly, and _radial_order(n) = max(64, n + 8) nodes
+    are used, with _ANGULAR_ORDER = 64 on the phase circle.  Everything is
     assembled in log space (lgamma + complex log-powers) and exponentiated
     once per node.
 
     Scalar ``t`` and ``t_prime`` give a complex; a 1-D array for either
     (the other broadcasts against it) gives one complex per entry, from
     one set of eigensystems, evaluated in blocks of _NODE_BUDGET nodes.
+    Raises NegativeTime where t or t' is below 0.
     """
     if n < 0:
         raise ValueError(f"occupation must be >= 0, got {n}")
     if n > QUADRATURE_OCCUPATION_GUARD:
         raise SectorTooLarge(
             f"occupation {n} exceeds the quadrature guard {QUADRATURE_OCCUPATION_GUARD}")
-    if quad.radial_order < n + 1:
-        raise InsufficientOrder(
-            f"radial_order {quad.radial_order} < n + 1 = {n + 1}")
-    validate(params)
     t, t_primes, scalar = _time_grid(t, t_prime)
-    if t_primes.size and min(np.min(t), np.min(t_primes)) < 0:
-        raise NegativeTime("measurement times must be >= 0")
     m12, m22 = _image_of_mode2(params, t, t_primes)
-    u, log_w = _gauss_laguerre_log(quad.radial_order)
-    theta = 2.0 * math.pi * np.arange(quad.angular_order) / quad.angular_order
+    u, log_w = _gauss_laguerre_log(_radial_order(n))
+    theta = 2.0 * math.pi * np.arange(_ANGULAR_ORDER) / _ANGULAR_ORDER
     beta = np.sqrt(u)[:, None] * np.exp(1j * theta)[None, :]
     # + u divides out the rule's exp(-u) weight, - u/2 is the
     # exp(-|beta|^2/2) of <beta|n>
@@ -208,5 +186,5 @@ def decoherence_factor_fock_quadrature(params: ModelParams, n: int, t,
             power = np.where(np.isfinite(power.real), power, -np.inf)
             exponent = exponent + power - math.lgamma(n + 1.0)
         total = np.exp(exponent).reshape(len(a6), -1).sum(axis=1)
-        out[lo:lo + len(a6)] = total / quad.angular_order
+        out[lo:lo + len(a6)] = total / _ANGULAR_ORDER
     return complex(out[0]) if scalar else out

@@ -16,13 +16,10 @@ from soqd import (
     CoherentState,
     FockState,
     ModelParams,
-    decoherence_factor_coherent,
-    decoherence_factor_fock_closed,
     decoherence_factor_fock_quadrature,
     decoherence_factor_oracle_coherent,
     decoherence_factor_oracle_fock,
     decoherence_time,
-    default_quadrature,
     factor_over_tau,
     main,
 )
@@ -98,15 +95,16 @@ def test_03_telescoping_identities():
 
         params = ModelParams(float(w1), float(w2), float(de), float(dg),
                              omega_e=1.0)
+        coherent, fock = CoherentState(0j, beta0), FockState(n)
         worst = max(worst,
-                    abs(decoherence_factor_coherent(params, beta0, t, t) - 1),
-                    abs(decoherence_factor_fock_closed(params, n, t, t) - 1))
+                    abs(factor_over_tau(params, coherent, t, [0.0])[0] - 1),
+                    abs(factor_over_tau(params, fock, t, [0.0])[0] - 1))
 
         balanced = ModelParams(float(w1), float(w2), float(de), float(de),
                                omega_e=1.0)
         worst = max(worst,
-                    abs(decoherence_factor_coherent(balanced, beta0, t, tp) - 1),
-                    abs(decoherence_factor_fock_closed(balanced, n, t, tp) - 1))
+                    abs(factor_over_tau(balanced, coherent, t, [tp - t])[0] - 1),
+                    abs(factor_over_tau(balanced, fock, t, [tp - t])[0] - 1))
     assert worst <= 1e-9
 
 
@@ -118,13 +116,11 @@ def test_04_number_state_triple_agreement():
     taus = np.linspace(0.0, 10.0, 21)
     worst_oracle = worst_quadrature = 0.0
     for n in (1, 2, 5, 10, 40):
-        quad = default_quadrature(n)
         for t in (0.0, 10.0):
             for tau in taus:
-                fc = decoherence_factor_fock_closed(PRESET, n, t, t + tau)
+                fc = factor_over_tau(PRESET, FockState(n), t, [tau])[0]
                 fo = decoherence_factor_oracle_fock(PRESET, n, t, t + tau)
-                fq = decoherence_factor_fock_quadrature(PRESET, n, t, t + tau,
-                                                        quad)
+                fq = decoherence_factor_fock_quadrature(PRESET, n, t, t + tau)
                 worst_oracle = max(worst_oracle, abs(fc - fo))
                 worst_quadrature = max(worst_quadrature, abs(fc - fq))
     elapsed = time.perf_counter() - start
@@ -144,7 +140,7 @@ def test_05_coherent_closed_form_matches_dense_mixture():
                                                    cutoff=120)
         assert 0.0 < dense.tail_bound <= 1e-9
         for tau, f_dense in zip(taus, dense.value):
-            closed = decoherence_factor_coherent(PRESET, beta0, t, t + tau)
+            closed = factor_over_tau(PRESET, CoherentState(0j, beta0), t, [tau])[0]
             worst = max(worst, abs(closed - f_dense))
     assert worst <= 1e-6
 

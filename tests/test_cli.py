@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -18,7 +19,7 @@ from soqd import (
     UnphysicalFactor,
     apparatus_from_json,
     compare_methods,
-    decoherence_factor_fock_closed,
+    factor_over_tau,
     main,
     read_points_csv,
     run_sweep,
@@ -322,7 +323,9 @@ def reference_svg(points, title):
     left, right, top, bottom = 70, 20, 40, 55
     inner_w = width - left - right
     inner_h = height - top - bottom
-    t_values = np.unique(points.t).tolist()
+    # one series per distinct t, signed zeros apart: ascending, 0 before -0
+    t_values = sorted({(t, math.copysign(1.0, t)) for t in points.t.tolist()},
+                      key=lambda key: (key[0], -key[1]))
     tau_lo, tau_hi = float(points.tau.min()), float(points.tau.max())
     span = tau_hi - tau_lo or 1.0
 
@@ -359,9 +362,9 @@ def reference_svg(points, title):
                  'text-anchor="middle">&#964; = t&#8242; &#8722; t</text>')
     parts.append(f'<text x="20" y="{top + inner_h / 2:.0f}" font-family="sans-serif" '
                  'font-size="14" text-anchor="middle">G</text>')
-    for i, t in enumerate(t_values):
+    for i, (t, sign) in enumerate(t_values):
         color = cli_module._PALETTE[i % len(cli_module._PALETTE)]
-        series = points.t == t
+        series = (points.t == t) & (np.signbit(points.t) == (sign < 0))
         tau, g = points.tau[series], points.g[series]
         order = np.lexsort((g, tau))
         xy = zip(px(tau[order]).tolist(), py(g[order]).tolist())
@@ -420,6 +423,21 @@ def test_signed_zero_times_keep_their_sign(tmp_path):
     json_path = str(tmp_path / "o.json")
     write_points_json(json_path, points)
     assert '"t": -0.0' in (tmp_path / "o.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("t_values, lines, legends", [
+    ([0.0, -0.0], 2, ["t = 0", "t = -0"]),
+    ([0.0, 0.0], 1, []),
+])
+def test_svg_series_are_keyed_on_the_bits_of_t(tmp_path, t_values, lines, legends):
+    """-0.0 is its own series with its own legend, as it is its own CSV
+    text; equal t values share one polyline."""
+    config = sweep_config_from_json(make_config(
+        t_values=t_values, output_path=str(tmp_path / "o.csv"), emit_plot=True))
+    run_sweep(config)
+    svg = (tmp_path / "o.svg").read_text(encoding="utf-8")
+    assert svg.count("<polyline ") == lines
+    assert re.findall(r">(t = [^<]*)</text>", svg) == legends
 
 
 #: bytes per row a 10^5-row sweep may hold at its peak (tracemalloc); the
@@ -538,14 +556,16 @@ def test_reproduce_figure_rejects_bad_ids(tmp_path):
 def test_compare_methods_report(preset_params):
     grid = np.linspace(0.0, 5.0, 6)
     report = compare_methods(preset_params, 2, 0.0, grid)
-    assert len(report.rows) == 6
-    assert [r.tau for r in report.rows] == list(grid)
-    assert report.max_delta == max(r.max_delta for r in report.rows)
+    assert np.array_equal(report.tau, grid)
+    columns = (report.f_closed, report.f_quadrature, report.f_oracle)
+    assert all(c.shape == (6,) and c.dtype == complex for c in columns)
+    assert report.max_delta == max(report.delta.tolist())
     assert report.max_delta <= 1e-9
-    # the closed column comes from one grid call, bit for bit the scalar path
-    for r in report.rows:
-        assert type(r.f_closed) is complex
-        assert r.f_closed == decoherence_factor_fock_closed(preset_params, 2, 0.0, r.tau)
+    for i, (fc, fq, fo) in enumerate(zip(*(c.tolist() for c in columns))):
+        # each row's delta has the bits of abs() on Python complexes
+        assert report.delta[i] == max(abs(fc - fq), abs(fc - fo), abs(fq - fo))
+        # the closed column comes from one grid call, bit for bit a length-1 call
+        assert fc == factor_over_tau(preset_params, FockState(2), 0.0, [grid[i]])[0]
 
 
 def test_compare_methods_raises_on_tight_tolerance(preset_params):
@@ -553,7 +573,7 @@ def test_compare_methods_raises_on_tight_tolerance(preset_params):
         compare_methods(preset_params, 2, 0.0, np.linspace(0.0, 5.0, 6),
                         tolerance=1e-30)
     assert excinfo.value.report is not None
-    assert len(excinfo.value.report.rows) == 6
+    assert len(excinfo.value.report.tau) == 6
 
 
 # ---------------------------------------------------------------------------
@@ -608,6 +628,15 @@ def test_main_compare_ok(capsys):
 def test_main_compare_bad_args_exits_2(capsys):
     rc = main(["compare", "--n", "2", "--t", "0", "--tau-max", "2", "--steps", "1"])
     assert rc == 2
+
+
+def test_main_compare_refuses_negative_time(capsys):
+    rc = main(["compare", "--n", "2", "--t", "-1", "--tau-max", "2", "--steps", "5"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "measurement times must be >= 0, got -1.0" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_main_compare_disagreement_exits_3(monkeypatch, capsys):

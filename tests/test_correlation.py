@@ -15,26 +15,23 @@ from soqd import (
     CoherentState,
     DecoherenceNotReached,
     FockState,
-    InsufficientOrder,
     ModelParams,
     NotNormalized,
     SectorTooLarge,
     TauUnresolved,
     UnphysicalFactor,
-    decoherence_factor_coherent,
-    decoherence_factor_fock_closed,
     decoherence_factor_fock_quadrature,
     decoherence_time,
-    default_quadrature,
     factor_over_tau,
     g2_interacting,
 )
 from soqd.correlation import _TAU_BLOCK, TAU_MAX_DEFAULT, _overlap, g2_free, two_time_amplitude
 from soqd.propagator import transform_over_tau
 from soqd.quadrature import (
+    _ANGULAR_ORDER,
     QUADRATURE_OCCUPATION_GUARD,
-    QuadratureSpec,
     _gauss_laguerre_log,
+    _radial_order,
 )
 
 
@@ -91,19 +88,20 @@ def test_g2_free_is_squared_amplitude(theta, phi, omega_e, omega_g, t1, t2):
 
 def test_coherent_factor_equal_times_is_unity(preset_params):
     for t in (0.0, 3.7, 10.0):
-        f = decoherence_factor_coherent(preset_params, 2.0 + 1.0j, t, t)
+        f = factor_over_tau(preset_params, CoherentState(0j, 2.0 + 1.0j), t, [0.0])[0]
         assert abs(f - 1) <= 1e-9
 
 
 def test_coherent_factor_equal_couplings_is_unity():
     params = ModelParams(0.7, -0.4, 0.5, 0.5, omega_e=1.0)
     for t, tp in ((0.0, 4.0), (2.0, 9.0)):
-        f = decoherence_factor_coherent(params, 1.5 + 0j, t, tp)
+        f = factor_over_tau(params, CoherentState(0j, 1.5 + 0j), t, [tp - t])[0]
         assert abs(f - 1) <= 1e-9
 
 
 def test_coherent_factor_empty_preparation_is_unity(preset_params):
-    assert decoherence_factor_coherent(preset_params, 0j, 1.0, 6.0) == pytest.approx(1.0)
+    f = factor_over_tau(preset_params, CoherentState(0j, 0j), 1.0, [5.0])[0]
+    assert f == pytest.approx(1.0)
 
 
 def test_coherent_factor_magnitude_bounded(rng):
@@ -112,7 +110,8 @@ def test_coherent_factor_magnitude_bounded(rng):
         params = ModelParams(w1, w2, de, dg, omega_e=1.0)
         beta0 = complex(*rng.uniform(-3, 3, size=2))
         t, tp = rng.uniform(0, 10, size=2)
-        assert abs(decoherence_factor_coherent(params, beta0, t, tp)) <= 1 + 1e-10
+        f = factor_over_tau(params, CoherentState(0j, beta0), t, [tp - t])[0]
+        assert abs(f) <= 1 + 1e-10
 
 
 def test_coherent_factor_exponential_identity(preset_params, rng):
@@ -122,37 +121,38 @@ def test_coherent_factor_exponential_identity(preset_params, rng):
         t, tp = rng.uniform(0, 10, size=2)
         m22 = transform_over_tau(preset_params, t, [tp - t])[0, 1, 1]
         want = np.exp(abs(beta0) ** 2 * (m22 - 1))
-        got = decoherence_factor_coherent(preset_params, beta0, t, tp)
+        got = factor_over_tau(preset_params, CoherentState(0j, beta0), t, [tp - t])[0]
         assert abs(got - want) <= 1e-12
 
 
 def test_coherent_factor_matches_pinned_oracle(preset_params, derived_values):
     pinned = derived_values["coherent_sqrt10_f_preset_t0_tp2"]
-    got = decoherence_factor_coherent(preset_params, complex(math.sqrt(10)), 0.0, 2.0)
+    state = CoherentState(0j, complex(math.sqrt(10)))
+    got = factor_over_tau(preset_params, state, 0.0, [2.0])[0]
     assert abs(got - complex(pinned["re"], pinned["im"])) <= 1e-6
 
 
 def test_fock_closed_empty_is_unity(preset_params):
-    assert decoherence_factor_fock_closed(preset_params, 0, 1.0, 9.0) == 1.0 + 0j
+    assert factor_over_tau(preset_params, FockState(0), 1.0, [8.0])[0] == 1.0 + 0j
 
 
 def test_fock_closed_equal_times_is_unity(preset_params):
-    assert abs(decoherence_factor_fock_closed(preset_params, 7, 4.2, 4.2) - 1) <= 1e-9
+    assert abs(factor_over_tau(preset_params, FockState(7), 4.2, [0.0])[0] - 1) <= 1e-9
 
 
 def test_fock_closed_rejects_negative_occupation(preset_params):
     with pytest.raises(ValueError):
-        decoherence_factor_fock_closed(preset_params, -1, 0.0, 1.0)
+        factor_over_tau(preset_params, FockState(-1), 0.0, [1.0])
 
 
 def test_fock_closed_matches_pinned_oracle(preset_params, derived_values):
     pinned = derived_values["fock10_f_preset_t0_tp2"]
-    got = decoherence_factor_fock_closed(preset_params, 10, 0.0, 2.0)
+    got = factor_over_tau(preset_params, FockState(10), 0.0, [2.0])[0]
     assert abs(got - complex(pinned["re"], pinned["im"])) <= 1e-9
 
 
 def test_fock_closed_survives_huge_occupation(preset_params):
-    f = decoherence_factor_fock_closed(preset_params, 10**6, 0.0, 2.0)
+    f = factor_over_tau(preset_params, FockState(10**6), 0.0, [2.0])[0]
     assert np.isfinite(f.real) and np.isfinite(f.imag)
     assert abs(f) < 1e-100
 
@@ -162,16 +162,10 @@ def test_fock_closed_survives_huge_occupation(preset_params):
 # ---------------------------------------------------------------------------
 
 def test_default_quadrature_orders():
-    assert default_quadrature(0) == QuadratureSpec(64, 64)
-    assert default_quadrature(40) == QuadratureSpec(64, 64)
-    assert default_quadrature(100) == QuadratureSpec(108, 64)
-
-
-def test_quadrature_spec_rejects_bad_orders():
-    with pytest.raises(ValueError):
-        QuadratureSpec(0, 4)
-    with pytest.raises(ValueError):
-        QuadratureSpec(4, 0)
+    """The orders follow from n: exact from n + 1 radial nodes on, with margin."""
+    assert (_radial_order(0), _radial_order(40), _radial_order(100)) == (64, 64, 108)
+    assert all(_radial_order(n) >= n + 1 for n in range(QUADRATURE_OCCUPATION_GUARD + 1))
+    assert _ANGULAR_ORDER == 64
 
 
 def test_gauss_laguerre_matches_numpy():
@@ -243,59 +237,53 @@ def test_gauss_laguerre_fifth_moment():
 
 
 def test_quadrature_empty_is_unity(preset_params):
-    f = decoherence_factor_fock_quadrature(preset_params, 0, 0.0, 5.0,
-                                           default_quadrature(0))
+    f = decoherence_factor_fock_quadrature(preset_params, 0, 0.0, 5.0)
     assert abs(f - 1) <= 1e-12
 
 
 def test_quadrature_equal_couplings_is_unity():
     params = ModelParams(0.7, -0.4, 0.5, 0.5, omega_e=1.0)
-    f = decoherence_factor_fock_quadrature(params, 6, 1.0, 7.0, default_quadrature(6))
+    f = decoherence_factor_fock_quadrature(params, 6, 1.0, 7.0)
     assert abs(f - 1) <= 1e-9
 
 
 def test_quadrature_matches_closed_form(preset_params, rng):
     for n in (1, 3, 10, 40):
         t, tp = rng.uniform(0, 10, size=2)
-        closed = decoherence_factor_fock_closed(preset_params, n, t, tp)
-        quad = decoherence_factor_fock_quadrature(preset_params, n, t, tp,
-                                                  default_quadrature(n))
+        closed = factor_over_tau(preset_params, FockState(n), t, [tp - t])[0]
+        quad = decoherence_factor_fock_quadrature(preset_params, n, t, tp)
         assert abs(closed - quad) <= 1e-9
 
 
 def test_quadrature_matches_pinned_oracle(preset_params, derived_values):
     pinned = derived_values["fock10_f_preset_t0_tp2"]
-    got = decoherence_factor_fock_quadrature(preset_params, 10, 0.0, 2.0,
-                                             default_quadrature(10))
+    got = decoherence_factor_fock_quadrature(preset_params, 10, 0.0, 2.0)
     assert abs(got - complex(pinned["re"], pinned["im"])) <= 1e-6
 
 
 def test_quadrature_deep_occupation(preset_params):
-    """n = 100 leans on weights of order 1e-60; a weight path that loses
-    relative accuracy at small magnitudes fails this by a factor of ~30."""
-    closed = decoherence_factor_fock_closed(preset_params, 100, 10.0, 12.0)
-    quad = decoherence_factor_fock_quadrature(preset_params, 100, 10.0, 12.0,
-                                              QuadratureSpec(128, 64))
-    assert abs(closed - quad) <= 1e-6
-
-
-def test_quadrature_rejects_low_radial_order(preset_params):
-    with pytest.raises(InsufficientOrder):
-        decoherence_factor_fock_quadrature(preset_params, 10, 0.0, 1.0,
-                                           QuadratureSpec(10, 8))
+    """n = 100 at its derived radial order 108 leans on weights of order
+    1e-60; a weight path that loses relative accuracy at small magnitudes
+    fails this by a factor of ~30.  At t' = 12, |F| = 5.7e-24, so the
+    absolute bound there checks little; t' = 10.05 and 10.5 (|F| = 0.98
+    and 0.036) hold the quadrature to 1e-9 of the closed form, relative."""
+    assert _radial_order(100) == 108
+    taus = np.array([2.0, 0.05, 0.5])
+    closed = factor_over_tau(preset_params, FockState(100), 10.0, taus)
+    quad = decoherence_factor_fock_quadrature(preset_params, 100, 10.0, 10.0 + taus)
+    assert abs(closed[0] - quad[0]) <= 1e-6
+    assert np.all(np.abs(closed[1:] - quad[1:]) <= 1e-9 * np.abs(closed[1:]))
 
 
 def test_quadrature_rejects_oversized_occupation(preset_params):
     with pytest.raises(SectorTooLarge):
         decoherence_factor_fock_quadrature(
-            preset_params, QUADRATURE_OCCUPATION_GUARD + 1, 0.0, 1.0,
-            QuadratureSpec(300, 8))
+            preset_params, QUADRATURE_OCCUPATION_GUARD + 1, 0.0, 1.0)
 
 
 def test_quadrature_rejects_negative_occupation(preset_params):
     with pytest.raises(ValueError):
-        decoherence_factor_fock_quadrature(preset_params, -2, 0.0, 1.0,
-                                           QuadratureSpec(8, 8))
+        decoherence_factor_fock_quadrature(preset_params, -2, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -354,27 +342,31 @@ def test_equal_couplings_reduce_to_free_fringe():
     params = ModelParams(0.7, -0.4, 0.5, 0.5, omega_e=1.0)
     c = 1 / math.sqrt(2)
     for tau in np.linspace(0.0, 10.0, 11):
-        f = decoherence_factor_coherent(params, 2.0 + 0j, 1.0, 1.0 + float(tau))
+        f = factor_over_tau(params, CoherentState(0j, 2.0 + 0j), 1.0, [tau])[0]
         inter = g2_interacting(f, 1.0, 1.0 + float(tau), params.omega_e)
         free = g2_free(c, c, params.omega_e, 0.0, 1.0, 1.0 + float(tau))
         assert inter == pytest.approx(free, abs=1e-9)
 
 
+def _length_one_calls(params, state, t, taus) -> np.ndarray:
+    return np.array([factor_over_tau(params, state, t, [tau])[0] for tau in taus])
+
+
 def test_factor_over_tau_matches_scalar_coherent(preset_params):
+    """A scalar F is the length-1 call, with the bits of its grid entry."""
     taus = np.linspace(-2.0, 6.0, 17)
-    got = factor_over_tau(preset_params, CoherentState(0j, 1.5 - 0.5j), 3.0, taus)
-    for tau, f in zip(taus, got):
-        want = decoherence_factor_coherent(preset_params, 1.5 - 0.5j, 3.0, 3.0 + float(tau))
-        assert f == want
+    state = CoherentState(0j, 1.5 - 0.5j)
+    got = factor_over_tau(preset_params, state, 3.0, taus)
+    singles = _length_one_calls(preset_params, state, 3.0, taus)
+    assert np.array_equal(got.view(np.uint64), singles.view(np.uint64))
 
 
 def test_factor_over_tau_matches_scalar_fock(preset_params):
     taus = np.linspace(0.0, 8.0, 17)
     for t in (0.0, 3.0):
         got = factor_over_tau(preset_params, FockState(12), t, taus)
-        for tau, f in zip(taus, got):
-            want = decoherence_factor_fock_closed(preset_params, 12, t, t + float(tau))
-            assert f == want
+        singles = _length_one_calls(preset_params, FockState(12), t, taus)
+        assert np.array_equal(got.view(np.uint64), singles.view(np.uint64))
 
 
 def test_factor_over_tau_empty_fock_is_flat(preset_params):

@@ -23,20 +23,15 @@ from soqd.model import (
     CorrelationPoint,
     apparatus_to_json,
     model_params_to_json,
-    validate,
 )
-
-
-def test_validate_returns_params_unchanged(preset_params):
-    assert validate(preset_params) is preset_params
 
 
 @pytest.mark.parametrize("field", ["omega1", "omega2", "d_e", "d_g", "omega_e"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_validate_rejects_non_finite(preset_params, field, bad):
-    params = ModelParams(**{**model_params_to_json(preset_params), field: bad})
+    """ModelParams checks itself: no non-finite instance can exist."""
     with pytest.raises(NonFiniteParameter, match=field):
-        validate(params)
+        ModelParams(**{**model_params_to_json(preset_params), field: bad})
 
 
 def test_params_json_round_trip(preset_params):

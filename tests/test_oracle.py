@@ -9,14 +9,16 @@ import numpy as np
 import pytest
 
 from soqd import (
+    CoherentState,
     CutoffTooSmall,
     EigenFailure,
     ModelParams,
+    NegativeTime,
     SectorTooLarge,
     compare_methods,
-    decoherence_factor_coherent,
     decoherence_factor_oracle_coherent,
     decoherence_factor_oracle_fock,
+    factor_over_tau,
     run_sweep,
 )
 from soqd import oracle as oracle_module
@@ -39,18 +41,18 @@ def test_sector_guard_value():
 
 def test_sector_hamiltonian_single_quantum(preset_params):
     h = sector_hamiltonian(preset_params, m=1, n_sys=1, sector=1)
-    assert h.entries == pytest.approx(np.array([[1.3, 1.0], [1.0, 0.2]]))
+    assert h == pytest.approx(np.array([[1.3, 1.0], [1.0, 0.2]]))
 
 
 def test_sector_hamiltonian_empty_sector(preset_params):
     h = sector_hamiltonian(preset_params, 1, 1, sector=0)
-    assert h.entries.shape == (1, 1) and h.entries[0, 0] == 0
+    assert h.shape == (1, 1) and h[0, 0] == 0
 
 
 def test_sector_hamiltonian_uncoupled_is_diagonal(preset_params):
     h = sector_hamiltonian(preset_params, m=0, n_sys=0, sector=4)
-    assert np.count_nonzero(h.entries - np.diag(np.diag(h.entries))) == 0
-    assert h.entries[2, 2] == pytest.approx(0.2 * 2 + 1.3 * 2)
+    assert np.count_nonzero(h - np.diag(np.diag(h))) == 0
+    assert h[2, 2] == pytest.approx(0.2 * 2 + 1.3 * 2)
 
 
 def test_sector_hamiltonian_is_hermitian(rng):
@@ -58,14 +60,14 @@ def test_sector_hamiltonian_is_hermitian(rng):
         w1, w2, de, dg = rng.uniform(-2, 2, size=4)
         params = ModelParams(w1, w2, de, dg, omega_e=1.0)
         h = sector_hamiltonian(params, 1, 0, sector=int(rng.integers(0, 12)))
-        assert np.max(np.abs(h.entries - h.entries.conj().T)) <= 1e-12
+        assert np.max(np.abs(h - h.conj().T)) <= 1e-12
 
 
 def test_sector_hamiltonian_ladder_weights(preset_params):
     h = sector_hamiltonian(preset_params, 1, 0, sector=3)
     k = np.arange(3)
     expected = preset_params.d_e * np.sqrt((k + 1) * (3 - k))
-    assert h.entries[k, k + 1] == pytest.approx(expected)
+    assert h[k, k + 1] == pytest.approx(expected)
 
 
 def test_sector_hamiltonian_rejects_bad_populations(preset_params):
@@ -78,32 +80,32 @@ def test_sector_hamiltonian_rejects_bad_populations(preset_params):
 def test_sector_propagator_zero_duration_is_identity(preset_params):
     h = sector_hamiltonian(preset_params, 1, 1, 5)
     u = sector_propagator(h, 0.0)
-    assert np.max(np.abs(u.entries - np.eye(6))) <= 1e-12
+    assert np.max(np.abs(u - np.eye(6))) <= 1e-12
 
 
 def test_sector_propagator_diagonal_gives_elementwise_phases(preset_params):
     h = sector_hamiltonian(preset_params, 0, 0, 3)
     u = sector_propagator(h, 1.7)
-    expected = np.diag(np.exp(-1j * np.diag(h.entries) * 1.7))
-    assert np.max(np.abs(u.entries - expected)) <= 1e-12
+    expected = np.diag(np.exp(-1j * np.diag(h) * 1.7))
+    assert np.max(np.abs(u - expected)) <= 1e-12
 
 
 def test_sector_propagator_is_unitary(preset_params, rng):
     for _ in range(10):
         h = sector_hamiltonian(preset_params, 1, 1, int(rng.integers(1, 20)))
-        u = sector_propagator(h, float(rng.uniform(-10, 10))).entries
+        u = sector_propagator(h, float(rng.uniform(-10, 10)))
         assert np.max(np.abs(u.conj().T @ u - np.eye(len(u)))) <= 1e-10
 
 
 def test_sector_propagator_group_property(preset_params):
     h = sector_hamiltonian(preset_params, 1, 0, 6)
-    u = sector_propagator(h, 1.2).entries @ sector_propagator(h, 2.3).entries
-    assert np.max(np.abs(u - sector_propagator(h, 3.5).entries)) <= 1e-10
+    u = sector_propagator(h, 1.2) @ sector_propagator(h, 2.3)
+    assert np.max(np.abs(u - sector_propagator(h, 3.5))) <= 1e-10
 
 
 def test_sector_propagator_negative_duration_inverts(preset_params):
     h = sector_hamiltonian(preset_params, 1, 1, 4)
-    back_and_forth = sector_propagator(h, -2.0).entries @ sector_propagator(h, 2.0).entries
+    back_and_forth = sector_propagator(h, -2.0) @ sector_propagator(h, 2.0)
     assert np.max(np.abs(back_and_forth - np.eye(5))) <= 1e-10
 
 
@@ -112,7 +114,7 @@ def test_sector1_propagator_is_step_transform_with_modes_swapped(preset_params):
     mode-1-empty state first, so entries come out swapped relative to the
     2x2 amplitude matrix."""
     h = sector_hamiltonian(preset_params, 1, 1, 1)
-    u = sector_propagator(h, 1.0).entries
+    u = sector_propagator(h, 1.0)
     g = preset_params.d_e + preset_params.d_g
     m = _schedule_product([(preset_params.omega1, preset_params.omega2, g, 1.0)])
     swapped = m[::-1, ::-1]
@@ -214,7 +216,7 @@ def test_oracle_coherent_converges_under_cutoff_doubling(preset_params):
 def test_oracle_coherent_matches_closed_form(preset_params):
     beta0 = complex(math.sqrt(10))
     got = decoherence_factor_oracle_coherent(preset_params, beta0, 0.0, 2.0, cutoff=120)
-    want = decoherence_factor_coherent(preset_params, beta0, 0.0, 2.0)
+    want = factor_over_tau(preset_params, CoherentState(0j, beta0), 0.0, [2.0])[0]
     assert abs(got.value - want) <= 1e-6
 
 
@@ -276,7 +278,7 @@ def test_oracle_coherent_reaches_large_occupation(preset_params):
     t_prime = t + np.tile([0.0, 0.05, 0.2], 2)
     got = decoherence_factor_oracle_coherent(preset_params, beta0, t, t_prime,
                                              min_cutoff(100.0))
-    want = [decoherence_factor_coherent(preset_params, beta0, t0, t1)
+    want = [factor_over_tau(preset_params, CoherentState(0j, beta0), t0, [t1 - t0])[0]
             for t0, t1 in zip(t.tolist(), t_prime.tolist())]
     assert np.max(np.abs(got.value - want)) <= 1e-6
     assert got.tail_bound <= MIXTURE_TAIL_TARGET
@@ -292,12 +294,12 @@ def _as_written_fock(params, n, t, t_prime):
     h10 = sector_hamiltonian(params, 1, 0, n)
     h01 = sector_hamiltonian(params, 0, 1, n)
     product = (
-        sector_propagator(h11, -t).entries
-        @ sector_propagator(h01, t).entries
-        @ sector_propagator(h01, -t_prime).entries
-        @ sector_propagator(h10, t_prime).entries
-        @ sector_propagator(h10, -t).entries
-        @ sector_propagator(h11, t).entries
+        sector_propagator(h11, -t)
+        @ sector_propagator(h01, t)
+        @ sector_propagator(h01, -t_prime)
+        @ sector_propagator(h10, t_prime)
+        @ sector_propagator(h10, -t)
+        @ sector_propagator(h11, t)
     )
     return complex(product[0, 0])
 
@@ -331,6 +333,21 @@ def test_oracle_coherent_array_matches_scalar_calls(preset_params):
         assert isinstance(single.value, complex)
         assert abs(single.value - f) <= 1e-12
         assert single.tail_bound == batch.tail_bound
+
+
+@pytest.mark.parametrize("t, t_prime", [
+    (-1.0, 2.0),
+    (1.0, -2.0),
+    (np.array([0.0, -0.5]), 2.0),
+    (1.0, np.array([2.0, -0.5])),
+])
+def test_oracle_refuses_negative_times(preset_params, t, t_prime):
+    """Both oracle entry points refuse a negative t or t', as the closed
+    form and the quadrature do, instead of evolving backwards."""
+    with pytest.raises(NegativeTime):
+        decoherence_factor_oracle_fock(preset_params, 3, t, t_prime)
+    with pytest.raises(NegativeTime):
+        decoherence_factor_oracle_coherent(preset_params, 2.0 + 0j, t, t_prime, 40)
 
 
 def test_oracle_rejects_two_dimensional_times(preset_params):

@@ -8,12 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from soqd import ModelParams, NegativeTime
-from soqd.propagator import (
-    _checked_rows,
-    _schedule_product,
-    _schedule_rows,
-    transform_over_tau,
-)
+from soqd.propagator import _schedule_product, _schedule_rows, transform_over_tau
 
 coeff = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 span = st.floats(min_value=0.0, max_value=10.0, allow_nan=False)
@@ -74,10 +69,12 @@ def test_schedule_zero_t_keeps_only_middle_steps(preset_params):
 
 
 def test_schedule_rejects_negative_times(preset_params):
-    with pytest.raises(NegativeTime):
-        _checked_rows(preset_params, t=-1.0, t_prime=0.0)
-    with pytest.raises(NegativeTime):
-        _checked_rows(preset_params, t=0.0, t_prime=-2.0)
+    """The schedule is only reached through t' = t + tau, which refuses
+    a negative t or t'."""
+    with pytest.raises(NegativeTime, match=r"got -1\.0"):
+        transform_over_tau(preset_params, -1.0, [1.0])
+    with pytest.raises(NegativeTime, match=r"got -2\.0"):
+        transform_over_tau(preset_params, 0.0, [-2.0])
 
 
 def test_step6_is_step1_negated(rng):
@@ -260,7 +257,7 @@ def test_transform_over_tau_matches_scalar_compose(preset_params):
     taus = np.linspace(0.0, 20.0, 41)
     stacked = transform_over_tau(preset_params, 10.0, taus)
     for tau, m in zip(taus, stacked):
-        scalar = _schedule_product(_checked_rows(preset_params, 10.0, 10.0 + tau))
+        scalar = _schedule_product(_schedule_rows(preset_params, 10.0, 10.0 + tau))
         assert np.array_equal(m, scalar)
 
 

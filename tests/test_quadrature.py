@@ -11,7 +11,6 @@ from soqd import (
     NegativeTime,
     decoherence_factor_fock_quadrature,
     decoherence_factor_oracle_fock,
-    default_quadrature,
     factor_over_tau,
 )
 from soqd import propagator
@@ -36,8 +35,7 @@ def test_quadrature_does_not_share_the_schedule_table(monkeypatch):
     for t in (0.0, 10.0):
         oracle = decoherence_factor_oracle_fock(PRESET, 10, t, t + taus)
         closed = factor_over_tau(PRESET, FockState(10), t, taus)
-        quad = decoherence_factor_fock_quadrature(PRESET, 10, t, t + taus,
-                                                  default_quadrature(10))
+        quad = decoherence_factor_fock_quadrature(PRESET, 10, t, t + taus)
         assert np.max(np.abs(closed - oracle)) > 1e-2, t
         assert np.max(np.abs(quad - oracle)) <= 1e-6, t
 
@@ -45,12 +43,12 @@ def test_quadrature_does_not_share_the_schedule_table(monkeypatch):
 def test_quadrature_array_matches_scalar_calls():
     """n = 100 evaluates two t' per block, so five t' cross two block
     boundaries; each entry matches its own scalar call."""
-    quad = default_quadrature(100)
-    assert quadrature_module._NODE_BUDGET // (quad.radial_order * quad.angular_order) == 2
+    nodes = quadrature_module._radial_order(100) * quadrature_module._ANGULAR_ORDER
+    assert quadrature_module._NODE_BUDGET // nodes == 2
     t_prime = 10.0 + np.linspace(0.0, 4.0, 5)
-    batch = decoherence_factor_fock_quadrature(PRESET, 100, 10.0, t_prime, quad)
+    batch = decoherence_factor_fock_quadrature(PRESET, 100, 10.0, t_prime)
     assert batch.shape == t_prime.shape and batch.dtype == complex
-    singles = [decoherence_factor_fock_quadrature(PRESET, 100, 10.0, tp, quad)
+    singles = [decoherence_factor_fock_quadrature(PRESET, 100, 10.0, tp)
                for tp in t_prime.tolist()]
     assert all(isinstance(f, complex) for f in singles)
     assert np.max(np.abs(batch - np.array(singles))) <= 1e-15
@@ -62,8 +60,7 @@ def test_quadrature_memory_does_not_grow_with_the_grid():
     t_prime = np.linspace(0.0, 10.0, 300)
     tracemalloc.start()
     try:
-        values = decoherence_factor_fock_quadrature(PRESET, 40, 0.0, t_prime,
-                                                    default_quadrature(40))
+        values = decoherence_factor_fock_quadrature(PRESET, 40, 0.0, t_prime)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -72,15 +69,14 @@ def test_quadrature_memory_does_not_grow_with_the_grid():
 
 
 def test_quadrature_refuses_negative_times_and_wraps_eigen_failures(monkeypatch):
-    quad = default_quadrature(3)
     with pytest.raises(NegativeTime):
-        decoherence_factor_fock_quadrature(PRESET, 3, 1.0, np.array([2.0, -0.5]), quad)
+        decoherence_factor_fock_quadrature(PRESET, 3, 1.0, np.array([2.0, -0.5]))
     with pytest.raises(NegativeTime):
-        decoherence_factor_fock_quadrature(PRESET, 3, -1.0, 2.0, quad)
+        decoherence_factor_fock_quadrature(PRESET, 3, -1.0, 2.0)
 
     def explode(*args, **kwargs):
         raise np.linalg.LinAlgError("did not converge")
 
     monkeypatch.setattr(np.linalg, "eigh", explode)
     with pytest.raises(EigenFailure):
-        decoherence_factor_fock_quadrature(PRESET, 3, 0.0, 1.0, quad)
+        decoherence_factor_fock_quadrature(PRESET, 3, 0.0, 1.0)
