@@ -72,20 +72,13 @@ __all__ = [
 #: one column per field of a sweep row, in CSV order; JSON rows use the same keys
 CSV_COLUMNS = ("t", "tau", "re_F", "im_F", "abs_F", "G")
 CSV_HEADER = ",".join(CSV_COLUMNS)
-#: columns that repeat values (t per block, tau in every t block, G on the
-#: decayed plateau): converted once per distinct value, then placed as text
+#: JSON columns that repeat values (t per block, tau in every t block, G on
+#: the decayed plateau): converted once per distinct value, then placed as text
 _TEXT_COLUMNS = ("t", "tau", "G")
-
-
-def _row_cells(number: str) -> list:
-    return ["%s" if key in _TEXT_COLUMNS else number for key in CSV_COLUMNS]
-
-
-_CSV_ROW = ",".join(_row_cells("%.17g")) + "\n"
 #: one JSON row object as json.dump(..., indent=1) lays it out in the list
 _JSON_ROW = "\n  {\n" + ",\n".join(
-    f'   "{key}": {cell}' for key, cell in zip(CSV_COLUMNS, _row_cells("%r"))) + "\n  }"
-#: rows per formatted block of a CSV, JSON or SVG write: one % call each
+    f'   "{key}": {"%s" if key in _TEXT_COLUMNS else "%r"}' for key in CSV_COLUMNS) + "\n  }"
+#: rows per block of a CSV, JSON or SVG write: one kernel call or one % call each
 _ROW_BLOCK = 2 ** 11
 
 #: parameters behind every preset panel
@@ -106,8 +99,8 @@ FIGURE_TAU_MAX = {10: 20.0, 100: 5.0, 10_000: 0.5}
 FIGURE_TAU_STEPS = 600
 
 #: largest len(t_values) * tau_steps a sweep accepts.  A sweep peaks at
-#: about 155 bytes per row with CSV, CSV + SVG or JSON output (tracemalloc,
-#: 10^5-row sweeps), so the largest one stays near 0.3 GB
+#: about 155 bytes per row with JSON output and 110 with CSV or CSV + SVG
+#: (tracemalloc, 10^5-row sweeps), so the largest one stays near 0.3 GB
 MAX_SWEEP_ROWS = 2_000_000
 
 
@@ -208,6 +201,8 @@ def _validate_sweep_config(config: SweepConfig) -> None:
                           "(len(t_values) * tau_steps); split it into smaller sweeps")
     if min(config.t_values) + config.tau_min < 0:
         raise ConfigError("t + tau must stay >= 0 over the grid")
+    if len({t.hex() for t in config.t_values}) < len(config.t_values):
+        raise ConfigError("'t_values' must not repeat a value (0.0 and -0.0 differ)")
     if config.method not in ("closed", "quadrature", "oracle"):
         raise ConfigError(f"unknown method {config.method!r}")
     if config.output_format not in ("csv", "json"):
@@ -322,12 +317,12 @@ def _plot_title(config: SweepConfig) -> str:
 # serialization
 # ---------------------------------------------------------------------------
 
-def _text_column(column: np.ndarray, number: str) -> np.ndarray:
-    """``number % value`` of every entry as an object array of str, one
-    conversion per distinct value.  Values are told apart by their bits,
-    so -0.0 keeps its own text."""
+def _text_column(column: np.ndarray) -> np.ndarray:
+    """``repr`` of every entry as an object array of str, one conversion
+    per distinct value.  Values are told apart by their bits, so -0.0
+    keeps its own text."""
     bits, where = np.unique(column.view(np.uint64), return_inverse=True)
-    text = np.array([number % v for v in bits.view(np.float64).tolist()], dtype=object)
+    text = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
     return text[where]
 
 
@@ -346,24 +341,30 @@ def _blocks(row: str, sep: str, columns) -> Iterator[str]:
         yield sep.join([row] * len(cells)) % tuple(cells.ravel().tolist())
 
 
-def _row_blocks(points: CorrelationPoint, row: str, number: str,
-                sep: str = "") -> Iterator[str]:
-    """Sweep rows in CSV_COLUMNS order as text blocks: t, tau and G are
-    converted by ``number`` once per distinct value, re_F, im_F and abs_F
-    reach ``row`` as floats."""
-    f = points.f
-    columns = {"t": points.t, "tau": points.tau, "re_F": f.real, "im_F": f.imag,
-               "abs_F": np.hypot(f.real, f.imag), "G": points.g}
-    return _blocks(row, sep, [_text_column(columns[key], number)
-                              if key in _TEXT_COLUMNS else columns[key]
-                              for key in CSV_COLUMNS])
+def _columns(points: CorrelationPoint, rows: slice = slice(None)) -> list:
+    """The CSV_COLUMNS of ``rows``, in order; abs_F is hypot of F's parts."""
+    re_f, im_f = points.f.real[rows], points.f.imag[rows]
+    return [points.t[rows], points.tau[rows], re_f, im_f, np.hypot(re_f, im_f),
+            points.g[rows]]
+
+
+#: the byte after each cell of a CSV row
+_CSV_SEPARATORS = np.frombuffer(b",,,,,\n", np.uint8)
 
 
 def write_points_csv(path: str, points: CorrelationPoint) -> None:
-    """CSV with 17 significant digits: parsing recovers every bit."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(CSV_HEADER + "\n")
-        fh.writelines(_row_blocks(points, _CSV_ROW, "%.17g"))
+    """CSV whose every cell is ``'%.17g' % v``: parsing recovers every bit.
+
+    Rows are formatted _ROW_BLOCK at a time by one ``_g17.cells`` call."""
+    from . import _g17  # here, so that import soqd does not compile the kernel
+
+    with open(path, "wb") as fh:
+        fh.write(CSV_HEADER.encode() + b"\n")
+        for lo in range(0, len(points), _ROW_BLOCK):
+            block = np.stack(_columns(points, slice(lo, lo + _ROW_BLOCK)), axis=1)
+            cells = _g17.cells(block.ravel()).reshape(block.shape + (_g17.CELL,))
+            cells[:, :, -1] = _CSV_SEPARATORS
+            fh.write(cells[cells != 0].tobytes())
 
 
 def read_points_csv(path: str) -> CorrelationPoint:
@@ -402,7 +403,11 @@ def write_points_json(path: str, points: CorrelationPoint) -> None:
     """
     with open(path, "w", encoding="utf-8") as fh:
         fh.write('{\n "points": [')
-        fh.writelines(_row_blocks(points, _JSON_ROW, "%r", ","))
+        # t, tau and G are converted once per distinct value, re_F, im_F
+        # and abs_F reach the rows as floats
+        fh.writelines(_blocks(_JSON_ROW, ",", [
+            _text_column(column) if key in _TEXT_COLUMNS else column
+            for key, column in zip(CSV_COLUMNS, _columns(points))]))
         fh.write("\n ]\n}\n" if len(points) else "]\n}\n")
 
 
@@ -675,8 +680,8 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    if args.steps < 2 or args.tau_max <= 0:
-        raise ConfigError("compare needs --steps >= 2 and --tau-max > 0")
+    if args.n < 0 or args.steps < 2 or args.tau_max <= 0:
+        raise ConfigError("compare needs --n >= 0, --steps >= 2 and --tau-max > 0")
     tau_grid = np.linspace(0.0, args.tau_max, args.steps)
     try:
         report = compare_methods(FIGURE_PARAMS, args.n, args.t, tau_grid)

@@ -409,6 +409,74 @@ def test_block_writers_match_the_per_row_reference(tmp_path, rows):
     assert (tmp_path / "o.svg").read_text(encoding="utf-8") == reference_svg(points, "edge")
 
 
+def printf_corpus(rng):
+    """Chunks of at most 2e5 float64 values that stress '%.17g'."""
+    # random finite bit patterns
+    bits = rng.integers(-2 ** 63, 2 ** 63, 150_000, dtype=np.int64, endpoint=False)
+    values = bits.view(np.float64)
+    yield values[np.isfinite(values)]
+    # +-2 ulps of every power of ten, 1e-323..1e308: s at 1e16 or 1e17,
+    # the exponent's bracket and the carry of 99...9.5 into a new exponent
+    powers = np.array([float(f"1e{j}") for j in range(-323, 309)])
+    near = [powers]
+    for direction in (0.0, np.inf):
+        step = powers
+        for _ in range(2):
+            step = np.nextafter(step, direction)
+            near.append(step)
+    near = np.concatenate(near)
+    # s = |v| * 10^(16 - X) on a half-integer: M * 2^-k with M odd and
+    # M * 5^k of 18 digits, the last a 5; '%.17g' rounds them half-even
+    ties = [2.0 ** -25, 0.0010004043579101562]
+    for k in range(2, 26):
+        low, high = -(-10 ** 17 // 5 ** k), min((10 ** 18 - 1) // 5 ** k, 2 ** 53 - 1)
+        odd = rng.integers(low // 2, (high - 1) // 2, 500, endpoint=True) * 2 + 1
+        ties += [m * 2.0 ** -k for m in odd[(odd >= low) & (odd <= high)].tolist()]
+    # s within the kernel's error (2^-47) of a half-integer but not on it:
+    # v = M 2^-(d + k) gives s = M 5^k / 2^d = n + 1/2 + o / 2^d, and
+    # v = M 2^e gives s = M 2^(e - j) / 5^j = n + 1/2 + o / (2 5^j)
+    for k in range(23, 46):
+        five = 5 ** k
+        for d in range(five.bit_length() - 5, five.bit_length() + 1):
+            for o in (1, -1, 3, -3):
+                r = ((1 << (d - 1)) + o) * pow(five, -1, 1 << d) % (1 << d)
+                ties += [m * 2.0 ** -(d + k) for m in range(r, 1 << 53, 1 << d)
+                         if m >= 1 << 52 and 10 ** 16 << d <= m * five < 10 ** 17 << d]
+    for j in (21, 22):
+        five = 5 ** j
+        for e in range(j, j + 80):
+            for o in (-1, 1):
+                r = (five + o) // 2 * pow(2 ** (e - j), -1, five) % five
+                ties += [float(m << e) for m in range(r, 1 << 53, five) if m >= 1 << 52
+                         and 10 ** 16 * five <= m << (e - j) < 10 ** 17 * five]
+    ties = np.array(ties)
+    ties = np.concatenate([ties, np.nextafter(ties, 0), np.nextafter(ties, np.inf)])
+    subnormals = rng.integers(0, 2 ** 52, 20_000, dtype=np.int64).view(np.float64)
+    integers = (rng.integers(0, 2 ** 63, 30_000, dtype=np.int64)
+                >> rng.integers(0, 63, 30_000)).astype(np.float64)
+    special = np.array([0.0, 5e-324, 2.0 ** -1022, 2.0 ** 63, 1.7976931348623157e308,
+                        np.inf, np.nan])
+    rest = np.concatenate([near, ties, subnormals, integers, special])
+    yield np.concatenate([rest, -rest])
+
+
+def test_csv_cells_are_printf_17g_of_every_value(tmp_path):
+    """The CSV writer's text of every float64 is '%.17g' % v, byte for
+    byte: through t and tau, which CorrelationPoint does not bound, so
+    inf and nan are written too."""
+    path = tmp_path / "o.csv"
+    for values in printf_corpus(np.random.default_rng(1990)):
+        values = values[:values.size // 2 * 2]
+        rows = values.size // 2
+        write_points_csv(str(path), CorrelationPoint(
+            values[0::2], values[1::2], np.full(rows, 0.5 + 0.25j), np.full(rows, 0.5)))
+        lines = path.read_text(encoding="utf-8").splitlines()[1:]
+        got = [cell for line in lines for cell in line.split(",", 2)[:2]]
+        want = ["%.17g" % v for v in values.tolist()]
+        wrong = [(v, g, w) for v, g, w in zip(values.tolist(), got, want) if g != w]
+        assert len(got) == len(want) and not wrong, wrong[:5]
+
+
 def test_signed_zero_times_keep_their_sign(tmp_path):
     """t = -0.0 is its own value: it is written as -0, not merged into 0."""
     config = sweep_config_from_json(make_config(
@@ -427,11 +495,10 @@ def test_signed_zero_times_keep_their_sign(tmp_path):
 
 @pytest.mark.parametrize("t_values, lines, legends", [
     ([0.0, -0.0], 2, ["t = 0", "t = -0"]),
-    ([0.0, 0.0], 1, []),
 ])
 def test_svg_series_are_keyed_on_the_bits_of_t(tmp_path, t_values, lines, legends):
     """-0.0 is its own series with its own legend, as it is its own CSV
-    text; equal t values share one polyline."""
+    text."""
     config = sweep_config_from_json(make_config(
         t_values=t_values, output_path=str(tmp_path / "o.csv"), emit_plot=True))
     run_sweep(config)
@@ -440,8 +507,21 @@ def test_svg_series_are_keyed_on_the_bits_of_t(tmp_path, t_values, lines, legend
     assert re.findall(r">(t = [^<]*)</text>", svg) == legends
 
 
+def test_config_refuses_repeated_t_values(tmp_path, capsys):
+    """A repeated t would compute and write the same tau block twice;
+    t values are compared by their bits, so 0.0 and -0.0 stay apart."""
+    for t_values in ([0.0, 0.0], [1.0, 2.0, 1.0]):
+        with pytest.raises(ConfigError, match="must not repeat"):
+            sweep_config_from_json(make_config(t_values=t_values))
+    sweep_config_from_json(make_config(t_values=[0.0, -0.0]))
+    assert main(["sweep", "--config", write_config(tmp_path, t_values=[0.0, 0.0])]) == 2
+    assert "'t_values' must not repeat" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
 #: bytes per row a 10^5-row sweep may hold at its peak (tracemalloc); the
-#: per-row writers peaked at 244, the block writers at about 155
+#: per-row writers peaked at 244, the block writers at about 155, and the
+#: CSV kernel at about 110
 SWEEP_PEAK_BYTES_PER_ROW = 170
 
 
@@ -636,6 +716,15 @@ def test_main_compare_refuses_negative_time(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "measurement times must be >= 0, got -1.0" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_main_compare_refuses_negative_occupation(capsys):
+    rc = main(["compare", "--n", "-1", "--t", "0", "--tau-max", "1"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "compare needs --n >= 0" in captured.err
     assert "Traceback" not in captured.err
 
 
