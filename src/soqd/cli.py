@@ -326,19 +326,18 @@ def _text_column(column: np.ndarray) -> np.ndarray:
     return text[where]
 
 
-def _blocks(row: str, sep: str, columns) -> Iterator[str]:
-    """Rows formatted by ``row`` and joined by ``sep``, _ROW_BLOCK rows at
-    a time: row i takes the i-th entry of every column, in order, and a
-    block is one % over a flat tuple.  Concatenated, the pieces are
-    sep.join(row % cells for each row)."""
+def _json_rows(columns) -> Iterator[str]:
+    """The rows of a JSON sweep file, _ROW_BLOCK at a time: row i is
+    _JSON_ROW of the i-th entry of every column, and a block is one % over
+    a flat tuple.  Concatenated, the pieces are ",".join of the rows."""
     size = len(columns[0])
     for lo in range(0, size, _ROW_BLOCK):
         cells = np.empty((min(_ROW_BLOCK, size - lo), len(columns)), dtype=object)
         for j, column in enumerate(columns):
             cells[:, j] = column[lo:lo + _ROW_BLOCK]
         if lo:
-            yield sep
-        yield sep.join([row] * len(cells)) % tuple(cells.ravel().tolist())
+            yield ","
+        yield ",".join([_JSON_ROW] * len(cells)) % tuple(cells.ravel().tolist())
 
 
 def _columns(points: CorrelationPoint, rows: slice = slice(None)) -> list:
@@ -364,15 +363,16 @@ def write_points_csv(path: str, points: CorrelationPoint) -> None:
             block = np.stack(_columns(points, slice(lo, lo + _ROW_BLOCK)), axis=1)
             cells = _g17.cells(block.ravel()).reshape(block.shape + (_g17.CELL,))
             cells[:, :, -1] = _CSV_SEPARATORS
-            fh.write(cells[cells != 0].tobytes())
+            fh.write(cells.tobytes().translate(None, b"\0"))
 
 
 def read_points_csv(path: str) -> CorrelationPoint:
     """Parse a sweep CSV back into validated columns.
 
     Raises ConfigError for a bad header, no rows, a short or long row or
-    a non-numeric cell, and UnphysicalFactor for a row outside the
-    physical bounds (CorrelationPoint's checks).
+    a non-numeric cell; NonFiniteParameter for a non-finite t or tau, and
+    UnphysicalFactor for a row outside the physical bounds
+    (CorrelationPoint's checks).
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         if fh.readline().rstrip("\r\n") != CSV_HEADER:
@@ -405,7 +405,7 @@ def write_points_json(path: str, points: CorrelationPoint) -> None:
         fh.write('{\n "points": [')
         # t, tau and G are converted once per distinct value, re_F, im_F
         # and abs_F reach the rows as floats
-        fh.writelines(_blocks(_JSON_ROW, ",", [
+        fh.writelines(_json_rows([
             _text_column(column) if key in _TEXT_COLUMNS else column
             for key, column in zip(CSV_COLUMNS, _columns(points))]))
         fh.write("\n ]\n}\n" if len(points) else "]\n}\n")
@@ -426,11 +426,15 @@ def write_svg_plot(path: str, points: CorrelationPoint, title: str = "") -> None
     inner_w = width - left - right
     inner_h = height - top - bottom
 
-    # series are keyed on the bits of t, as _text_column keys its text, so
-    # t = -0.0 gets its own line and legend; ascending t, 0.0 before -0.0
+    # one sort puts each series' points together, by tau then G.  Series
+    # are keyed on the bits of t, as _text_column keys its text, so
+    # t = -0.0 gets its own line and legend (np.unique would find them
+    # too, but imports numpy.ma); drawn in ascending t, 0.0 before -0.0
     t_bits = points.t.view(np.uint64)
-    keys = np.unique(t_bits)
-    keys = keys[np.argsort(keys.view(np.float64), kind="stable")]
+    order = np.lexsort((points.g, points.tau, t_bits))
+    bits = t_bits[order]
+    bounds = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1], [True]))).tolist()
+    keys = bits[bounds[:-1]].view(np.float64).tolist()
     tau_lo, tau_hi = float(points.tau.min()), float(points.tau.max())
     span = tau_hi - tau_lo or 1.0
 
@@ -469,21 +473,25 @@ def write_svg_plot(path: str, points: CorrelationPoint, title: str = "") -> None
     parts.append(f'<text x="20" y="{top + inner_h / 2:.0f}" font-family="sans-serif" '
                  'font-size="14" text-anchor="middle">G</text>')
 
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.writelines(part + "\n" for part in parts)
-        for i, (key, t) in enumerate(zip(keys.tolist(), keys.view(np.float64).tolist())):
+    from . import _fixed2  # here, so that import soqd does not compile the kernel
+
+    with open(path, "wb") as fh:
+        fh.write("".join(part + "\n" for part in parts).encode())
+        for i, j in enumerate(np.argsort(keys, kind="stable").tolist()):
             color = _PALETTE[i % len(_PALETTE)]
-            series = t_bits == key
-            tau, g = points.tau[series], points.g[series]
-            order = np.lexsort((g, tau))
-            fh.write('<polyline points="')
-            fh.writelines(_blocks("%.2f,%.2f", " ", (px(tau[order]), py(g[order]))))
-            fh.write(f'" fill="none" stroke="{color}" stroke-width="1.3"/>\n')
+            start, stop = bounds[j], bounds[j + 1]
+            fh.write(b'<polyline points="')
+            for lo in range(start, stop, _ROW_BLOCK):
+                rows = order[lo:min(lo + _ROW_BLOCK, stop)]
+                if lo > start:
+                    fh.write(b" ")
+                fh.write(_fixed2.points(px(points.tau[rows]), py(points.g[rows])))
+            fh.write(f'" fill="none" stroke="{color}" stroke-width="1.3"/>\n'.encode())
             if len(keys) > 1:
                 fh.write(f'<text x="{left + inner_w - 6}" y="{top + 16 + 16 * i}" '
                          f'font-family="sans-serif" font-size="12" text-anchor="end" '
-                         f'fill="{color}">t = {t:g}</text>\n')
-        fh.write("</svg>\n")
+                         f'fill="{color}">t = {keys[j]:g}</text>\n'.encode())
+        fh.write(b"</svg>\n")
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +546,7 @@ def compare_methods(params: ModelParams, n: int, t: float, tau_grid,
     """Evaluate all three factor paths on a tau grid and cross-diff them.
 
     Raises ToleranceExceeded (report attached) if any pairwise deviation
-    beats ``tolerance``.
+    beats ``tolerance`` or is NaN.
     """
     taus = np.asarray(tau_grid, dtype=float)
     t_prime = _t_prime(t, taus)
@@ -550,10 +558,10 @@ def compare_methods(params: ModelParams, n: int, t: float, tau_grid,
     d = f[[0, 0, 1]] - f[[1, 2, 2]]
     delta = np.max(np.hypot(d.real, d.imag), axis=0)
     report = MethodComparison(taus, closed, quadrature, oracle, delta, float(np.max(delta)))
-    if report.max_delta > tolerance:
+    if not report.max_delta <= tolerance:
         raise ToleranceExceeded(
-            f"methods disagree: max |delta| = {report.max_delta:.3e} "
-            f"> {tolerance:g}", report)
+            f"methods disagree: max |delta| = {report.max_delta:.3e}, "
+            f"beyond the tolerance {tolerance:g}", report)
     return report
 
 
@@ -680,8 +688,10 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    if args.n < 0 or args.steps < 2 or args.tau_max <= 0:
-        raise ConfigError("compare needs --n >= 0, --steps >= 2 and --tau-max > 0")
+    if args.n < 0 or args.steps < 2 or not 0 < args.tau_max < math.inf:
+        raise ConfigError("compare needs --n >= 0, --steps >= 2 and a finite --tau-max > 0")
+    if not math.isfinite(args.t):
+        raise ConfigError(f"compare needs a finite --t, got {args.t}")
     tau_grid = np.linspace(0.0, args.tau_max, args.steps)
     try:
         report = compare_methods(FIGURE_PARAMS, args.n, args.t, tau_grid)

@@ -46,7 +46,7 @@ class SimulationError(Exception):
 
 
 class NonFiniteParameter(SimulationError):
-    """A model parameter is NaN or infinite."""
+    """A model parameter or a sweep coordinate is NaN or infinite."""
 
 
 class NegativeTime(SimulationError):
@@ -325,9 +325,11 @@ class CorrelationPoint:
     t, tau (float), f (complex) and g (float) are equal-length 1-D
     arrays, one entry per row; scalars are stored as the length-1 case,
     and len() is the row count.  Sweeps come out t-major with tau
-    ascending.  Raises UnphysicalFactor, naming the worst entry, when any
-    f or g leaves its physical range by more than UNIT_BOUND_SLACK (NaN
-    included), and ValueError when the columns differ in length.
+    ascending.  Raises NonFiniteParameter, naming the first bad entry,
+    when a t or tau is NaN or infinite; UnphysicalFactor, naming the worst
+    entry, when any f or g leaves its physical range by more than
+    UNIT_BOUND_SLACK (NaN included); and ValueError when the columns differ
+    in length.
     """
 
     t: np.ndarray
@@ -343,6 +345,11 @@ class CorrelationPoint:
             shapes.append(column.shape)
         if len(set(shapes)) != 1 or len(shapes[0]) != 1:
             raise ValueError(f"t, tau, f and g must be 1-D and of one length, got shapes {shapes}")
+        for name in ("t", "tau"):
+            column = getattr(self, name)
+            bad = np.flatnonzero(~np.isfinite(column))
+            if bad.size:
+                raise NonFiniteParameter(f"{name}[{bad[0]}] = {column[bad[0]]} is not finite")
         _check_unit_disk(self.f)
         bad = ~((self.g >= -UNIT_BOUND_SLACK) & (self.g <= 1 + UNIT_BOUND_SLACK))
         if bad.any():

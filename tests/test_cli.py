@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from soqd import (
     CoherentState,
     ConfigError,
     FockState,
+    NonFiniteParameter,
     TauUnresolved,
     ToleranceExceeded,
     UnphysicalFactor,
@@ -24,6 +26,7 @@ from soqd import (
     read_points_csv,
     run_sweep,
 )
+from soqd import _fixed2, _g17
 from soqd import cli as cli_module
 from soqd.cli import (
     _ROW_BLOCK,
@@ -299,6 +302,15 @@ def test_read_csv_rejects_an_unphysical_row(tmp_path):
             read_points_csv(write_csv_rows(tmp_path, GOOD_ROW, bad))
 
 
+def test_read_csv_rejects_a_non_finite_time(tmp_path):
+    """t and tau must be finite: the first bad entry is named."""
+    for bad, name in (("nan,0.5,0.25,-0.5,0.55901699437494745,0.75", r"t\[1\] = nan"),
+                      ("0,inf,0.25,-0.5,0.55901699437494745,0.75", r"tau\[1\] = inf"),
+                      ("0,-inf,0.25,-0.5,0.55901699437494745,0.75", r"tau\[1\] = -inf")):
+        with pytest.raises(NonFiniteParameter, match=name):
+            read_points_csv(write_csv_rows(tmp_path, GOOD_ROW, bad))
+
+
 # per-row reference writers: each row is formatted on its own, from Python
 # floats, as the writers did before they formatted blocks of rows
 
@@ -461,11 +473,15 @@ def printf_corpus(rng):
 
 
 def test_csv_cells_are_printf_17g_of_every_value(tmp_path):
-    """The CSV writer's text of every float64 is '%.17g' % v, byte for
-    byte: through t and tau, which CorrelationPoint does not bound, so
-    inf and nan are written too."""
+    """The CSV writer's text of every finite float64 is '%.17g' % v, byte
+    for byte, written through t and tau; inf and nan, which
+    CorrelationPoint refuses there, go to the kernel itself."""
     path = tmp_path / "o.csv"
     for values in printf_corpus(np.random.default_rng(1990)):
+        finite = np.isfinite(values)
+        cells = [cell.tobytes().rstrip(b"\0").decode() for cell in _g17.cells(values[~finite])]
+        assert cells == ["%.17g" % v for v in values[~finite].tolist()]
+        values = values[finite]
         values = values[:values.size // 2 * 2]
         rows = values.size // 2
         write_points_csv(str(path), CorrelationPoint(
@@ -475,6 +491,52 @@ def test_csv_cells_are_printf_17g_of_every_value(tmp_path):
         want = ["%.17g" % v for v in values.tolist()]
         wrong = [(v, g, w) for v, g, w in zip(values.tolist(), got, want) if g != w]
         assert len(got) == len(want) and not wrong, wrong[:5]
+
+
+def printf_2f_corpus(rng):
+    """float64 values that stress '%.2f' below 1000, and its fallback."""
+    cents = np.arange(10 ** 5) / 100
+    # (2n + 1) / 200: 100 v rounds onto a half-integer, mostly with an error
+    half_cents = np.arange(1, 2 * 10 ** 5, 2) / 200
+    # odd multiples of 1/8: 100 v is a half-integer exactly, a true tie
+    eighths = np.arange(1, 8000, 2) / 8
+    top = np.array([999.985, 999.99, 999.995, 1000.0])
+    top = np.concatenate([top + k * np.spacing(top) for k in range(-40, 41)])
+    grid = np.concatenate([cents, half_cents, eighths, top])
+    grid = np.concatenate([grid, np.nextafter(grid, 0), np.nextafter(grid, np.inf)])
+    fallback = np.array([-0.0, -5e-324, -0.004, -0.005, -0.006, -1.0, -999.99, -1e300,
+                         1000.0, 1e16, 1e300, np.inf, -np.inf, np.nan, 5e-324, 1e-310])
+    values = np.concatenate([fallback, grid, -cents[::97], rng.uniform(0, 1000, 10 ** 5)])
+    return values[:values.size // 2 * 2]
+
+
+def test_svg_points_are_printf_2f_of_every_value():
+    """The SVG kernel's text of every float64 is '%.2f' % v, byte for
+    byte, and exactly the negative values, those that round to 1000.00 or
+    more, inf and nan take its per-value path."""
+    values = printf_2f_corpus(np.random.default_rng(1971))
+    want = ["%.2f" % v for v in values.tolist()]
+    got = _fixed2.points(values[0::2], values[1::2]).decode()
+    cells = got.replace(",", " ").split(" ")
+    wrong = [(v, g, w) for v, g, w in zip(values.tolist(), cells, want) if g != w]
+    assert len(cells) == len(want) and not wrong, wrong[:5]
+    assert got == " ".join(map(",".join, zip(want[0::2], want[1::2])))
+    _, fallback = _fixed2._rounded(values)
+    rounded = np.array([float(text) for text in want])
+    assert np.array_equal(fallback, np.signbit(values) | ~(rounded < 1000))
+
+
+def test_svg_of_a_bulk_sweep_matches_the_per_row_reference(tmp_path):
+    """Two 5x10^4-point series, as a sweep_bulk job draws them, including
+    G on and past the clip at 0 and 1."""
+    taus = np.linspace(0.0, 0.5, 50_000)
+    t = np.repeat([0.0, 10.0], taus.size)
+    tau = np.tile(taus, 2)
+    g = 0.5 + 0.5 * np.cos(40.0 * tau + t) * np.exp(-3.0 * tau)
+    g[::101], g[1::103], g[2::107], g[3::109] = 0.0, 1.0, -1e-10, 1.0 + 1e-10
+    points = CorrelationPoint(t, tau, np.full(t.size, 0.5 + 0j), g)
+    write_svg_plot(str(tmp_path / "o.svg"), points, title="bulk")
+    assert (tmp_path / "o.svg").read_text(encoding="utf-8") == reference_svg(points, "bulk")
 
 
 def test_signed_zero_times_keep_their_sign(tmp_path):
@@ -648,6 +710,20 @@ def test_compare_methods_report(preset_params):
         assert fc == factor_over_tau(preset_params, FockState(2), 0.0, [grid[i]])[0]
 
 
+def test_compare_methods_treats_a_nan_delta_as_beyond_tolerance(preset_params, monkeypatch):
+    oracle = cli_module.decoherence_factor_oracle_fock
+
+    def oracle_with_a_nan(*args):
+        f = oracle(*args)
+        f[2] = complex(math.nan, 0.0)
+        return f
+
+    monkeypatch.setattr("soqd.cli.decoherence_factor_oracle_fock", oracle_with_a_nan)
+    with pytest.raises(ToleranceExceeded) as excinfo:
+        compare_methods(preset_params, 2, 0.0, np.linspace(0.0, 5.0, 6))
+    assert math.isnan(excinfo.value.report.max_delta)
+
+
 def test_compare_methods_raises_on_tight_tolerance(preset_params):
     with pytest.raises(ToleranceExceeded) as excinfo:
         compare_methods(preset_params, 2, 0.0, np.linspace(0.0, 5.0, 6),
@@ -728,6 +804,17 @@ def test_main_compare_refuses_negative_occupation(capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("t, tau_max", [("nan", "1"), ("inf", "1"), ("0", "inf"),
+                                        ("0", "nan")])
+def test_main_compare_refuses_non_finite_times(capsys, t, tau_max):
+    rc = main(["compare", "--n", "2", "--t", t, "--tau-max", tau_max, "--steps", "3"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config error: compare needs" in captured.err and "finite" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_main_compare_disagreement_exits_3(monkeypatch, capsys):
     def forced_failure(*args, **kwargs):
         raise ToleranceExceeded("forced", None)
@@ -799,3 +886,19 @@ def test_module_entry_point_subprocess(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "out.csv").exists()
+
+
+def test_figure_loads_no_numpy_ma_and_import_loads_no_svg_kernel(tmp_path):
+    """The SVG kernel is compiled on the first plot, not by import soqd,
+    and no figure run pulls in numpy.ma."""
+    script = ("import sys, soqd\n"
+              "loaded = 'soqd._fixed2' in sys.modules\n"
+              "soqd.main(['figure', '--id', '2', '--panel', 'e', '--out', sys.argv[1]])\n"
+              "print(loaded, 'numpy.ma' in sys.modules, 'soqd._fixed2' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(cli_module.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))}
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False False True"

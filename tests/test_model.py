@@ -144,6 +144,16 @@ def test_correlation_point_names_the_worst_row():
         CorrelationPoint(np.zeros(4), np.arange(4.0), np.zeros(4), g)
 
 
+def test_correlation_point_names_the_first_non_finite_time():
+    with pytest.raises(NonFiniteParameter, match=r"^t\[1\] = nan is not finite"):
+        CorrelationPoint([0.0, math.nan, math.inf], np.arange(3.0), np.zeros(3),
+                         np.full(3, 0.5))
+    with pytest.raises(NonFiniteParameter, match=r"^tau\[2\] = -inf is not finite"):
+        CorrelationPoint(np.zeros(3), [0.0, 1.0, -math.inf], np.zeros(3), np.full(3, 0.5))
+    with pytest.raises(NonFiniteParameter, match=r"^t\[0\] = nan"):
+        CorrelationPoint([math.nan], [math.inf], [0.5], [0.5])
+
+
 def test_correlation_point_rejects_oversized_factor():
     with pytest.raises(UnphysicalFactor):
         CorrelationPoint(t=0.0, tau=1.0, f=1.5 + 0j, g=0.5)
