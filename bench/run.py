@@ -1,10 +1,11 @@
-"""Stage timings of a bulk sweep, each run in a fresh interpreter.
+"""Stage timings of a bulk sweep and of the three factor methods, in fresh interpreters.
 
-    python3 bench/run.py [--runs 7] [--steps 50000] [--out BENCH.json]
+    python3 bench/run.py [--runs 7] [--steps 50000] [--calls 5] [--out BENCH.json]
                          [--column LABEL=SRC_DIR ...]
 
-Each run spawns one interpreter per sweep config (``PYTHONDONTWRITEBYTECODE=1``,
-so every child compiles soqd from source) with ``SRC_DIR`` on ``PYTHONPATH``.
+Each run spawns one interpreter per sweep config and one for the
+crosscheck stage (``PYTHONDONTWRITEBYTECODE=1``, so every child compiles
+soqd from source) with ``SRC_DIR`` on ``PYTHONPATH``.
 The child times ``import soqd``, then one ``soqd.cli.run_sweep`` of one of
 the two ``sweep_bulk`` configs of ``perfbench/workloads.py`` (t in {0, 10},
 ``--steps`` tau per t, CSV + SVG), then the CSV read back.  The stages are
@@ -22,6 +23,14 @@ compiled inside it, as in a real job.  The report gives each stage in ns
 per row, ``import`` in ms and the child's own peak RSS (``getrusage`` of
 the child itself) in MiB, each as the median and quartiles over the runs,
 one column per ``--column`` (default: ``change=src`` of this checkout).
+
+The crosscheck child times the three factor methods on the cells of the
+``crosscheck`` workload, n in {10, 40, 160} x t in {0, 10}, 11 tau each,
+``--calls`` calls per method and cell (the first included, as
+``soqd compare`` makes it): the closed form (``factor_over_tau``) and the
+oracle (``decoherence_factor_oracle_fock``) in ms per call, the quadrature
+(``decoherence_factor_fock_quadrature``) in ms per call and in ns per node,
+a node being one t' x radial x angular point.
 Columns alternate their order from run to run, so that drift of the host
 falls on both.  The host fingerprint comes with the numbers.  Only the
 standard library and numpy are used.
@@ -46,6 +55,11 @@ CONFIGS = {
 WRAPPED = {"F": "factor_over_tau", "G": "g2_interacting",
            "csv": "write_points_csv", "svg": "write_svg_plot"}
 STAGES = (*WRAPPED, "rest", "read")
+#: the crosscheck workload's compare cells (n, t), each on CROSSCHECK_TAUS tau
+CROSSCHECK_CELLS = tuple((n, t) for n in (10, 40, 160) for t in (0.0, 10.0))
+CROSSCHECK_TAUS = 11
+CROSSCHECK_TAU_MAX = 4.0
+METHODS = ("oracle", "closed", "quadrature")
 
 
 def _child(config_path: str) -> None:
@@ -87,6 +101,44 @@ def _child(config_path: str) -> None:
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(json.dumps({"rows": rows, "import_s": t_import, "stages_s": times,
                       "peak_rss_mib": peak, "numpy_ma": "numpy.ma" in sys.modules}))
+
+
+def _crosscheck_child(calls: int) -> None:
+    """Time every factor method ``calls`` times on each crosscheck cell in
+    this fresh process, in the order ``compare_methods`` calls them; print
+    seconds per call and the quadrature's nodes per call as JSON."""
+    import time
+
+    t0 = time.perf_counter()
+    import soqd
+    t_import = time.perf_counter() - t0
+
+    import resource
+
+    import numpy as np
+
+    from soqd import quadrature
+    from soqd.cli import FIGURE_PARAMS as params
+
+    taus = np.linspace(0.0, CROSSCHECK_TAU_MAX, CROSSCHECK_TAUS)
+    cells = {}
+    for n, t in CROSSCHECK_CELLS:
+        t_prime = t + taus
+        methods = {
+            "oracle": lambda: soqd.decoherence_factor_oracle_fock(params, n, t, t_prime),
+            "closed": lambda: soqd.factor_over_tau(params, soqd.FockState(n), t, taus),
+            "quadrature": lambda: soqd.decoherence_factor_fock_quadrature(params, n, t, t_prime),
+        }
+        seconds = {}
+        for name in METHODS:
+            start = time.perf_counter()
+            for _ in range(calls):
+                methods[name]()
+            seconds[name] = (time.perf_counter() - start) / calls
+        nodes = taus.size * quadrature._radial_order(n) * quadrature._ANGULAR_ORDER
+        cells[f"n{n}-t{t:g}"] = {"s_per_call": seconds, "quadrature_nodes": nodes}
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(json.dumps({"import_s": t_import, "cells": cells, "peak_rss_mib": peak}))
 
 
 def _fingerprint() -> dict:
@@ -135,24 +187,31 @@ def _quartiles(samples: list) -> dict:
     return {"median": at(0.5), "iqr": [at(0.25), at(0.75)]}
 
 
-def _run_child(src: str, config: dict) -> dict:
+def _run_child(src: str, config: dict | None = None, calls: int | None = None) -> dict:
+    """One fresh child: the sweep of ``config``, or the crosscheck stage
+    with ``calls`` calls per method and cell."""
     # a new directory per child, as each benchmark job has: overwriting
     # the last child's output would add the truncation of its files
     with tempfile.TemporaryDirectory() as work:
-        config_path = os.path.join(work, "config.json")
-        with open(config_path, "w", encoding="utf-8") as fh:
-            json.dump(config, fh)
+        if config is None:
+            child = ["--crosscheck-child", str(calls)]
+        else:
+            child = ["--child", os.path.join(work, "config.json")]
+            with open(child[1], "w", encoding="utf-8") as fh:
+                json.dump(config, fh)
         env = dict(os.environ, PYTHONPATH=os.path.abspath(src), PYTHONDONTWRITEBYTECODE="1")
-        out = subprocess.run([sys.executable, os.path.abspath(__file__), "--child", config_path],
+        out = subprocess.run([sys.executable, os.path.abspath(__file__), *child],
                              cwd=work, env=env, capture_output=True, text=True)
     if out.returncode:
         raise RuntimeError(f"bench child failed:\n{out.stderr}")
     return json.loads(out.stdout.splitlines()[-1])
 
 
-def measure(columns: dict, runs: int, steps: int) -> dict:
-    """{label: {config: {metric: quartiles}}} over ``runs`` fresh children."""
+def measure(columns: dict, runs: int, steps: int, calls: int):
+    """({label: {config: {metric: quartiles}}}, {label: crosscheck
+    quartiles}) over ``runs`` fresh children of each kind."""
     samples = {label: {name: [] for name in CONFIGS} for label in columns}
+    crosscheck = {label: [] for label in columns}
     for r in range(runs):
         order = list(columns) if r % 2 == 0 else list(columns)[::-1]
         for label in order:
@@ -162,6 +221,28 @@ def measure(columns: dict, runs: int, steps: int) -> dict:
                               method="closed", output_path="sweep.csv",
                               output_format="csv", emit_plot=True)
                 samples[label][name].append(_run_child(columns[label], config))
+            crosscheck[label].append(_run_child(columns[label], calls=calls))
+    return _sweep_report(samples), {label: _crosscheck_report(results)
+                                    for label, results in crosscheck.items()}
+
+
+def _crosscheck_report(results: list) -> dict:
+    cells = {}
+    for cell, first in results[0]["cells"].items():
+        nodes = first["quadrature_nodes"]
+        entry = {f"{name}_ms_per_call": _quartiles(
+            [1e3 * x["cells"][cell]["s_per_call"][name] for x in results])
+            for name in METHODS}
+        entry["quadrature_nodes"] = nodes
+        entry["quadrature_ns_per_node"] = _quartiles(
+            [1e9 * x["cells"][cell]["s_per_call"]["quadrature"] / nodes for x in results])
+        cells[cell] = entry
+    return {"import_ms": _quartiles([1e3 * x["import_s"] for x in results]),
+            "peak_rss_mib": _quartiles([x["peak_rss_mib"] for x in results]),
+            "cells": cells}
+
+
+def _sweep_report(samples: dict) -> dict:
     report = {}
     for label, by_config in samples.items():
         report[label] = {}
@@ -183,18 +264,27 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--runs", type=int, default=7)
     parser.add_argument("--steps", type=int, default=50_000, help="tau per t")
+    parser.add_argument("--calls", type=int, default=5,
+                        help="calls per method and crosscheck cell")
     parser.add_argument("--column", action="append", default=[],
                         help="LABEL=SRC_DIR, a soqd source tree to time (repeatable)")
     parser.add_argument("--out", help="write the report here as JSON")
     parser.add_argument("--child", help=argparse.SUPPRESS)
+    parser.add_argument("--crosscheck-child", type=int, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
         _child(args.child)
         return 0
+    if args.crosscheck_child is not None:
+        _crosscheck_child(args.crosscheck_child)
+        return 0
+    if args.calls < 1:
+        parser.error("--calls must be >= 1")
     columns = dict(spec.split("=", 1) for spec in args.column) or {
         "change": os.path.join(ROOT, "src")}
+    sweep, crosscheck = measure(columns, args.runs, args.steps, args.calls)
     report = {"host": _fingerprint(), "runs": args.runs, "steps_per_t": args.steps,
-              "columns": measure(columns, args.runs, args.steps)}
+              "calls": args.calls, "columns": sweep, "crosscheck": crosscheck}
     text = json.dumps(report, indent=1)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -417,6 +417,21 @@ def write_points_json(path: str, points: CorrelationPoint) -> None:
 
 _PALETTE = ("#1f6feb", "#d73a49", "#2da44e", "#8250df", "#bf8700")
 
+#: legend lines per column, one every 16 px down the plot's height; later
+#: series start a new column to the left
+_LEGEND_ROWS = 25
+_LEGEND_COLUMN_WIDTH = 90
+
+
+def _series_color(i: int) -> str:
+    """The palette for the first series, then hues a golden angle apart."""
+    if i < len(_PALETTE):
+        return _PALETTE[i]
+    import colorsys  # only plots of more than five series need it
+
+    rgb = colorsys.hls_to_rgb(i * 0.6180339887498949 % 1.0, 0.4, 0.75)
+    return "#" + "".join(f"{round(255 * c):02x}" for c in rgb)
+
 
 def write_svg_plot(path: str, points: CorrelationPoint, title: str = "") -> None:
     """Fixed 800x500 polyline plot of G against tau, one line per t,
@@ -473,12 +488,17 @@ def write_svg_plot(path: str, points: CorrelationPoint, title: str = "") -> None
     parts.append(f'<text x="20" y="{top + inner_h / 2:.0f}" font-family="sans-serif" '
                  'font-size="14" text-anchor="middle">G</text>')
 
+    # legend columns close up if there are too many to fit side by side
+    columns = -(-len(keys) // _LEGEND_ROWS)
+    column_width = min(_LEGEND_COLUMN_WIDTH,
+                       (inner_w - _LEGEND_COLUMN_WIDTH) // max(1, columns - 1))
+
     from . import _fixed2  # here, so that import soqd does not compile the kernel
 
     with open(path, "wb") as fh:
         fh.write("".join(part + "\n" for part in parts).encode())
         for i, j in enumerate(np.argsort(keys, kind="stable").tolist()):
-            color = _PALETTE[i % len(_PALETTE)]
+            color = _series_color(i)
             start, stop = bounds[j], bounds[j + 1]
             fh.write(b'<polyline points="')
             for lo in range(start, stop, _ROW_BLOCK):
@@ -488,7 +508,9 @@ def write_svg_plot(path: str, points: CorrelationPoint, title: str = "") -> None
                 fh.write(_fixed2.points(px(points.tau[rows]), py(points.g[rows])))
             fh.write(f'" fill="none" stroke="{color}" stroke-width="1.3"/>\n'.encode())
             if len(keys) > 1:
-                fh.write(f'<text x="{left + inner_w - 6}" y="{top + 16 + 16 * i}" '
+                column, row = divmod(i, _LEGEND_ROWS)
+                fh.write(f'<text x="{left + inner_w - 6 - column_width * column}" '
+                         f'y="{top + 16 + 16 * row}" '
                          f'font-family="sans-serif" font-size="12" text-anchor="end" '
                          f'fill="{color}">t = {keys[j]:g}</text>\n'.encode())
         fh.write(b"</svg>\n")

@@ -24,6 +24,7 @@ import numpy as np
 
 from .model import (
     ApparatusState,
+    ConfigError,
     DecoherenceNotReached,
     FockState,
     ModelParams,
@@ -172,14 +173,15 @@ def decoherence_time(params: ModelParams, state: ApparatusState, t: float,
 
     Scans |F| on grids of doubling resolution over (0, tau_max] until the
     first sub-threshold sample stops moving, then bisects the bracketing
-    cell down to 1e-4 absolute width.  Raises DecoherenceNotReached when
-    |F| stays above threshold across the whole window (equal couplings,
-    empty preparations).
+    cell down to 1e-4 absolute width.  Raises ConfigError for a threshold
+    outside (0, 1) or tau_max <= 0, and DecoherenceNotReached when |F|
+    stays above threshold across the whole window (equal couplings, empty
+    preparations).
     """
     if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
+        raise ConfigError(f"threshold must lie in (0, 1), got {threshold}")
     if tau_max <= 0:
-        raise ValueError(f"tau_max must be > 0, got {tau_max}")
+        raise ConfigError(f"tau_max must be > 0, got {tau_max}")
 
     hit = None
     spacing = None

@@ -85,7 +85,8 @@ class CutoffTooSmall(SimulationError):
 
 
 class ConfigError(SimulationError):
-    """A config file or config dict is malformed."""
+    """A config file, config dict, command-line option or argument is
+    malformed or out of range."""
 
 
 class ToleranceExceeded(SimulationError):

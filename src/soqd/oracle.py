@@ -26,7 +26,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import CutoffTooSmall, EigenFailure, ModelParams, SectorTooLarge, _time_grid
+from .model import (ConfigError, CutoffTooSmall, EigenFailure, ModelParams, SectorTooLarge,
+                    _time_grid)
 
 __all__ = [
     "SECTOR_GUARD",
@@ -141,13 +142,14 @@ def decoherence_factor_oracle_fock(params: ModelParams, n: int, t,
     acts first) to the mode-1-empty state and returns its amplitude to end
     where it started.  Scalar ``t`` and ``t_prime`` give a complex; a 1-D
     array for either (the other broadcasts against it) gives one complex
-    per entry, all from one eigensystem set.  Raises NegativeTime where t
-    or t' is below 0.
+    per entry, all from one eigensystem set.  Raises ConfigError for
+    n < 0, SectorTooLarge above SECTOR_GUARD and NegativeTime where t or
+    t' is below 0.
     """
     if n > SECTOR_GUARD:
         raise SectorTooLarge(f"sector {n} exceeds the dense guard {SECTOR_GUARD}")
     if n < 0:
-        raise ValueError(f"occupation must be >= 0, got {n}")
+        raise ConfigError(f"occupation must be >= 0, got {n}")
     t, times, scalar = _time_grid(t, t_prime)
     f = _sector_factor(params, n, t, times)
     return complex(f[0]) if scalar else f

@@ -13,6 +13,14 @@ propagators in the order the measurement sequence applies them.  Nothing
 comes from the closed form (no schedule table, no half-angle formula, no
 m22**n) or from the oracle, so a sign or ordering mistake in either of
 those shows up as a disagreement with this path.
+
+The per-node kernel runs on separate real and imaginary float64 arrays.
+Every node forms its own image b6 = m22*beta and takes its own
+log|b6| = log(re^2 + im^2)/2 and arg b6 = arctan2(im, re); the node's
+weight is exp(real exponent) * (cos, sin)(n * (arg b6 + arg conj beta)).
+The image is never factored: log(m22*beta) is not split into
+log m22 + log beta, and |m22*beta| is not replaced by |m22||beta|, since
+either would drop the angular sum and leave the closed form's m22**n.
 """
 
 import functools
@@ -20,7 +28,7 @@ import math
 
 import numpy as np
 
-from .model import EigenFailure, ModelParams, SectorTooLarge, _time_grid
+from .model import ConfigError, EigenFailure, ModelParams, SectorTooLarge, _time_grid
 
 __all__ = [
     "QUADRATURE_OCCUPATION_GUARD",
@@ -139,6 +147,11 @@ def _image_of_mode2(params: ModelParams, t, t_primes: np.ndarray):
     return v[0], v[1]
 
 
+def _node_sum(values: np.ndarray) -> np.ndarray:
+    """Sum over the radial and angular nodes, one total per t'."""
+    return values.reshape(len(values), -1).sum(axis=1)
+
+
 def decoherence_factor_fock_quadrature(params: ModelParams, n: int, t, t_prime):
     """Number-state factor by direct phase-space integration.
 
@@ -149,17 +162,20 @@ def decoherence_factor_fock_quadrature(params: ModelParams, n: int, t, t_prime):
     trapezoid).  The orders follow from n alone: the non-weight radial
     factor is a degree-n polynomial in u, so any radial order >= n + 1
     integrates it exactly, and _radial_order(n) = max(64, n + 8) nodes
-    are used, with _ANGULAR_ORDER = 64 on the phase circle.  Everything is
-    assembled in log space (lgamma + complex log-powers) and exponentiated
-    once per node.
+    are used, with _ANGULAR_ORDER = 64 on the phase circle.  Each node's
+    modulus is assembled in log space (lgamma, log|beta| once per call,
+    log|b6| per node) and exponentiated once; its phase n*(arg b6 +
+    arg conj beta) goes through one cos and one sin, and the real and
+    imaginary parts are summed separately.
 
     Scalar ``t`` and ``t_prime`` give a complex; a 1-D array for either
     (the other broadcasts against it) gives one complex per entry, from
     one set of eigensystems, evaluated in blocks of _NODE_BUDGET nodes.
-    Raises NegativeTime where t or t' is below 0.
+    Raises ConfigError for n < 0, SectorTooLarge above
+    QUADRATURE_OCCUPATION_GUARD and NegativeTime where t or t' is below 0.
     """
     if n < 0:
-        raise ValueError(f"occupation must be >= 0, got {n}")
+        raise ConfigError(f"occupation must be >= 0, got {n}")
     if n > QUADRATURE_OCCUPATION_GUARD:
         raise SectorTooLarge(
             f"occupation {n} exceeds the quadrature guard {QUADRATURE_OCCUPATION_GUARD}")
@@ -167,24 +183,58 @@ def decoherence_factor_fock_quadrature(params: ModelParams, n: int, t, t_prime):
     m12, m22 = _image_of_mode2(params, t, t_primes)
     u, log_w = _gauss_laguerre_log(_radial_order(n))
     theta = 2.0 * math.pi * np.arange(_ANGULAR_ORDER) / _ANGULAR_ORDER
-    beta = np.sqrt(u)[:, None] * np.exp(1j * theta)[None, :]
+    radius = np.sqrt(u)[:, None]
+    beta_re, beta_im = radius * np.cos(theta), radius * np.sin(theta)
     # + u divides out the rule's exp(-u) weight, - u/2 is the
-    # exp(-|beta|^2/2) of <beta|n>
-    log_radial = (log_w + 0.5 * u)[:, None]
-    if n > 0:
-        log_conj_beta = np.log(np.conj(beta))
-    block = max(1, _NODE_BUDGET // beta.size)
+    # exp(-|beta|^2/2) of <beta|n>, n log|beta| - lgamma(n+1) its power
+    log_base = (log_w + 0.5 * u + 0.5 * n * np.log(u) - math.lgamma(n + 1.0))[:, None]
+    # from beta's own parts, so that arg b6 + arg conj beta is exactly 0
+    # where the image leaves beta unchanged
+    arg_conj_beta = np.arctan2(-beta_im, beta_re)
+    block = max(1, _NODE_BUDGET // beta_re.size)
+    # every step below writes into these block-sized arrays, so that a
+    # block allocates no temporaries
+    work = np.empty((5, min(block, t_primes.size)) + beta_re.shape)
     out = np.empty(t_primes.size, dtype=complex)
     for lo in range(0, out.size, block):
-        # preparation has mode 1 empty, so the image of (0, beta) is:
-        a6 = m12[lo:lo + block, None, None] * beta
-        b6 = m22[lo:lo + block, None, None] * beta
-        exponent = log_radial - 0.5 * (np.abs(a6) ** 2 + np.abs(b6) ** 2)
-        if n > 0:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                power = n * (np.log(b6) + log_conj_beta)
-            power = np.where(np.isfinite(power.real), power, -np.inf)
-            exponent = exponent + power - math.lgamma(n + 1.0)
-        total = np.exp(exponent).reshape(len(a6), -1).sum(axis=1)
-        out[lo:lo + len(a6)] = total / _ANGULAR_ORDER
+        m12_re, m12_im, m22_re, m22_im = (
+            x[lo:lo + block, None, None] for x in (m12.real, m12.imag, m22.real, m22.imag))
+        rows = slice(lo, lo + len(m12_re))
+        w0, w1, w2, w3, tmp = work[:, :len(m12_re)]
+        # preparation has mode 1 empty, so the image of (0, beta) is
+        # (a6, b6) = (m12 beta, m22 beta), formed node by node
+        a6_re = np.multiply(m12_re, beta_re, out=w0)
+        a6_re -= np.multiply(m12_im, beta_im, out=tmp)
+        a6_im = np.multiply(m12_re, beta_im, out=w1)
+        a6_im += np.multiply(m12_im, beta_re, out=tmp)
+        b6_re = np.multiply(m22_re, beta_re, out=w2)
+        b6_re -= np.multiply(m22_im, beta_im, out=tmp)
+        b6_im = np.multiply(m22_re, beta_im, out=w3)
+        b6_im += np.multiply(m22_im, beta_re, out=tmp)
+        # exponent = log_base - (|a6|^2 + |b6|^2) / 2, over a6_re
+        exponent = np.multiply(a6_re, a6_re, out=a6_re)
+        exponent += np.multiply(a6_im, a6_im, out=a6_im)
+        b6_sq = np.multiply(b6_re, b6_re, out=w1)
+        b6_sq += np.multiply(b6_im, b6_im, out=tmp)
+        exponent += b6_sq
+        exponent *= -0.5
+        exponent += log_base
+        if n == 0:
+            out[rows] = _node_sum(np.exp(exponent, out=exponent))
+            continue
+        # log|b6| and arg b6 per node; b6 = 0 gives log 0 = -inf, weight 0
+        with np.errstate(divide="ignore"):
+            power = np.log(b6_sq, out=b6_sq)  # 2 log|b6|
+        power *= 0.5 * n
+        exponent += power
+        phase = np.arctan2(b6_im, b6_re, out=b6_re)
+        phase += arg_conj_beta
+        phase *= n
+        weight = np.exp(exponent, out=exponent)
+        re = np.cos(phase, out=b6_im)
+        re *= weight
+        im = np.sin(phase, out=phase)
+        im *= weight
+        out[rows] = _node_sum(re) + 1j * _node_sum(im)
+    out /= _ANGULAR_ORDER
     return complex(out[0]) if scalar else out

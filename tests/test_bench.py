@@ -1,4 +1,4 @@
-"""Smoke run of the stage-timing script bench/run.py: one tiny run."""
+"""Smoke run of the stage-timing script bench/run.py: one tiny run of each stage."""
 
 import importlib.util
 import json
@@ -18,7 +18,8 @@ def load_bench():
 def test_bench_smoke_run_times_every_stage(tmp_path, capsys):
     bench = load_bench()
     out = tmp_path / "bench.json"
-    assert bench.main(["--runs", "1", "--steps", "100", "--out", str(out)]) == 0
+    assert bench.main(["--runs", "1", "--steps", "100", "--calls", "1",
+                       "--out", str(out)]) == 0
     report = json.loads(out.read_text(encoding="utf-8"))
     assert json.loads(capsys.readouterr().out) == report
     assert {"python", "numpy", "blas", "simd", "cpu", "nproc"} <= set(report["host"])
@@ -30,3 +31,11 @@ def test_bench_smoke_run_times_every_stage(tmp_path, capsys):
             q1, q3 = entry[metric]["iqr"]
             assert 0 < q1 <= entry[metric]["median"] <= q3
         assert entry["numpy_ma_loaded"] is False
+    crosscheck = report["crosscheck"]["change"]
+    assert set(crosscheck["cells"]) == {f"n{n}-t{t:g}" for n, t in bench.CROSSCHECK_CELLS}
+    for entry in crosscheck["cells"].values():
+        assert entry["quadrature_nodes"] >= bench.CROSSCHECK_TAUS * 64 * 64
+        for metric in [f"{name}_ms_per_call" for name in bench.METHODS] + [
+                "quadrature_ns_per_node"]:
+            assert entry[metric]["median"] > 0
+    assert crosscheck["import_ms"]["median"] > 0 and crosscheck["peak_rss_mib"]["median"] > 0

@@ -569,6 +569,27 @@ def test_svg_series_are_keyed_on_the_bits_of_t(tmp_path, t_values, lines, legend
     assert re.findall(r">(t = [^<]*)</text>", svg) == legends
 
 
+def test_svg_legends_of_many_series_stay_on_the_canvas(tmp_path):
+    """40 series: every legend is drawn inside the 800x500 canvas, in
+    columns of 25 below the plot's top, and every line has its own
+    colour, the palette's five first."""
+    taus = np.linspace(0.0, 1.0, 3)
+    t = np.repeat(np.arange(40.0), taus.size)
+    points = CorrelationPoint(t, np.tile(taus, 40), np.full(t.size, 0.5 + 0j),
+                              np.full(t.size, 0.5))
+    write_svg_plot(str(tmp_path / "o.svg"), points)
+    svg = (tmp_path / "o.svg").read_text(encoding="utf-8")
+    legends = re.findall(r'<text x="([^"]*)" y="([^"]*)"[^>]*>t = ([^<]*)</text>', svg)
+    assert [label for _, _, label in legends] == [f"{k}" for k in range(40)]
+    xs = [int(x) for x, _, _ in legends]
+    ys = [int(y) for _, y, _ in legends]
+    assert all(70 < x <= 800 for x in xs) and all(40 < y <= 500 for y in ys)
+    assert len(set(zip(xs, ys))) == 40
+    strokes = re.findall(r'<polyline [^>]*stroke="([^"]*)"', svg)
+    assert len(strokes) == len(set(strokes)) == 40
+    assert tuple(strokes[:5]) == cli_module._PALETTE
+
+
 def test_config_refuses_repeated_t_values(tmp_path, capsys):
     """A repeated t would compute and write the same tau block twice;
     t values are compared by their bits, so 0.0 and -0.0 stay apart."""

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import soqd
 from soqd import (
     CoherentState,
+    ConfigError,
     DecoherenceNotReached,
     FockState,
     ModelParams,
@@ -282,7 +283,7 @@ def test_quadrature_rejects_oversized_occupation(preset_params):
 
 
 def test_quadrature_rejects_negative_occupation(preset_params):
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         decoherence_factor_fock_quadrature(preset_params, -2, 0.0, 1.0)
 
 
@@ -427,11 +428,11 @@ def test_decoherence_time_not_reached_for_empty_preparation(preset_params):
 
 def test_decoherence_time_validates_inputs(preset_params):
     state = FockState(5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         decoherence_time(preset_params, state, 0.0, threshold=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         decoherence_time(preset_params, state, 0.0, threshold=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         decoherence_time(preset_params, state, 0.0, tau_max=-1.0)
 
 

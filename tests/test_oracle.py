@@ -10,6 +10,7 @@ import pytest
 
 from soqd import (
     CoherentState,
+    ConfigError,
     CutoffTooSmall,
     EigenFailure,
     ModelParams,
@@ -348,6 +349,11 @@ def test_oracle_refuses_negative_times(preset_params, t, t_prime):
         decoherence_factor_oracle_fock(preset_params, 3, t, t_prime)
     with pytest.raises(NegativeTime):
         decoherence_factor_oracle_coherent(preset_params, 2.0 + 0j, t, t_prime, 40)
+
+
+def test_oracle_rejects_negative_occupation(preset_params):
+    with pytest.raises(ConfigError):
+        decoherence_factor_oracle_fock(preset_params, -1, 0.0, 1.0)
 
 
 def test_oracle_rejects_two_dimensional_times(preset_params):

@@ -16,6 +16,7 @@ from soqd import (
 from soqd import propagator
 from soqd import quadrature as quadrature_module
 from soqd.cli import FIGURE_PARAMS as PRESET
+from test_reproducibility import _reference
 
 
 def test_quadrature_does_not_share_the_schedule_table(monkeypatch):
@@ -38,6 +39,49 @@ def test_quadrature_does_not_share_the_schedule_table(monkeypatch):
         quad = decoherence_factor_fock_quadrature(PRESET, 10, t, t + taus)
         assert np.max(np.abs(closed - oracle)) > 1e-2, t
         assert np.max(np.abs(quad - oracle)) <= 1e-6, t
+
+
+def test_quadrature_reads_each_node_image_of_its_own_transform(monkeypatch):
+    """The H01 coupling of the quadrature's own transform with its sign
+    flipped moves the quadrature away from the oracle, while the closed
+    form still agrees with it: the kernel takes every node's image from
+    that transform, not from an identity shared with the closed form."""
+    real_systems = quadrature_module._single_quantum_eigensystems
+
+    def flipped(params):
+        h11, h10, _ = real_systems(params)
+        h01 = np.linalg.eigh(np.array([[params.omega1, -params.d_g],
+                                       [-params.d_g, params.omega2]]))
+        return [h11, h10, h01]
+
+    monkeypatch.setattr(quadrature_module, "_single_quantum_eigensystems", flipped)
+    taus = np.linspace(0.0, 10.0, 21)
+    for t in (0.0, 10.0):
+        oracle = decoherence_factor_oracle_fock(PRESET, 10, t, t + taus)
+        closed = factor_over_tau(PRESET, FockState(10), t, taus)
+        quad = decoherence_factor_fock_quadrature(PRESET, 10, t, t + taus)
+        assert np.max(np.abs(quad - oracle)) > 1e-2, t
+        assert np.max(np.abs(closed - oracle)) <= 1e-6, t
+
+
+#: absolute bound on |F - F_ref| against the 200-bit reference; measured
+#: worst 1.6e-13 (n = 256, tau = 0.05, where |F| is still of order one)
+QUADRATURE_ABS_BOUND = 2e-13
+
+
+def test_quadrature_matches_a_200_bit_reference():
+    """The quadrature against a 200-bit mpmath.expm evaluation of the
+    six-step schedule, F_ref = m22**n, over n up to the guard."""
+    mp = pytest.importorskip("mpmath")
+    taus = np.array([0.05, 0.3, 1.7, 4.137])
+    with mp.workprec(200):
+        for n in (1, 10, 40, 160, 256):
+            for t in (0.0, 10.0):
+                values = decoherence_factor_fock_quadrature(PRESET, n, t, t + taus)
+                for f, t_prime in zip(values.tolist(), (t + taus).tolist()):
+                    f_ref, _ = _reference(mp, 2, n, t, t_prime)
+                    error = float(abs(mp.mpc(f) - f_ref))
+                    assert error <= QUADRATURE_ABS_BOUND, (n, t, t_prime, error)
 
 
 def test_quadrature_array_matches_scalar_calls():
