@@ -8,14 +8,14 @@ for an equal-weight internal superposition, where the decoherence factor
 F is the overlap between the initial field state and the same state pushed
 through the six-step schedule.  F is evaluated three independent ways:
 
-* closed form  - compose the 2x2 mode transforms (production path),
+* closed form  - the 2x2 mode transform on the echo identity, read as
+                 D = M - I (production path),
 * quadrature   - integrate the coherent-state resolution of the number
                  state over the complex plane (see :mod:`soqd.quadrature`),
 * oracle       - dense sector products (see :mod:`soqd.oracle`).
 
-The closed form lives here, on the transforms of :mod:`soqd.propagator`;
-routine agreement between all three is what the test suite is built
-around.
+The closed form lives here, on the D of :mod:`soqd.propagator`; routine
+agreement between all three is what the test suite is built around.
 """
 
 import math
@@ -31,7 +31,7 @@ from .model import (
     NotNormalized,
     _check_unit_disk,
 )
-from .propagator import transform_over_tau
+from .propagator import echo_over_tau
 
 __all__ = [
     "two_time_amplitude",
@@ -44,8 +44,8 @@ __all__ = [
 #: threshold search window for decoherence_time
 TAU_MAX_DEFAULT = 200.0
 
-#: taus per closed-form block: the transform and overlap hold about 165
-#: bytes per tau in flight, so a long grid is evaluated this many at a time
+#: taus per closed-form block: D and the overlap peak at about 240 bytes
+#: per tau (tracemalloc), so a long grid is evaluated this many at a time
 _TAU_BLOCK = 2 ** 12
 
 
@@ -79,39 +79,40 @@ def g2_free(c_e: complex, c_g: complex, omega_e: float, omega_g: float,
 # decoherence factors (closed form)
 # ---------------------------------------------------------------------------
 
-def _overlap(state: ApparatusState, m: np.ndarray) -> np.ndarray:
-    """Closed-form factor of ``state`` from composed transforms m (..., 2, 2).
+def _overlap(state: ApparatusState, d: np.ndarray) -> np.ndarray:
+    """Closed-form factor of ``state`` from D = M - I, shape (..., 2, 2).
 
-    Number states give m22**n as exp(n*log(m22)), which underflows smoothly
-    toward zero at large n instead of degrading term by term; coherent
-    states give the overlap of the preparation with its image.  Like the
-    transform, the overlap is assembled on real and imaginary parts with
-    + - * only (|z|^2 as re^2 + im^2), and the one complex log/exp per
-    point rounds the same under every SIMD target, so the bits depend on
-    the code alone.
+    |F| comes from unitarity and D alone, never from M = I + D: a coherent
+    preparation z0 has F = exp(z0^dagger D z0) with real part -|D z0|^2/2,
+    and a number state F = m22**n = exp(n * (log1p(-|D12|^2)/2
+    + i*arg(1 + D22))).  The exponents are assembled on real and imaginary
+    parts with + - * / only, and the one transcendental kind is complex
+    log/exp, which rounds the same under every SIMD target (real log,
+    log1p, exp and arctan2 do not): log1p(x) is Goldberg's
+    log(u) * x/(u - 1), u = 1 + x (x itself where u == 1), so the bits
+    depend on the code alone.
     """
     if isinstance(state, FockState):
         if state.n == 0:
-            return np.ones(m.shape[:-2], dtype=complex)
-        m22 = m[..., 1, 1]
+            return np.ones(d.shape[:-2], dtype=complex)
+        d12, d22 = d[..., 0, 1], d[..., 1, 1]
+        x = -(d12.real * d12.real + d12.imag * d12.imag)
+        u = 1.0 + x
         with np.errstate(divide="ignore", invalid="ignore"):
-            log_m22 = np.log(m22)
-        out = np.exp(_complex(state.n * log_m22.real, state.n * log_m22.imag))
-        return np.where(m22 == 0, 0j, out)
-    # coherent overlap: sum over both modes k of -(|z0|^2 + |z6|^2)/2
-    # + conj(z0)*z6, where z0 is the prepared amplitude and z6 its image
+            log1p_x = np.where(u == 1.0, x, np.log(u.astype(complex)).real * (x / (u - 1.0)))
+            phase = np.log(1.0 + d22).imag
+        return np.exp(_complex(state.n * (0.5 * log1p_x), state.n * phase))
     prep = (state.alpha0, state.beta0)
-    exp_re = exp_im = 0.0
+    norm2 = dot_im = 0.0
     for k, z0 in enumerate(prep):
-        z_re = z_im = 0.0  # z6 = m[k, 0] * alpha0 + m[k, 1] * beta0
+        w_re = w_im = 0.0  # w_k = D[k, 0] * alpha0 + D[k, 1] * beta0
         for j, c in enumerate(prep):
-            e = m[..., k, j]
-            z_re = z_re + (e.real * c.real - e.imag * c.imag)
-            z_im = z_im + (e.real * c.imag + e.imag * c.real)
-        norms = (z0.real * z0.real + z0.imag * z0.imag) + (z_re * z_re + z_im * z_im)
-        exp_re = exp_re + (-0.5 * norms + (z0.real * z_re + z0.imag * z_im))
-        exp_im = exp_im + (z0.real * z_im - z0.imag * z_re)
-    return np.exp(_complex(exp_re, exp_im))
+            e = d[..., k, j]
+            w_re = w_re + (e.real * c.real - e.imag * c.imag)
+            w_im = w_im + (e.real * c.imag + e.imag * c.real)
+        norm2 = norm2 + (w_re * w_re + w_im * w_im)
+        dot_im = dot_im + (z0.real * w_im - z0.imag * w_re)
+    return np.exp(_complex(-0.5 * norm2, dot_im))
 
 
 def _complex(re, im) -> np.ndarray:
@@ -156,9 +157,9 @@ def factor_over_tau(params: ModelParams, state: ApparatusState, t: float,
     """
     taus = np.asarray(taus, dtype=float)
     if taus.size <= _TAU_BLOCK:
-        return _overlap(state, transform_over_tau(params, t, taus))
+        return _overlap(state, echo_over_tau(params, t, taus))
     return np.concatenate([
-        _overlap(state, transform_over_tau(params, t, taus[lo:lo + _TAU_BLOCK]))
+        _overlap(state, echo_over_tau(params, t, taus[lo:lo + _TAU_BLOCK]))
         for lo in range(0, taus.size, _TAU_BLOCK)])
 
 

@@ -195,13 +195,14 @@ def _time_grid(t, t_prime):
 
     ``t`` broadcasts against ``t_prime``; a scalar ``t`` stays scalar, so
     the propagators before t' enters act on one column only.  Raises
-    NegativeTime where t or t' is below 0.
+    ConfigError when t and t' do not broadcast to a scalar or a 1-D grid,
+    and NegativeTime where t or t' is below 0.
     """
     t = np.asarray(t, dtype=float)
     times = np.asarray(t_prime, dtype=float)
     shape = np.broadcast_shapes(t.shape, times.shape)
     if len(shape) > 1:
-        raise ValueError(f"t and t_prime must be scalars or 1-D, got shapes "
+        raise ConfigError(f"t and t_prime must be scalars or 1-D, got shapes "
                          f"{t.shape} and {times.shape}")
     _check_nonnegative(t, times)
     t = float(t) if t.ndim == 0 else np.broadcast_to(t, shape).reshape(-1)
@@ -219,24 +220,19 @@ class CoherentState:
     alpha0: complex
     beta0: complex
 
-    @property
-    def mean_photons(self) -> float:
-        return abs(self.alpha0) ** 2 + abs(self.beta0) ** 2
-
 
 @dataclass(frozen=True)
 class FockState:
-    """Number-state preparation: mode 1 empty, n quanta in mode 2."""
+    """Number-state preparation: mode 1 empty, n quanta in mode 2.
+
+    Raises ConfigError unless n is a non-negative int.
+    """
 
     n: int
 
     def __post_init__(self):
         if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 0:
-            raise ValueError(f"occupation must be a non-negative integer, got {self.n!r}")
-
-    @property
-    def mean_photons(self) -> float:
-        return float(self.n)
+            raise ConfigError(f"occupation must be a non-negative integer, got {self.n!r}")
 
 
 ApparatusState = CoherentState | FockState

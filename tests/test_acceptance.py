@@ -25,7 +25,7 @@ from soqd import (
 )
 from soqd.cli import FIGURE_PARAMS as PRESET
 from soqd.correlation import g2_free, two_time_amplitude
-from soqd.propagator import transform_over_tau
+from soqd.propagator import echo_over_tau
 
 from test_propagator import step_transform, step_transform_ode, unitarity_defect
 
@@ -77,7 +77,7 @@ def test_02_every_transform_is_unitary(step_draws):
         params = ModelParams(float(w1), float(w2), float(de), float(dg),
                              omega_e=1.0)
         t, tp = rng.uniform(0.0, 10.0, size=2)
-        m = transform_over_tau(params, float(t), [float(tp - t)])
+        m = np.eye(2) + echo_over_tau(params, float(t), [float(tp - t)])
         worst = max(worst, unitarity_defect(m))
     assert worst <= 1e-10
 

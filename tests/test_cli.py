@@ -1,5 +1,6 @@
 """Config validation, sweep driver, serialization, preset panels, entry point."""
 
+import colorsys
 import json
 import math
 import os
@@ -330,6 +331,15 @@ def reference_json(points):
     return json.dumps({"points": rows}, indent=1) + "\n"
 
 
+def reference_color(i):
+    """The palette for the first five series, then hues a golden angle
+    apart at lightness 0.4 and saturation 0.75."""
+    if i < len(cli_module._PALETTE):
+        return cli_module._PALETTE[i]
+    rgb = colorsys.hls_to_rgb(i * (math.sqrt(5) - 1) / 2 % 1.0, 0.4, 0.75)
+    return "#%02x%02x%02x" % tuple(round(255 * c) for c in rgb)
+
+
 def reference_svg(points, title):
     width, height = 800, 500
     left, right, top, bottom = 70, 20, 40, 55
@@ -374,8 +384,11 @@ def reference_svg(points, title):
                  'text-anchor="middle">&#964; = t&#8242; &#8722; t</text>')
     parts.append(f'<text x="20" y="{top + inner_h / 2:.0f}" font-family="sans-serif" '
                  'font-size="14" text-anchor="middle">G</text>')
+    # legends in columns of 25 from the right, closed up to fit the plot
+    columns = math.ceil(len(t_values) / 25)
+    column_width = min(90, (inner_w - 90) // max(1, columns - 1))
     for i, (t, sign) in enumerate(t_values):
-        color = cli_module._PALETTE[i % len(cli_module._PALETTE)]
+        color = reference_color(i)
         series = (points.t == t) & (np.signbit(points.t) == (sign < 0))
         tau, g = points.tau[series], points.g[series]
         order = np.lexsort((g, tau))
@@ -384,7 +397,8 @@ def reference_svg(points, title):
         parts.append(f'<polyline points="{coords}" fill="none" stroke="{color}" '
                      'stroke-width="1.3"/>')
         if len(t_values) > 1:
-            parts.append(f'<text x="{left + inner_w - 6}" y="{top + 16 + 16 * i}" '
+            x = left + inner_w - 6 - column_width * (i // 25)
+            parts.append(f'<text x="{x}" y="{top + 16 + 16 * (i % 25)}" '
                          f'font-family="sans-serif" font-size="12" text-anchor="end" '
                          f'fill="{color}">t = {t:g}</text>')
     parts.append("</svg>")
@@ -588,6 +602,7 @@ def test_svg_legends_of_many_series_stay_on_the_canvas(tmp_path):
     strokes = re.findall(r'<polyline [^>]*stroke="([^"]*)"', svg)
     assert len(strokes) == len(set(strokes)) == 40
     assert tuple(strokes[:5]) == cli_module._PALETTE
+    assert svg == reference_svg(points, "")
 
 
 def test_config_refuses_repeated_t_values(tmp_path, capsys):

@@ -27,7 +27,7 @@ from soqd import (
     g2_interacting,
 )
 from soqd.correlation import _TAU_BLOCK, TAU_MAX_DEFAULT, _overlap, g2_free, two_time_amplitude
-from soqd.propagator import transform_over_tau
+from soqd.propagator import echo_over_tau
 from soqd.quadrature import (
     _ANGULAR_ORDER,
     QUADRATURE_OCCUPATION_GUARD,
@@ -116,12 +116,13 @@ def test_coherent_factor_magnitude_bounded(rng):
 
 
 def test_coherent_factor_exponential_identity(preset_params, rng):
-    """With mode 1 empty the overlap collapses to exp(|beta0|^2 (m22 - 1))."""
+    """With mode 1 empty the overlap collapses to exp(|beta0|^2 (m22 - 1)),
+    m22 - 1 being D22."""
     for _ in range(10):
         beta0 = complex(*rng.uniform(-3, 3, size=2))
         t, tp = rng.uniform(0, 10, size=2)
-        m22 = transform_over_tau(preset_params, t, [tp - t])[0, 1, 1]
-        want = np.exp(abs(beta0) ** 2 * (m22 - 1))
+        d22 = echo_over_tau(preset_params, t, [tp - t])[0, 1, 1]
+        want = np.exp(abs(beta0) ** 2 * d22)
         got = factor_over_tau(preset_params, CoherentState(0j, beta0), t, [tp - t])[0]
         assert abs(got - want) <= 1e-12
 
@@ -142,7 +143,7 @@ def test_fock_closed_equal_times_is_unity(preset_params):
 
 
 def test_fock_closed_rejects_negative_occupation(preset_params):
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="non-negative integer"):
         factor_over_tau(preset_params, FockState(-1), 0.0, [1.0])
 
 
@@ -381,7 +382,7 @@ def test_factor_over_tau_in_blocks_keeps_every_bit(preset_params, state):
     unblocked evaluation: the arithmetic is elementwise per tau."""
     taus = np.linspace(0.0, 0.5, 2 * _TAU_BLOCK + 3)
     for t in (0.0, 10.0):
-        whole = _overlap(state, transform_over_tau(preset_params, t, taus))
+        whole = _overlap(state, echo_over_tau(preset_params, t, taus))
         got = factor_over_tau(preset_params, state, t, taus)
         assert got.shape == taus.shape
         assert np.array_equal(got.view(np.uint64), whole.view(np.uint64))
@@ -395,6 +396,15 @@ def test_factor_over_tau_refuses_tau_lost_to_rounding(preset_params):
     # tau = 0 is exact at any t, and t = 10 still resolves tau = 1e-5
     factor_over_tau(preset_params, FockState(100), 1e17, [0.0])
     factor_over_tau(preset_params, FockState(100), 10.0, [1e-5, 0.5])
+
+
+@pytest.mark.parametrize("state", [FockState(100), CoherentState(0.3j, 1.5 - 0.5j)])
+@pytest.mark.parametrize("t", [0.0, 10.0, 1e17])
+def test_factor_at_coinciding_times_is_exactly_one(preset_params, state, t):
+    """F(t, t) is exactly 1 at any t: tau = 0 makes D = M - I exactly 0,
+    where a multiplied-out six-step product gave 1 + 4.4e-14 at t = 10."""
+    f = factor_over_tau(preset_params, state, t, [0.0])[0]
+    assert (f.real, f.imag) == (1.0, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,7 @@ def test_params_json_rejects_non_numbers(preset_params):
 
 @pytest.mark.parametrize("bad", [-1, 2.5, True])
 def test_fock_state_rejects_bad_occupation(bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="non-negative integer"):
         FockState(bad)
 
 

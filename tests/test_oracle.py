@@ -32,7 +32,9 @@ from soqd.oracle import (
     sector_hamiltonian,
     sector_propagator,
 )
-from soqd.propagator import _schedule_product, transform_over_tau
+from soqd.propagator import echo_over_tau
+
+from test_propagator import step_transform
 
 
 def test_sector_guard_value():
@@ -117,7 +119,7 @@ def test_sector1_propagator_is_step_transform_with_modes_swapped(preset_params):
     h = sector_hamiltonian(preset_params, 1, 1, 1)
     u = sector_propagator(h, 1.0)
     g = preset_params.d_e + preset_params.d_g
-    m = _schedule_product([(preset_params.omega1, preset_params.omega2, g, 1.0)])
+    m = step_transform(preset_params.omega1, preset_params.omega2, g, 1.0)
     swapped = m[::-1, ::-1]
     assert np.max(np.abs(u - swapped)) <= 1e-9
 
@@ -164,13 +166,13 @@ def test_oracle_fock_single_quantum_equals_m22(preset_params, rng):
         w1, w2, de, dg = rng.uniform(-2, 2, size=4)
         params = ModelParams(w1, w2, de, dg, omega_e=1.0)
         t, tp = rng.uniform(0, 8, size=2)
-        m22 = transform_over_tau(params, t, [tp - t])[0, 1, 1]
+        m22 = 1 + echo_over_tau(params, t, [tp - t])[0, 1, 1]
         f = decoherence_factor_oracle_fock(params, 1, t, tp)
         assert abs(f - m22) <= 1e-9
 
 
 def test_oracle_fock_agrees_with_m22_power(preset_params):
-    m22 = transform_over_tau(preset_params, 0.0, [2.0])[0, 1, 1]
+    m22 = 1 + echo_over_tau(preset_params, 0.0, [2.0])[0, 1, 1]
     f = decoherence_factor_oracle_fock(preset_params, 10, 0.0, 2.0)
     assert abs(f - m22**10) <= 1e-9
 
@@ -357,7 +359,7 @@ def test_oracle_rejects_negative_occupation(preset_params):
 
 
 def test_oracle_rejects_two_dimensional_times(preset_params):
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="scalars or 1-D"):
         decoherence_factor_oracle_fock(preset_params, 3, 0.0, np.zeros((2, 2)))
 
 

@@ -20,18 +20,18 @@ from test_reproducibility import _reference
 
 
 def test_quadrature_does_not_share_the_schedule_table(monkeypatch):
-    """A sign error in the closed form's schedule table (step 4's coupling
-    flipped) moves the closed form away from the oracle, while the
-    quadrature, which builds its own transform, still agrees with it."""
-    real_rows = propagator._schedule_rows
+    """A sign error in the closed form's step kernel (H_g's coupling
+    flipped in its E_g = exp(+i*Hg*tau) - I call) moves the closed form
+    away from the oracle, while the quadrature, which builds its own
+    transform, still agrees with it."""
+    real_step = propagator._step_minus_identity
 
-    def flipped(params, t, t_prime):
-        rows = list(real_rows(params, t, t_prime))
-        a1, a2, b, d = rows[3]
-        rows[3] = (a1, a2, -b, d)
-        return tuple(rows)
+    def flipped(alpha1, alpha2, beta, duration):
+        if beta == PRESET.d_g:  # d_e, d_g and d_e + d_g differ at the preset
+            beta = -beta
+        return real_step(alpha1, alpha2, beta, duration)
 
-    monkeypatch.setattr(propagator, "_schedule_rows", flipped)
+    monkeypatch.setattr(propagator, "_step_minus_identity", flipped)
     taus = np.linspace(0.0, 10.0, 21)
     for t in (0.0, 10.0):
         oracle = decoherence_factor_oracle_fock(PRESET, 10, t, t + taus)
