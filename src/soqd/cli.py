@@ -72,6 +72,8 @@ __all__ = [
 #: one column per field of a sweep row, in CSV order; JSON rows use the same keys
 CSV_COLUMNS = ("t", "tau", "re_F", "im_F", "abs_F", "G")
 CSV_HEADER = ",".join(CSV_COLUMNS)
+#: names np.loadtxt decompresses when it is given the path
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 #: JSON columns that repeat values (t per block, tau in every t block, G on
 #: the decayed plateau): converted once per distinct value, then placed as text
 _TEXT_COLUMNS = ("t", "tau", "G")
@@ -377,12 +379,18 @@ def read_points_csv(path: str) -> CorrelationPoint:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         if fh.readline().rstrip("\r\n") != CSV_HEADER:
             raise ConfigError(f"{path!r} is not a sweep CSV (bad header)")
-        body = fh.tell()
         if not fh.readline().strip():
             raise ConfigError(f"{path!r} has no rows")
-        fh.seek(body)
+        fh.seek(0)
+        # numpy parses a str path in chunks but iterates a handle line by
+        # line.  A name numpy would decompress by its suffix is read
+        # through the handle; the path is made absolute so that numpy
+        # never takes it for a URL
+        name = os.path.abspath(path)
+        source = fh if name.endswith(_COMPRESSED_SUFFIXES) else name
         try:
-            cols = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+            cols = np.loadtxt(source, delimiter=",", comments=None, ndmin=2, skiprows=1,
+                              encoding="utf-8")
         except ValueError as exc:
             raise ConfigError(f"{path!r}: malformed row: {exc}") from exc
     if cols.shape[1] != len(CSV_COLUMNS):

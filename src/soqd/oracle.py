@@ -8,8 +8,10 @@ exp(-i H d) is then V diag(exp(-i lambda d)) V^T, for any duration d, so
 one eigensystem set per sector serves a whole (t, t') grid (the
 eigenvector method for normal matrices).  The start vector is pushed
 through the six sequence propagators as written, every (t, t') pair at
-once as matrix columns, in
-blocks of fixed width so the work arrays do not grow with the grid.  No
+once as matrix columns, in blocks of fixed width so the work arrays do
+not grow with the grid.  V is real, so each product with it is one real
+matrix product against the complex columns viewed as interleaved
+(re, im) floats.  No
 2x2 shortcut, no normal-ordering identity, nothing from the closed form:
 this path exists to catch sign and ordering mistakes in the closed form,
 at honest matrix-product cost.
@@ -99,11 +101,15 @@ def sector_propagator(h: np.ndarray, duration: float) -> np.ndarray:
 def _evolve(system, duration, v: np.ndarray) -> np.ndarray:
     """exp(-i H duration) applied to the columns of v: V (phase * (V^T v)).
 
-    ``duration`` is a scalar, or one value per column of ``v``.
+    ``duration`` is a scalar, or one value per column of ``v``, a
+    C-contiguous complex array.  V is real, so each product is one real
+    matrix product of V against the interleaved (re, im) float view of the
+    complex columns, not a complex product against a complex copy of V.
     """
     evals, vecs = system
     phase = np.exp(-1j * evals[:, None] * np.atleast_1d(duration))
-    return vecs @ (phase * (vecs.T @ v))
+    w = phase * (vecs.T @ v.view(float)).view(complex)
+    return (vecs @ w.view(float)).view(complex)
 
 
 def _sector_factor(params: ModelParams, n: int, t,

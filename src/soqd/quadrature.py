@@ -10,17 +10,20 @@ transform: the three real symmetric single-quantum Hamiltonians
 [[omega1, g], [g, omega2]] with g = d_e*m + d_g*n_sys are eigendecomposed
 once per call, and the mode-2 unit vector is pushed through the six
 propagators in the order the measurement sequence applies them.  Nothing
-comes from the closed form (no schedule table, no half-angle formula, no
-m22**n) or from the oracle, so a sign or ordering mistake in either of
-those shows up as a disagreement with this path.
+comes from the closed form (no schedule table, no half-angle step
+kernel, no m22**n) or from the oracle, so a sign or ordering mistake in
+either of those shows up as a disagreement with this path.
 
 The per-node kernel runs on separate real and imaginary float64 arrays.
 Every node forms its own image b6 = m22*beta and takes its own
 log|b6| = log(re^2 + im^2)/2 and arg b6 = arctan2(im, re); the node's
-weight is exp(real exponent) * (cos, sin)(n * (arg b6 + arg conj beta)).
-The image is never factored: log(m22*beta) is not split into
-log m22 + log beta, and |m22*beta| is not replaced by |m22||beta|, since
-either would drop the angular sum and leave the closed form's m22**n.
+weight is exp(real exponent) * (cos, sin)(phi) with
+phi = n * (arg b6 + arg conj beta), formed from h = tan(phi/2) as
+(2 - q, 2h)/q with q = 1 + h^2: one vectorized tan per node, where
+numpy's float64 cos and sin are scalar libm calls.  The image is never
+factored: log(m22*beta) is not split into log m22 + log beta, and
+|m22*beta| is not replaced by |m22||beta|, since either would drop the
+angular sum and leave the closed form's m22**n.
 """
 
 import functools
@@ -76,16 +79,19 @@ def _gauss_laguerre_log(order: int):
     accuracy at any magnitude.
     """
     k = np.arange(order, dtype=float)
-    jacobi = np.diag(2.0 * k + 1.0) + np.diag(k[1:], 1) + np.diag(k[1:], -1)
+    jacobi = np.zeros((order, order))
+    jacobi.flat[::order + 1] = 2.0 * k + 1.0
+    jacobi.flat[1::order + 1] = k[1:]
+    jacobi.flat[order::order + 1] = k[1:]
     nodes = np.linalg.eigvalsh(jacobi)
     prev = np.ones_like(nodes)  # L_0
     cur = 1.0 - nodes  # L_1
     shift = np.zeros_like(nodes)  # accumulated log of the renormalizations
     for j in range(1, order + 1):
         prev, cur = cur, ((2.0 * j + 1.0 - nodes) * cur - j * prev) / (j + 1.0)
-        big = np.abs(cur) > 1e100
-        if big.any():
-            factor = np.where(big, np.abs(cur), 1.0)
+        size = np.abs(cur)
+        if size.max() > 1e100:
+            factor = np.where(size > 1e100, size, 1.0)
             cur /= factor
             prev /= factor
             shift += np.log(factor)
@@ -147,6 +153,29 @@ def _image_of_mode2(params: ModelParams, t, t_primes: np.ndarray):
     return v[0], v[1]
 
 
+def _rotate(weight: np.ndarray, half_phase: np.ndarray, spare: np.ndarray):
+    """(weight * cos 2x, weight * sin 2x) for x = half_phase, per element.
+
+    With h = tan x and q = 1 + h^2, cos 2x = (2 - q)/q and sin 2x = 2h/q,
+    so each element takes one tan, which numpy runs as a SIMD loop, where
+    its float64 cos and sin each go to scalar libm.  A node's |x| is at
+    most pi * QUADRATURE_OCCUPATION_GUARD, and |tan x| < 2e18 for every
+    double |x| <= 260 pi (at the double nearest an odd multiple of pi/2),
+    so h^2 stays finite; the results are within 4e-16 of weight * (cos,
+    sin).  Works in place: the results overwrite ``spare`` (the real part) and
+    ``half_phase`` (the imaginary part), and ``weight`` ends as weight / q.
+    """
+    h = np.tan(half_phase, out=half_phase)
+    q = np.multiply(h, h, out=spare)
+    q += 1.0
+    weight /= q
+    im = np.multiply(h, weight, out=half_phase)
+    im *= 2.0
+    re = np.subtract(2.0, q, out=spare)
+    re *= weight
+    return re, im
+
+
 def _node_sum(values: np.ndarray) -> np.ndarray:
     """Sum over the radial and angular nodes, one total per t'."""
     return values.reshape(len(values), -1).sum(axis=1)
@@ -165,8 +194,8 @@ def decoherence_factor_fock_quadrature(params: ModelParams, n: int, t, t_prime):
     are used, with _ANGULAR_ORDER = 64 on the phase circle.  Each node's
     modulus is assembled in log space (lgamma, log|beta| once per call,
     log|b6| per node) and exponentiated once; its phase n*(arg b6 +
-    arg conj beta) goes through one cos and one sin, and the real and
-    imaginary parts are summed separately.
+    arg conj beta) goes through one tan of its half (see _rotate), and the
+    real and imaginary parts are summed separately.
 
     Scalar ``t`` and ``t_prime`` give a complex; a 1-D array for either
     (the other broadcasts against it) gives one complex per entry, from
@@ -227,14 +256,11 @@ def decoherence_factor_fock_quadrature(params: ModelParams, n: int, t, t_prime):
             power = np.log(b6_sq, out=b6_sq)  # 2 log|b6|
         power *= 0.5 * n
         exponent += power
-        phase = np.arctan2(b6_im, b6_re, out=b6_re)
-        phase += arg_conj_beta
-        phase *= n
+        half_phase = np.arctan2(b6_im, b6_re, out=b6_re)
+        half_phase += arg_conj_beta
+        half_phase *= 0.5 * n
         weight = np.exp(exponent, out=exponent)
-        re = np.cos(phase, out=b6_im)
-        re *= weight
-        im = np.sin(phase, out=phase)
-        im *= weight
+        re, im = _rotate(weight, half_phase, b6_im)
         out[rows] = _node_sum(re) + 1j * _node_sum(im)
     out /= _ANGULAR_ORDER
     return complex(out[0]) if scalar else out

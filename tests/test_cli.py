@@ -312,6 +312,33 @@ def test_read_csv_rejects_a_non_finite_time(tmp_path):
             read_points_csv(write_csv_rows(tmp_path, GOOD_ROW, bad))
 
 
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+def test_read_csv_reads_a_plain_file_under_a_compressed_name(tmp_path, suffix):
+    """A plain CSV named like a compressed file reads as under its own
+    name, and its refusals keep their types."""
+    path = tmp_path / "o.csv"
+    run_sweep(sweep_config_from_json(make_config(output_path=str(path))))
+    renamed = tmp_path / ("o.csv" + suffix)
+    renamed.write_bytes(path.read_bytes())
+    points, back = read_points_csv(str(path)), read_points_csv(str(renamed))
+    for name in ("t", "tau", "f", "g"):
+        assert np.array_equal(getattr(back, name), getattr(points, name)), name
+    renamed.write_text("\n".join((CSV_HEADER, GOOD_ROW, "0,0.75,0.25,x,0.5,0.75")) + "\n",
+                       encoding="utf-8")
+    with pytest.raises(ConfigError, match="malformed row"):
+        read_points_csv(str(renamed))
+
+
+def test_read_csv_refuses_a_late_row_that_is_not_utf8(tmp_path):
+    """A byte that is not UTF-8 past the header's first read (5000 rows,
+    about 210 kB) is a malformed row."""
+    path = tmp_path / "o.csv"
+    body = "\n".join((CSV_HEADER,) + (GOOD_ROW,) * 5000) + "\n"
+    path.write_bytes(body.encode() + b"0,0.5,\xff\n")
+    with pytest.raises(ConfigError, match="malformed row"):
+        read_points_csv(str(path))
+
+
 # per-row reference writers: each row is formatted on its own, from Python
 # floats, as the writers did before they formatted blocks of rows
 
