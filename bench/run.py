@@ -31,6 +31,15 @@ The crosscheck child times the three factor methods on the cells of the
 oracle (``decoherence_factor_oracle_fock``) in ms per call, the quadrature
 (``decoherence_factor_fock_quadrature``) in ms per call and in ns per node,
 a node being one t' x radial x angular point.
+
+The command stage then runs the whole ``soqd compare`` on each of those
+cells (``--tau-max 4 --steps 11``), one fresh interpreter per cell, as
+``python -m soqd`` runs it (``runpy.run_module("soqd", run_name="__main__",
+alter_sys=True)``) after ``import soqd`` has written the monotonic clock,
+which is system-wide on Linux, to stderr.  It reports ms from spawn to
+exit (``command_wall_ms``) and from the end of ``import soqd`` to exit
+(``command_post_import_ms``), per cell and summed over the six cells.
+
 Columns alternate their order from run to run, so that drift of the host
 falls on both.  The host fingerprint comes with the numbers.  Only the
 standard library and numpy are used.
@@ -42,6 +51,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -60,6 +70,13 @@ CROSSCHECK_CELLS = tuple((n, t) for n in (10, 40, 160) for t in (0.0, 10.0))
 CROSSCHECK_TAUS = 11
 CROSSCHECK_TAU_MAX = 4.0
 METHODS = ("oracle", "closed", "quadrature")
+#: a compare run as ``python -m soqd`` runs it, once ``import soqd`` has
+#: stamped the clock on stderr
+COMMAND_CHILD = ("import sys, time\n"
+                 "import soqd\n"
+                 "print(repr(time.perf_counter()), file=sys.stderr)\n"
+                 "import runpy\n"
+                 "runpy.run_module('soqd', run_name='__main__', alter_sys=True)\n")
 
 
 def _child(config_path: str) -> None:
@@ -207,11 +224,29 @@ def _run_child(src: str, config: dict | None = None, calls: int | None = None) -
     return json.loads(out.stdout.splitlines()[-1])
 
 
+def _run_command(src: str, n: int, t: float) -> dict:
+    """One fresh ``soqd compare`` on the crosscheck cell (n, t): ms from
+    spawn to exit and from the end of ``import soqd`` to exit."""
+    argv = ["compare", "--n", str(n), "--t", repr(t), "--tau-max", repr(CROSSCHECK_TAU_MAX),
+            "--steps", str(CROSSCHECK_TAUS)]
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src), PYTHONDONTWRITEBYTECODE="1")
+    with tempfile.TemporaryDirectory() as work:
+        start = time.perf_counter()
+        out = subprocess.run([sys.executable, "-c", COMMAND_CHILD, *argv], cwd=work, env=env,
+                             capture_output=True, text=True)
+        end = time.perf_counter()
+    if out.returncode or "max pairwise |delta|" not in out.stdout:
+        raise RuntimeError(f"soqd {' '.join(argv)} failed:\n{out.stderr}")
+    imported = float(out.stderr.splitlines()[0])
+    return {"wall_ms": 1e3 * (end - start), "post_import_ms": 1e3 * (end - imported)}
+
+
 def measure(columns: dict, runs: int, steps: int, calls: int):
     """({label: {config: {metric: quartiles}}}, {label: crosscheck
     quartiles}) over ``runs`` fresh children of each kind."""
     samples = {label: {name: [] for name in CONFIGS} for label in columns}
     crosscheck = {label: [] for label in columns}
+    commands = {label: [] for label in columns}
     for r in range(runs):
         order = list(columns) if r % 2 == 0 else list(columns)[::-1]
         for label in order:
@@ -222,11 +257,13 @@ def measure(columns: dict, runs: int, steps: int, calls: int):
                               output_format="csv", emit_plot=True)
                 samples[label][name].append(_run_child(columns[label], config))
             crosscheck[label].append(_run_child(columns[label], calls=calls))
-    return _sweep_report(samples), {label: _crosscheck_report(results)
+            commands[label].append({f"n{n}-t{t:g}": _run_command(columns[label], n, t)
+                                    for n, t in CROSSCHECK_CELLS})
+    return _sweep_report(samples), {label: _crosscheck_report(results, commands[label])
                                     for label, results in crosscheck.items()}
 
 
-def _crosscheck_report(results: list) -> dict:
+def _crosscheck_report(results: list, commands: list) -> dict:
     cells = {}
     for cell, first in results[0]["cells"].items():
         nodes = first["quadrature_nodes"]
@@ -236,10 +273,16 @@ def _crosscheck_report(results: list) -> dict:
         entry["quadrature_nodes"] = nodes
         entry["quadrature_ns_per_node"] = _quartiles(
             [1e9 * x["cells"][cell]["s_per_call"]["quadrature"] / nodes for x in results])
+        for key in ("wall_ms", "post_import_ms"):
+            entry[f"command_{key}"] = _quartiles([run[cell][key] for run in commands])
         cells[cell] = entry
-    return {"import_ms": _quartiles([1e3 * x["import_s"] for x in results]),
-            "peak_rss_mib": _quartiles([x["peak_rss_mib"] for x in results]),
-            "cells": cells}
+    report = {"import_ms": _quartiles([1e3 * x["import_s"] for x in results]),
+              "peak_rss_mib": _quartiles([x["peak_rss_mib"] for x in results]),
+              "cells": cells}
+    for key in ("wall_ms", "post_import_ms"):
+        report[f"command_{key}_total"] = _quartiles(
+            [sum(cell[key] for cell in run.values()) for run in commands])
+    return report
 
 
 def _sweep_report(samples: dict) -> dict:

@@ -1,23 +1,20 @@
 """Command-line driver: sweeps, preset figures, method comparison, goldens.
 
-Subcommands
-    sweep    run a (t, tau) sweep described by a JSON config file
-    figure   reproduce one preset panel (CSV + SVG) into a directory
-    compare  cross-check closed form vs quadrature vs dense oracle
-    golden   regenerate the pinned golden files (oracle-derived)
+Subcommands and options are one table, _COMMANDS, that ``soqd --help``
+prints; options take exact names, as ``--name value`` or ``--name=value``.
 
 Exit codes: 0 success, 2 config/usage error (also a grid on which t + tau
 loses tau to rounding, TauUnresolved), 3 tolerance failure or unphysical
 result (UnphysicalFactor), 4 I/O failure.
 """
 
-import argparse
 import json
 import math
 import os
 import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -372,12 +369,12 @@ def read_points_csv(path: str) -> CorrelationPoint:
     """Parse a sweep CSV back into validated columns.
 
     Raises ConfigError for a bad header, no rows, a short or long row or
-    a non-numeric cell; NonFiniteParameter for a non-finite t or tau, and
+    a cell that is not a number in UTF-8; NonFiniteParameter for a non-finite t or tau, and
     UnphysicalFactor for a row outside the physical bounds
     (CorrelationPoint's checks).
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        if fh.readline().rstrip("\r\n") != CSV_HEADER:
+    with open(path, "rb") as fh:
+        if fh.readline().rstrip(b"\r\n") != CSV_HEADER.encode():
             raise ConfigError(f"{path!r} is not a sweep CSV (bad header)")
         if not fh.readline().strip():
             raise ConfigError(f"{path!r} has no rows")
@@ -668,40 +665,6 @@ def regenerate_golden(out_dir: str) -> dict:
 # entry point
 # ---------------------------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="soqd",
-        description="Second-order decoherence sweeps for a two-mode boson "
-                    "field probed by a two-oscillator detector.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_sweep = sub.add_parser("sweep", help="run a sweep from a JSON config")
-    p_sweep.add_argument("--config", required=True, help="path to config JSON")
-    p_sweep.set_defaults(func=_cmd_sweep)
-
-    p_fig = sub.add_parser("figure", help="reproduce a preset panel")
-    p_fig.add_argument("--id", type=int, choices=(1, 2), required=True,
-                       help="preset figure id")
-    p_fig.add_argument("--panel", choices=sorted(PANEL_SETTINGS), required=True)
-    p_fig.add_argument("--out", required=True, help="output directory")
-    p_fig.set_defaults(func=_cmd_figure)
-
-    p_cmp = sub.add_parser("compare", help="cross-check the three factor paths")
-    p_cmp.add_argument("--n", type=int, required=True, help="fock occupation")
-    p_cmp.add_argument("--t", type=float, required=True, help="first time")
-    p_cmp.add_argument("--tau-max", type=float, required=True)
-    p_cmp.add_argument("--steps", type=int, default=21)
-    p_cmp.set_defaults(func=_cmd_compare)
-
-    p_gold = sub.add_parser("golden", help="regenerate pinned golden files")
-    p_gold.add_argument("--regen", action="store_true", required=True,
-                        help="confirm regeneration (destructive)")
-    p_gold.add_argument("--out", default=os.path.join("tests", "golden"),
-                        help="golden directory (default: tests/golden)")
-    p_gold.set_defaults(func=_cmd_golden)
-    return parser
-
-
 def _cmd_sweep(args) -> int:
     config = load_sweep_config(args.config)
     points = run_sweep(config)
@@ -741,10 +704,72 @@ def _cmd_golden(args) -> int:
     return 0
 
 
+#: command -> (handler, summary, {option: (converter, default, choices)}); a
+#: default of ... marks a required option, and converter bool a flag
+_COMMANDS = {
+    "sweep": (_cmd_sweep, "run a sweep from a JSON config", {"--config": (str, ..., ())}),
+    "figure": (_cmd_figure, "reproduce a preset panel (CSV + SVG) into a directory",
+               {"--id": (int, ..., (1, 2)), "--panel": (str, ..., tuple(sorted(PANEL_SETTINGS))),
+                "--out": (str, ..., ())}),
+    "compare": (_cmd_compare, "cross-check closed form vs quadrature vs dense oracle",
+                {"--n": (int, ..., ()), "--t": (float, ..., ()), "--tau-max": (float, ..., ()),
+                 "--steps": (int, 21, ())}),
+    "golden": (_cmd_golden, "regenerate the pinned golden files (destructive)",
+               {"--regen": (bool, ..., ()), "--out": (str, os.path.join("tests", "golden"), ())}),
+}
+
+
+def _print_usage(commands) -> int:
+    print("usage (options by exact name, as --name value or --name=value):")
+    for command, (_, summary, options) in commands.items():
+        words = [f"[{name}={default}]" if default is not ... else name if convert is bool
+                 else f"{name} {'|'.join(map(str, choices)) or convert.__name__}"
+                 for name, (convert, default, choices) in options.items()]
+        print(f"  soqd {command} {' '.join(words)}\n      {summary}")
+    return 0
+
+
+def _parse(argv: list):
+    """(handler, args) of ``argv`` read against _COMMANDS, (_print_usage, table) for help.
+    A value starting with '-' is a value; a repeated option keeps its last."""
+    if not argv or argv[0] in ("-h", "--help"):
+        return _print_usage, _COMMANDS
+    command, rest = argv[0], iter(argv[1:])
+    if command not in _COMMANDS:
+        raise ConfigError(f"unknown command {command!r}, expected one of {', '.join(_COMMANDS)}")
+    handler, _, options = _COMMANDS[command]
+    values = {name: default for name, (_, default, _) in options.items()}
+    for arg in rest:
+        if arg in ("-h", "--help"):
+            return _print_usage, {command: _COMMANDS[command]}
+        name, eq, value = arg.partition("=")
+        if name not in options or eq and options[name][0] is bool:
+            raise ConfigError(f"{command}: unknown option {arg!r}")
+        convert, _, choices = options[name]
+        if convert is bool:
+            values[name] = True
+            continue
+        value = value if eq else next(rest, None)
+        if value is None:
+            raise ConfigError(f"{command}: {name} needs a value")
+        try:
+            values[name] = convert(value)
+        except ValueError:
+            values[name] = None
+        if values[name] is None or choices and values[name] not in choices:
+            kind = "|".join(map(str, choices)) or convert.__name__
+            raise ConfigError(f"{command}: {name} takes {kind}, got {value!r}")
+    missing = [name for name, value in values.items() if value is ...]
+    if missing:
+        raise ConfigError(f"{command}: missing {', '.join(missing)}")
+    return handler, SimpleNamespace(**{name[2:].replace("-", "_"): value
+                                       for name, value in values.items()})
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        handler, args = _parse(sys.argv[1:] if argv is None else list(argv))
+        return handler(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

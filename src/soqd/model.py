@@ -325,7 +325,7 @@ class CorrelationPoint:
     ascending.  Raises NonFiniteParameter, naming the first bad entry,
     when a t or tau is NaN or infinite; UnphysicalFactor, naming the worst
     entry, when any f or g leaves its physical range by more than
-    UNIT_BOUND_SLACK (NaN included); and ValueError when the columns differ
+    UNIT_BOUND_SLACK (NaN included); and ConfigError when the columns differ
     in length.
     """
 
@@ -341,7 +341,7 @@ class CorrelationPoint:
             object.__setattr__(self, name, column)
             shapes.append(column.shape)
         if len(set(shapes)) != 1 or len(shapes[0]) != 1:
-            raise ValueError(f"t, tau, f and g must be 1-D and of one length, got shapes {shapes}")
+            raise ConfigError(f"t, tau, f and g must be 1-D and of one length, got shapes {shapes}")
         for name in ("t", "tau"):
             column = getattr(self, name)
             bad = np.flatnonzero(~np.isfinite(column))

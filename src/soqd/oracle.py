@@ -66,9 +66,9 @@ def sector_hamiltonian(params: ModelParams, m: int, n_sys: int, sector: int) -> 
     g*sqrt((k+1)*(sector-k)) from the two-mode ladder algebra.
     """
     if m not in (0, 1) or n_sys not in (0, 1):
-        raise ValueError(f"internal populations must be 0 or 1, got ({m}, {n_sys})")
+        raise ConfigError(f"internal populations must be 0 or 1, got ({m}, {n_sys})")
     if sector < 0:
-        raise ValueError(f"sector must be >= 0, got {sector}")
+        raise ConfigError(f"sector must be >= 0, got {sector}")
     g = params.d_e * m + params.d_g * n_sys
     k = np.arange(sector + 1)
     h = np.zeros((sector + 1, sector + 1))

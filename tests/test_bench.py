@@ -1,4 +1,5 @@
-"""Smoke run of the stage-timing script bench/run.py: one tiny run of each stage."""
+"""Smoke run of the stage-timing script bench/run.py: one tiny run of each stage,
+the whole soqd compare command included."""
 
 import importlib.util
 import json
@@ -38,4 +39,9 @@ def test_bench_smoke_run_times_every_stage(tmp_path, capsys):
         for metric in [f"{name}_ms_per_call" for name in bench.METHODS] + [
                 "quadrature_ns_per_node"]:
             assert entry[metric]["median"] > 0
+        # the whole command, spawn to exit, holds its post-import part
+        wall, post = entry["command_wall_ms"]["median"], entry["command_post_import_ms"]["median"]
+        assert 0 < post < wall
     assert crosscheck["import_ms"]["median"] > 0 and crosscheck["peak_rss_mib"]["median"] > 0
+    assert 0 < crosscheck["command_post_import_ms_total"]["median"] < (
+        crosscheck["command_wall_ms_total"]["median"])

@@ -339,6 +339,19 @@ def test_read_csv_refuses_a_late_row_that_is_not_utf8(tmp_path):
         read_points_csv(str(path))
 
 
+def test_read_csv_refuses_an_early_byte_that_is_not_utf8(tmp_path):
+    """A byte that is not UTF-8 within the first read, in a row or in the
+    header, is a ConfigError too, through a path or a handle."""
+    for name in ("o.csv", "o.csv.gz"):
+        path = tmp_path / name
+        path.write_bytes(f"{CSV_HEADER}\n{GOOD_ROW}\n".encode() + b"0,0.5,\xff\n")
+        with pytest.raises(ConfigError, match="malformed row: 'utf-8' codec"):
+            read_points_csv(str(path))
+        path.write_bytes(CSV_HEADER.encode() + b"\xff\n" + f"{GOOD_ROW}\n".encode())
+        with pytest.raises(ConfigError, match="bad header"):
+            read_points_csv(str(path))
+
+
 # per-row reference writers: each row is formatted on its own, from Python
 # floats, as the writers did before they formatted blocks of rows
 
@@ -850,12 +863,14 @@ def test_main_compare_bad_args_exits_2(capsys):
 
 
 def test_main_compare_refuses_negative_time(capsys):
-    rc = main(["compare", "--n", "2", "--t", "-1", "--tau-max", "2", "--steps", "5"])
-    assert rc == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "measurement times must be >= 0, got -1.0" in captured.err
-    assert "Traceback" not in captured.err
+    """A value that starts with '-' is a value, given apart or after '='."""
+    for t in (["--t", "-1"], ["--t=-1"]):
+        rc = main(["compare", "--n", "2", *t, "--tau-max", "2", "--steps", "5"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "measurement times must be >= 0, got -1.0" in captured.err
+        assert "Traceback" not in captured.err
 
 
 def test_main_compare_refuses_negative_occupation(capsys):
@@ -895,10 +910,68 @@ def test_main_figure_ok(tmp_path, capsys):
     assert (tmp_path / "fig1a.svg").exists()
 
 
-def test_main_rejects_unknown_panel(tmp_path):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["figure", "--id", "1", "--panel", "z", "--out", str(tmp_path)])
-    assert excinfo.value.code == 2
+def test_main_rejects_unknown_panel(tmp_path, capsys):
+    assert main(["figure", "--id", "1", "--panel", "z", "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: figure: --panel takes a|b|c|d|e|f, got 'z'\n"
+    assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bogus"], "unknown command 'bogus'"),
+    (["--n", "2", "compare"], "unknown command '--n'"),
+    # an abbreviation is an unknown option
+    (["compare", "--n", "2", "--t", "0", "--tau", "1"], "compare: unknown option '--tau'"),
+    (["sweep", "config.json"], "sweep: unknown option 'config.json'"),
+    (["golden", "--regen=yes"], "golden: unknown option '--regen=yes'"),
+    (["compare", "--n", "2", "--t", "0", "--tau-max"], "compare: --tau-max needs a value"),
+    (["compare", "--n", "2", "--t", "0"], "compare: missing --tau-max"),
+    (["figure", "--out", "figs"], "figure: missing --id, --panel"),
+    (["golden", "--out", "golden"], "golden: missing --regen"),
+    (["compare", "--n", "x", "--t", "0", "--tau-max", "1"], "compare: --n takes int, got 'x'"),
+    (["compare", "--n=2", "--t", "0", "--tau-max", "1", "--steps=2.5"],
+     "compare: --steps takes int, got '2.5'"),
+    (["compare", "--n", "2", "--t", "zero", "--tau-max", "1"], "compare: --t takes float"),
+    (["figure", "--id", "3", "--panel", "a", "--out", "figs"], "figure: --id takes 1|2, got '3'"),
+])
+def test_main_refuses_a_usage_error_with_exit_2(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ") and message in captured.err
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert not os.listdir(tmp_path)
+
+
+def test_main_reads_name_equals_value_and_keeps_a_repeated_option_last(capsys):
+    assert main(["compare", "--n", "10", "--t", "0", "--tau-max", "2", "--steps", "5"]) == 0
+    spaced = capsys.readouterr().out
+    assert main(["compare", "--n=10", "--t=0", "--tau-max=2", "--steps", "9", "--steps=5"]) == 0
+    assert capsys.readouterr().out == spaced
+    assert len(spaced.splitlines()) == 7
+
+
+@pytest.mark.parametrize("argv, commands", [
+    ([], 4), (["-h"], 4), (["--help"], 4), (["compare", "-h"], 1),
+    (["golden", "--help"], 1), (["compare", "--n", "2", "--help"], 1)])
+def test_main_help_prints_the_usage_and_exits_0(monkeypatch, capsys, argv, commands):
+    monkeypatch.setattr(sys, "argv", ["soqd", *argv])
+    assert main() == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert lines[0].startswith("usage") and "--name=value" in lines[0]
+    synopses = [line.strip() for line in lines if line.startswith("  soqd ")]
+    assert len(synopses) == commands == len(lines[1:]) // 2
+    assert ("soqd compare --n int --t float --tau-max float [--steps=21]" in synopses) == (
+        commands == 4 or argv[0] == "compare")
+    if commands == 4:
+        assert synopses == ["soqd sweep --config str",
+                            "soqd figure --id 1|2 --panel a|b|c|d|e|f --out str",
+                            "soqd compare --n int --t float --tau-max float [--steps=21]",
+                            f"soqd golden --regen [--out={os.path.join('tests', 'golden')}]"]
 
 
 #: the dense oracle runs LAPACK eigh and BLAS zgemm, which promise no bits:
@@ -951,6 +1024,17 @@ def test_module_entry_point_subprocess(tmp_path):
     assert (tmp_path / "out.csv").exists()
 
 
+def run_script(script, *args):
+    """``python -c script *args`` with this soqd first on the path."""
+    src = os.path.dirname(os.path.dirname(cli_module.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))}
+    proc = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
 def test_figure_loads_no_numpy_ma_and_import_loads_no_svg_kernel(tmp_path):
     """The SVG kernel is compiled on the first plot, not by import soqd,
     and no figure run pulls in numpy.ma."""
@@ -958,10 +1042,14 @@ def test_figure_loads_no_numpy_ma_and_import_loads_no_svg_kernel(tmp_path):
               "loaded = 'soqd._fixed2' in sys.modules\n"
               "soqd.main(['figure', '--id', '2', '--panel', 'e', '--out', sys.argv[1]])\n"
               "print(loaded, 'numpy.ma' in sys.modules, 'soqd._fixed2' in sys.modules)\n")
-    src = os.path.dirname(os.path.dirname(cli_module.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))}
-    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False False True"
+    assert run_script(script, str(tmp_path)) == "False False True"
+
+
+def test_compare_loads_no_argparse_gettext_or_locale():
+    """Reading the command line imports nothing: neither import soqd nor a
+    compare run loads argparse, or the gettext and locale it pulls in."""
+    script = ("import sys, soqd\n"
+              "rc = soqd.main(['compare', '--n', '4', '--t', '0', '--tau-max', '1',"
+              " '--steps', '3'])\n"
+              "print(rc, sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n")
+    assert run_script(script) == "0 []"

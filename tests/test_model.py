@@ -125,9 +125,9 @@ def test_correlation_point_holds_equal_length_columns():
     taus = np.linspace(0.0, 1.0, 5)
     points = CorrelationPoint(np.zeros(5), taus, np.full(5, 0.5j), np.full(5, 0.5))
     assert len(points) == 5
-    with pytest.raises(ValueError, match="one length"):
+    with pytest.raises(ConfigError, match="one length"):
         CorrelationPoint(np.zeros(5), taus, np.full(4, 0.5j), np.full(5, 0.5))
-    with pytest.raises(ValueError, match="1-D"):
+    with pytest.raises(ConfigError, match="1-D"):
         CorrelationPoint(np.zeros((1, 5)), taus[None], np.full((1, 5), 0.5j),
                          np.full((1, 5), 0.5))
 

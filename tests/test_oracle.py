@@ -74,9 +74,9 @@ def test_sector_hamiltonian_ladder_weights(preset_params):
 
 
 def test_sector_hamiltonian_rejects_bad_populations(preset_params):
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="internal populations"):
         sector_hamiltonian(preset_params, 2, 0, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="sector must be >= 0"):
         sector_hamiltonian(preset_params, 1, 0, -1)
 
 
