@@ -32,6 +32,13 @@ oracle (``decoherence_factor_oracle_fock``) in ms per call, the quadrature
 (``decoherence_factor_fock_quadrature``) in ms per call and in ns per node,
 a node being one t' x radial x angular point.
 
+The oracle stage runs, in its own fresh interpreter, the oracle sweep of
+the ``crosscheck`` workload: a coherent |beta0|^2 = 10 preparation at its
+certified cutoff (46 sectors), t in {0, 10} x 2 tau, as one
+``decoherence_factor_oracle_coherent`` call, ``--calls`` times.  It
+reports ms per call (the first included) and the ``numpy.linalg.eigh``
+calls per call, counted by wrapping ``eigh`` from outside.
+
 The command stage then runs the whole ``soqd compare`` on each of those
 cells (``--tau-max 4 --steps 11``), one fresh interpreter per cell, as
 ``python -m soqd`` runs it (``runpy.run_module("soqd", run_name="__main__",
@@ -70,6 +77,8 @@ CROSSCHECK_CELLS = tuple((n, t) for n in (10, 40, 160) for t in (0.0, 10.0))
 CROSSCHECK_TAUS = 11
 CROSSCHECK_TAU_MAX = 4.0
 METHODS = ("oracle", "closed", "quadrature")
+#: the crosscheck workload's oracle sweep: coherent |beta0|^2, t values, tau
+ORACLE_SWEEP = (10.0, (0.0, 10.0), (0.5, 2.5))
 #: a compare run as ``python -m soqd`` runs it, once ``import soqd`` has
 #: stamped the clock on stderr
 COMMAND_CHILD = ("import sys, time\n"
@@ -158,6 +167,39 @@ def _crosscheck_child(calls: int) -> None:
     print(json.dumps({"import_s": t_import, "cells": cells, "peak_rss_mib": peak}))
 
 
+def _oracle_child(calls: int) -> None:
+    """Time the crosscheck oracle sweep ``calls`` times in this fresh
+    process, counting numpy.linalg.eigh calls; print both as JSON."""
+    import math
+    import time
+
+    import numpy as np
+
+    import soqd
+    from soqd.cli import FIGURE_PARAMS as params
+    from soqd.oracle import min_cutoff
+
+    eighs = []
+    real_eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        eighs.append(a.shape)
+        return real_eigh(a, *args, **kwargs)
+
+    np.linalg.eigh = counting
+    x, t_values, taus = ORACLE_SWEEP
+    beta0 = complex(math.sqrt(x))
+    cutoff = min_cutoff(abs(beta0) ** 2)
+    t = np.repeat(t_values, len(taus))
+    t_prime = t + np.tile(taus, len(t_values))
+    start = time.perf_counter()
+    for _ in range(calls):
+        soqd.decoherence_factor_oracle_coherent(params, beta0, t, t_prime, cutoff)
+    seconds = (time.perf_counter() - start) / calls
+    print(json.dumps({"s_per_call": seconds, "sectors": cutoff + 1,
+                      "eigh_per_call": len(eighs) / calls}))
+
+
 def _fingerprint() -> dict:
     import ctypes
     import glob
@@ -204,14 +246,16 @@ def _quartiles(samples: list) -> dict:
     return {"median": at(0.5), "iqr": [at(0.25), at(0.75)]}
 
 
-def _run_child(src: str, config: dict | None = None, calls: int | None = None) -> dict:
-    """One fresh child: the sweep of ``config``, or the crosscheck stage
-    with ``calls`` calls per method and cell."""
+def _run_child(src: str, config: dict | None = None, calls: int | None = None,
+               stage: str = "--crosscheck-child") -> dict:
+    """One fresh child: the sweep of ``config``, or ``stage`` (the
+    crosscheck or the oracle stage) with ``calls`` calls per method and
+    cell."""
     # a new directory per child, as each benchmark job has: overwriting
     # the last child's output would add the truncation of its files
     with tempfile.TemporaryDirectory() as work:
         if config is None:
-            child = ["--crosscheck-child", str(calls)]
+            child = [stage, str(calls)]
         else:
             child = ["--child", os.path.join(work, "config.json")]
             with open(child[1], "w", encoding="utf-8") as fh:
@@ -243,9 +287,11 @@ def _run_command(src: str, n: int, t: float) -> dict:
 
 def measure(columns: dict, runs: int, steps: int, calls: int):
     """({label: {config: {metric: quartiles}}}, {label: crosscheck
-    quartiles}) over ``runs`` fresh children of each kind."""
+    quartiles}, {label: oracle quartiles}) over ``runs`` fresh children of
+    each kind."""
     samples = {label: {name: [] for name in CONFIGS} for label in columns}
     crosscheck = {label: [] for label in columns}
+    oracle = {label: [] for label in columns}
     commands = {label: [] for label in columns}
     for r in range(runs):
         order = list(columns) if r % 2 == 0 else list(columns)[::-1]
@@ -257,10 +303,20 @@ def measure(columns: dict, runs: int, steps: int, calls: int):
                               output_format="csv", emit_plot=True)
                 samples[label][name].append(_run_child(columns[label], config))
             crosscheck[label].append(_run_child(columns[label], calls=calls))
+            oracle[label].append(_run_child(columns[label], calls=calls,
+                                            stage="--oracle-child"))
             commands[label].append({f"n{n}-t{t:g}": _run_command(columns[label], n, t)
                                     for n, t in CROSSCHECK_CELLS})
-    return _sweep_report(samples), {label: _crosscheck_report(results, commands[label])
-                                    for label, results in crosscheck.items()}
+    return (_sweep_report(samples),
+            {label: _crosscheck_report(results, commands[label])
+             for label, results in crosscheck.items()},
+            {label: _oracle_report(results) for label, results in oracle.items()})
+
+
+def _oracle_report(results: list) -> dict:
+    return {"sectors": results[0]["sectors"],
+            "eigh_per_call": results[0]["eigh_per_call"],
+            "ms_per_call": _quartiles([1e3 * x["s_per_call"] for x in results])}
 
 
 def _crosscheck_report(results: list, commands: list) -> dict:
@@ -314,6 +370,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", help="write the report here as JSON")
     parser.add_argument("--child", help=argparse.SUPPRESS)
     parser.add_argument("--crosscheck-child", type=int, help=argparse.SUPPRESS)
+    parser.add_argument("--oracle-child", type=int, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
         _child(args.child)
@@ -321,13 +378,17 @@ def main(argv=None) -> int:
     if args.crosscheck_child is not None:
         _crosscheck_child(args.crosscheck_child)
         return 0
+    if args.oracle_child is not None:
+        _oracle_child(args.oracle_child)
+        return 0
     if args.calls < 1:
         parser.error("--calls must be >= 1")
     columns = dict(spec.split("=", 1) for spec in args.column) or {
         "change": os.path.join(ROOT, "src")}
-    sweep, crosscheck = measure(columns, args.runs, args.steps, args.calls)
+    sweep, crosscheck, oracle = measure(columns, args.runs, args.steps, args.calls)
     report = {"host": _fingerprint(), "runs": args.runs, "steps_per_t": args.steps,
-              "calls": args.calls, "columns": sweep, "crosscheck": crosscheck}
+              "calls": args.calls, "columns": sweep, "crosscheck": crosscheck,
+              "oracle": oracle}
     text = json.dumps(report, indent=1)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -681,8 +681,9 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    if args.n < 0 or args.steps < 2 or not 0 < args.tau_max < math.inf:
-        raise ConfigError("compare needs --n >= 0, --steps >= 2 and a finite --tau-max > 0")
+    if args.n < 0 or not 2 <= args.steps <= MAX_SWEEP_ROWS or not 0 < args.tau_max < math.inf:
+        raise ConfigError(f"compare needs --n >= 0, 2 <= --steps <= {MAX_SWEEP_ROWS} "
+                          "and a finite --tau-max > 0")
     if not math.isfinite(args.t):
         raise ConfigError(f"compare needs a finite --t, got {args.t}")
     tau_grid = np.linspace(0.0, args.tau_max, args.steps)

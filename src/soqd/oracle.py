@@ -3,7 +3,8 @@
 The exchange coupling conserves the total occupation n1 + n2, so the
 two-mode Hilbert space splits into sectors of fixed total n.  Inside
 sector n we build the (n+1) x (n+1) real symmetric Hamiltonians H11, H10
-and H01 explicitly and eigendecompose each once: every propagator
+and H01 explicitly, stacked as one array from a shared diagonal and
+ladder band, and eigendecompose the stack in one call: every propagator
 exp(-i H d) is then V diag(exp(-i lambda d)) V^T, for any duration d, so
 one eigensystem set per sector serves a whole (t, t') grid (the
 eigenvector method for normal matrices).  The start vector is pushed
@@ -35,8 +36,7 @@ __all__ = [
     "SECTOR_GUARD",
     "MIXTURE_TAIL_TARGET",
     "min_cutoff",
-    "sector_hamiltonian",
-    "sector_propagator",
+    "sector_hamiltonians",
     "decoherence_factor_oracle_fock",
     "CoherentOracleResult",
     "decoherence_factor_oracle_coherent",
@@ -55,47 +55,26 @@ MIXTURE_TAIL_TARGET = 2.0 ** -53
 _TAU_BLOCK = 256
 
 
-def sector_hamiltonian(params: ModelParams, m: int, n_sys: int, sector: int) -> np.ndarray:
-    """Sector-restricted step Hamiltonian for internal populations (m, n_sys).
+def sector_hamiltonians(params: ModelParams, sector: int) -> np.ndarray:
+    """The sector's H11, H10 and H01 as one real (3, sector + 1, sector + 1) array.
 
-    A real symmetric (sector + 1) x (sector + 1) array: basis vector k is
-    the product state with k quanta in mode 1 and sector - k in mode 2,
-    so index 0 is the mode-1-empty state.  The exchange strength is
-    g = d_e*m + d_g*n_sys.  Diagonal entries are omega1*k +
-    omega2*(sector - k); the sub/super-diagonal carries
-    g*sqrt((k+1)*(sector-k)) from the two-mode ladder algebra.
+    Basis vector k is the product state with k quanta in mode 1 and
+    sector - k in mode 2, so index 0 is the mode-1-empty state.  The three
+    share the diagonal omega1*k + omega2*(sector - k) and the ladder roots
+    sqrt((k+1)*(sector-k)) of the two-mode exchange on the sub/super-
+    diagonal, scaled by the couplings d_e + d_g, d_e and d_g of the
+    internal populations (1, 1), (1, 0) and (0, 1).
     """
-    if m not in (0, 1) or n_sys not in (0, 1):
-        raise ConfigError(f"internal populations must be 0 or 1, got ({m}, {n_sys})")
     if sector < 0:
         raise ConfigError(f"sector must be >= 0, got {sector}")
-    g = params.d_e * m + params.d_g * n_sys
     k = np.arange(sector + 1)
-    h = np.zeros((sector + 1, sector + 1))
-    h[k, k] = params.omega1 * k + params.omega2 * (sector - k)
-    if sector > 0:
-        kk = k[:-1]
-        off = g * np.sqrt((kk + 1.0) * (sector - kk))
-        h[kk, kk + 1] = off
-        h[kk + 1, kk] = off
+    h = np.zeros((3, sector + 1, sector + 1))
+    h[:, k, k] = params.omega1 * k + params.omega2 * (sector - k)
+    kk = k[:-1]
+    off = np.multiply.outer([params.d_e + params.d_g, params.d_e, params.d_g],
+                            np.sqrt((kk + 1.0) * (sector - kk)))
+    h[:, kk, kk + 1] = h[:, kk + 1, kk] = off
     return h
-
-
-def _eigensystem(h: np.ndarray):
-    """Eigenvalues and orthonormal eigenvectors (columns) of a sector Hamiltonian."""
-    try:
-        return np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:
-        raise EigenFailure(f"sector-{len(h) - 1} eigendecomposition failed: {exc}") from exc
-
-
-def sector_propagator(h: np.ndarray, duration: float) -> np.ndarray:
-    """exp(-i * H * duration) via Hermitian eigendecomposition.
-
-    Negative durations are allowed and give the inverse propagator.
-    """
-    evals, vecs = _eigensystem(h)
-    return (vecs * np.exp(-1j * evals * duration)) @ vecs.conj().T
 
 
 def _evolve(system, duration, v: np.ndarray) -> np.ndarray:
@@ -116,13 +95,19 @@ def _sector_factor(params: ModelParams, n: int, t,
                    t_primes: np.ndarray) -> np.ndarray:
     """Sector-n factor at every entry of the 1-D array ``t_primes``.
 
-    ``t`` is a scalar or one value per entry of ``t_primes``.  Applies
-    exp(-iH11 t), exp(+iH10 t), exp(-iH10 t'), exp(+iH01 t'),
+    ``t`` is a scalar or one value per entry of ``t_primes``.  The three
+    sector Hamiltonians are eigendecomposed in one stacked eigh call, which
+    runs the same LAPACK routine on each as three separate calls would.
+    Applies exp(-iH11 t), exp(+iH10 t), exp(-iH10 t'), exp(+iH01 t'),
     exp(-iH01 t), exp(+iH11 t) to the mode-1-empty basis vector, in that
-    order, and reads its own component back.
+    order, and reads its own component back.  Raises EigenFailure if
+    LAPACK does not converge.
     """
-    h11, h10, h01 = (_eigensystem(sector_hamiltonian(params, m, n_sys, n))
-                     for m, n_sys in ((1, 1), (1, 0), (0, 1)))
+    try:
+        evals, vecs = np.linalg.eigh(sector_hamiltonians(params, n))
+    except np.linalg.LinAlgError as exc:
+        raise EigenFailure(f"sector-{n} eigendecomposition failed: {exc}") from exc
+    h11, h10, h01 = zip(evals, vecs)
     start = np.zeros((n + 1, 1), dtype=complex)
     start[0] = 1.0
     out = np.empty(t_primes.size, dtype=complex)
@@ -208,9 +193,9 @@ def decoherence_factor_oracle_coherent(params: ModelParams, beta0: complex,
     w_n = exp(-x) x^n / n!, x = |beta0|^2.  Each |F_n| <= 1, so the
     truncation error is bounded by the discarded tail mass, whose upper
     bound is returned alongside the value.  Sectors are evaluated one at a
-    time, each eigendecomposed once for the whole grid; ``t`` and
-    ``t_prime`` broadcast as in decoherence_factor_oracle_fock, and an
-    array gives one value per entry.  Raises CutoffTooSmall when the
+    time, each with one stacked eigendecomposition for the whole grid;
+    ``t`` and ``t_prime`` broadcast as in decoherence_factor_oracle_fock,
+    and an array gives one value per entry.  Raises CutoffTooSmall when the
     cutoff's certified tail exceeds MIXTURE_TAIL_TARGET (cutoff below
     min_cutoff(x)), and SectorTooLarge above SECTOR_GUARD.
     """

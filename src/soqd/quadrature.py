@@ -8,11 +8,12 @@ and the integral is taken on Gauss-Laguerre (radial) x uniform trapezoid
 (angular) nodes.  The image of (0, beta) comes from this module's own
 transform: the three real symmetric single-quantum Hamiltonians
 [[omega1, g], [g, omega2]] with g = d_e*m + d_g*n_sys are eigendecomposed
-once per call, and the mode-2 unit vector is pushed through the six
-propagators in the order the measurement sequence applies them.  Nothing
-comes from the closed form (no schedule table, no half-angle step
-kernel, no m22**n) or from the oracle, so a sign or ordering mistake in
-either of those shows up as a disagreement with this path.
+together, in one stacked call per factor call, and the mode-2 unit vector
+is pushed through the six propagators in the order the measurement
+sequence applies them.  Nothing comes from the closed form (no schedule
+table, no half-angle step kernel, no m22**n) or from the oracle, so a
+sign or ordering mistake in either of those shows up as a disagreement
+with this path.
 
 The per-node kernel runs on separate real and imaginary float64 arrays.
 Every node forms its own image b6 = m22*beta and takes its own
@@ -103,16 +104,15 @@ def _gauss_laguerre_log(order: int):
 
 
 def _single_quantum_eigensystems(params: ModelParams):
-    """eigh of [[omega1, g], [g, omega2]] for (m, n_sys) = (1, 1), (1, 0), (0, 1)."""
-    systems = []
-    for m, n_sys in ((1, 1), (1, 0), (0, 1)):
-        g = params.d_e * m + params.d_g * n_sys
-        try:
-            systems.append(np.linalg.eigh(np.array([[params.omega1, g],
-                                                    [g, params.omega2]])))
-        except np.linalg.LinAlgError as exc:
-            raise EigenFailure(f"single-quantum eigendecomposition failed: {exc}") from exc
-    return systems
+    """Eigensystems of [[omega1, g], [g, omega2]] for g = d_e + d_g, d_e, d_g,
+    the (m, n_sys) = (1, 1), (1, 0), (0, 1) couplings, from one stacked eigh."""
+    h = np.array([[[params.omega1, g], [g, params.omega2]]
+                  for g in (params.d_e + params.d_g, params.d_e, params.d_g)])
+    try:
+        evals, vecs = np.linalg.eigh(h)
+    except np.linalg.LinAlgError as exc:
+        raise EigenFailure(f"single-quantum eigendecomposition failed: {exc}") from exc
+    return list(zip(evals, vecs))
 
 
 def _apply(a: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -45,3 +45,7 @@ def test_bench_smoke_run_times_every_stage(tmp_path, capsys):
     assert crosscheck["import_ms"]["median"] > 0 and crosscheck["peak_rss_mib"]["median"] > 0
     assert 0 < crosscheck["command_post_import_ms_total"]["median"] < (
         crosscheck["command_wall_ms_total"]["median"])
+    # the crosscheck oracle sweep: one stacked eigh per sector per call
+    oracle = report["oracle"]["change"]
+    assert oracle["sectors"] == 46 and oracle["eigh_per_call"] == 46
+    assert oracle["ms_per_call"]["median"] > 0

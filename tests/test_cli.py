@@ -893,6 +893,33 @@ def test_main_compare_refuses_non_finite_times(capsys, t, tau_max):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("steps", [10 ** 13, MAX_SWEEP_ROWS + 1])
+def test_main_compare_refuses_more_steps_than_a_sweep_has_rows(capsys, steps):
+    """--steps is capped as a sweep's rows are, before the tau grid is
+    allocated: 10^13 steps asked numpy for 72.8 TiB."""
+    rc = main(["compare", "--n", "2", "--t", "0", "--tau-max", "1", "--steps", str(steps)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: compare needs")
+    assert f"--steps <= {MAX_SWEEP_ROWS}" in captured.err
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+def test_main_compare_accepts_steps_up_to_the_cap(monkeypatch, capsys):
+    grids = []
+
+    def forced_failure(params, n, t, tau_grid):
+        grids.append(tau_grid.size)
+        raise ToleranceExceeded("forced", None)
+
+    monkeypatch.setattr("soqd.cli.compare_methods", forced_failure)
+    argv = ["compare", "--n", "2", "--t", "0", "--tau-max", "1", "--steps", str(MAX_SWEEP_ROWS)]
+    assert main(argv) == 3
+    assert grids == [MAX_SWEEP_ROWS]
+    assert "config error" not in capsys.readouterr().err
+
+
 def test_main_compare_disagreement_exits_3(monkeypatch, capsys):
     def forced_failure(*args, **kwargs):
         raise ToleranceExceeded("forced", None)

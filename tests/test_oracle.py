@@ -29,12 +29,11 @@ from soqd.oracle import (
     MIXTURE_TAIL_TARGET,
     SECTOR_GUARD,
     min_cutoff,
-    sector_hamiltonian,
-    sector_propagator,
+    sector_hamiltonians,
 )
 from soqd.propagator import echo_over_tau
 
-from test_propagator import step_transform
+from test_propagator import schedule_rows, step_transform
 
 
 def test_sector_guard_value():
@@ -42,86 +41,104 @@ def test_sector_guard_value():
     assert MIXTURE_TAIL_TARGET == 2.0 ** -53
 
 
+#: populations (m, n_sys) of the three stacked sector Hamiltonians, in order
+COUPLINGS = ((1, 1), (1, 0), (0, 1))
+
+
+def _propagator(h: np.ndarray, duration) -> np.ndarray:
+    """exp(-i H duration) as the production path forms it: _evolve on the
+    identity columns, from numpy's own eigh of H."""
+    return oracle_module._evolve(np.linalg.eigh(h), duration,
+                                 np.eye(len(h), dtype=complex))
+
+
 def test_sector_hamiltonian_single_quantum(preset_params):
-    h = sector_hamiltonian(preset_params, m=1, n_sys=1, sector=1)
-    assert h == pytest.approx(np.array([[1.3, 1.0], [1.0, 0.2]]))
+    h11, h10, h01 = sector_hamiltonians(preset_params, 1)
+    assert h11 == pytest.approx(np.array([[1.3, 1.0], [1.0, 0.2]]))
+    assert h10 == pytest.approx(np.array([[1.3, 0.8], [0.8, 0.2]]))
+    assert h01 == pytest.approx(np.array([[1.3, 0.2], [0.2, 0.2]]))
 
 
 def test_sector_hamiltonian_empty_sector(preset_params):
-    h = sector_hamiltonian(preset_params, 1, 1, sector=0)
-    assert h.shape == (1, 1) and h[0, 0] == 0
+    h = sector_hamiltonians(preset_params, 0)
+    assert h.shape == (3, 1, 1) and not h.any()
 
 
-def test_sector_hamiltonian_uncoupled_is_diagonal(preset_params):
-    h = sector_hamiltonian(preset_params, m=0, n_sys=0, sector=4)
-    assert np.count_nonzero(h - np.diag(np.diag(h))) == 0
-    assert h[2, 2] == pytest.approx(0.2 * 2 + 1.3 * 2)
+def test_sector_hamiltonian_uncoupled_is_diagonal():
+    params = ModelParams(0.2, 1.3, 0.0, 0.0, omega_e=1.0)
+    h = sector_hamiltonians(params, 4)
+    assert h.shape == (3, 5, 5)
+    for hm in h:
+        assert np.count_nonzero(hm - np.diag(np.diag(hm))) == 0
+        assert hm[2, 2] == pytest.approx(0.2 * 2 + 1.3 * 2)
 
 
 def test_sector_hamiltonian_is_hermitian(rng):
     for _ in range(20):
         w1, w2, de, dg = rng.uniform(-2, 2, size=4)
         params = ModelParams(w1, w2, de, dg, omega_e=1.0)
-        h = sector_hamiltonian(params, 1, 0, sector=int(rng.integers(0, 12)))
-        assert np.max(np.abs(h - h.conj().T)) <= 1e-12
+        h = sector_hamiltonians(params, int(rng.integers(0, 12)))
+        assert h.dtype == float and np.array_equal(h, h.transpose(0, 2, 1))
 
 
 def test_sector_hamiltonian_ladder_weights(preset_params):
-    h = sector_hamiltonian(preset_params, 1, 0, sector=3)
+    h = sector_hamiltonians(preset_params, 3)
     k = np.arange(3)
-    expected = preset_params.d_e * np.sqrt((k + 1) * (3 - k))
-    assert h[k, k + 1] == pytest.approx(expected)
+    root = np.sqrt((k + 1) * (3 - k))
+    for hm, (m, n_sys) in zip(h, COUPLINGS):
+        g = preset_params.d_e * m + preset_params.d_g * n_sys
+        assert hm[k, k + 1] == pytest.approx(g * root)
 
 
-def test_sector_hamiltonian_rejects_bad_populations(preset_params):
-    with pytest.raises(ConfigError, match="internal populations"):
-        sector_hamiltonian(preset_params, 2, 0, 1)
+def test_sector_hamiltonians_reject_a_negative_sector(preset_params):
     with pytest.raises(ConfigError, match="sector must be >= 0"):
-        sector_hamiltonian(preset_params, 1, 0, -1)
+        sector_hamiltonians(preset_params, -1)
 
 
 def test_sector_propagator_zero_duration_is_identity(preset_params):
-    h = sector_hamiltonian(preset_params, 1, 1, 5)
-    u = sector_propagator(h, 0.0)
-    assert np.max(np.abs(u - np.eye(6))) <= 1e-12
+    for h in sector_hamiltonians(preset_params, 5):
+        u = _propagator(h, 0.0)
+        assert np.max(np.abs(u - np.eye(6))) <= 1e-12
 
 
-def test_sector_propagator_diagonal_gives_elementwise_phases(preset_params):
-    h = sector_hamiltonian(preset_params, 0, 0, 3)
-    u = sector_propagator(h, 1.7)
+def test_sector_propagator_diagonal_gives_elementwise_phases():
+    params = ModelParams(0.2, 1.3, 0.0, 0.0, omega_e=1.0)
+    h = sector_hamiltonians(params, 3)[0]
+    u = _propagator(h, 1.7)
     expected = np.diag(np.exp(-1j * np.diag(h) * 1.7))
     assert np.max(np.abs(u - expected)) <= 1e-12
 
 
 def test_sector_propagator_is_unitary(preset_params, rng):
     for _ in range(10):
-        h = sector_hamiltonian(preset_params, 1, 1, int(rng.integers(1, 20)))
-        u = sector_propagator(h, float(rng.uniform(-10, 10)))
+        h = sector_hamiltonians(preset_params, int(rng.integers(1, 20)))[0]
+        u = _propagator(h, float(rng.uniform(-10, 10)))
         assert np.max(np.abs(u.conj().T @ u - np.eye(len(u)))) <= 1e-10
 
 
 def test_sector_propagator_group_property(preset_params):
-    h = sector_hamiltonian(preset_params, 1, 0, 6)
-    u = sector_propagator(h, 1.2) @ sector_propagator(h, 2.3)
-    assert np.max(np.abs(u - sector_propagator(h, 3.5))) <= 1e-10
+    h = sector_hamiltonians(preset_params, 6)[1]
+    u = _propagator(h, 1.2) @ _propagator(h, 2.3)
+    assert np.max(np.abs(u - _propagator(h, 3.5))) <= 1e-10
 
 
 def test_sector_propagator_negative_duration_inverts(preset_params):
-    h = sector_hamiltonian(preset_params, 1, 1, 4)
-    back_and_forth = sector_propagator(h, -2.0) @ sector_propagator(h, 2.0)
+    h = sector_hamiltonians(preset_params, 4)[0]
+    back_and_forth = _propagator(h, -2.0) @ _propagator(h, 2.0)
     assert np.max(np.abs(back_and_forth - np.eye(5))) <= 1e-10
 
 
 def test_sector1_propagator_is_step_transform_with_modes_swapped(preset_params):
     """Sector 1 holds one quantum in either mode; its basis lists the
     mode-1-empty state first, so entries come out swapped relative to the
-    2x2 amplitude matrix."""
-    h = sector_hamiltonian(preset_params, 1, 1, 1)
-    u = sector_propagator(h, 1.0)
-    g = preset_params.d_e + preset_params.d_g
-    m = step_transform(preset_params.omega1, preset_params.omega2, g, 1.0)
-    swapped = m[::-1, ::-1]
-    assert np.max(np.abs(u - swapped)) <= 1e-9
+    2x2 amplitude matrix.  Step k of the six-step table is exp(-i H d) of
+    one stacked coupling, with every coefficient negated on steps 2, 4, 6,
+    which is the same as negating d."""
+    h = sector_hamiltonians(preset_params, 1)
+    rows = schedule_rows(preset_params, 1.5, 4.0)
+    for row, which, sign in zip(rows, (0, 1, 1, 2, 2, 0), (1, -1, 1, -1, 1, -1)):
+        u = _propagator(h[which], sign * row[3])
+        assert np.max(np.abs(u - step_transform(*row)[::-1, ::-1])) <= 1e-9
 
 
 def test_eigen_failure_is_wrapped(preset_params, monkeypatch):
@@ -129,9 +146,8 @@ def test_eigen_failure_is_wrapped(preset_params, monkeypatch):
         raise np.linalg.LinAlgError("did not converge")
 
     monkeypatch.setattr(np.linalg, "eigh", explode)
-    h = sector_hamiltonian(preset_params, 1, 1, 2)
-    with pytest.raises(EigenFailure):
-        sector_propagator(h, 1.0)
+    with pytest.raises(EigenFailure, match="sector-2 eigendecomposition failed"):
+        decoherence_factor_oracle_fock(preset_params, 2, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -291,18 +307,22 @@ def test_oracle_coherent_reaches_large_occupation(preset_params):
 # array-valued t': one eigensystem set per sector, as-written products
 # ---------------------------------------------------------------------------
 
+def _dense_propagator(h, duration):
+    """exp(-i H duration) as a full matrix, from numpy's eigh of H."""
+    evals, vecs = np.linalg.eigh(h)
+    return (vecs * np.exp(-1j * evals * duration)) @ vecs.T
+
+
 def _as_written_fock(params, n, t, t_prime):
     """The six sector propagators multiplied as full matrices, in order."""
-    h11 = sector_hamiltonian(params, 1, 1, n)
-    h10 = sector_hamiltonian(params, 1, 0, n)
-    h01 = sector_hamiltonian(params, 0, 1, n)
+    h11, h10, h01 = sector_hamiltonians(params, n)
     product = (
-        sector_propagator(h11, -t)
-        @ sector_propagator(h01, t)
-        @ sector_propagator(h01, -t_prime)
-        @ sector_propagator(h10, t_prime)
-        @ sector_propagator(h10, -t)
-        @ sector_propagator(h11, t)
+        _dense_propagator(h11, -t)
+        @ _dense_propagator(h01, t)
+        @ _dense_propagator(h01, -t_prime)
+        @ _dense_propagator(h10, t_prime)
+        @ _dense_propagator(h10, -t)
+        @ _dense_propagator(h11, t)
     )
     return complex(product[0, 0])
 
@@ -315,7 +335,7 @@ def test_evolve_matches_the_complex_product(preset_params, rng, n, columns):
     round sums of n + 1 terms, so the bound grows like sqrt(n + 1): over
     20 seeds and the SkylakeX and Prescott OpenBLAS kernels the worst
     difference was 1.3e-15 max|v| at n = 160, 0.11 of the bound there."""
-    system = oracle_module._eigensystem(sector_hamiltonian(preset_params, 1, 0, n))
+    system = np.linalg.eigh(sector_hamiltonians(preset_params, n)[1])
     v = rng.normal(size=(n + 1, columns)) + 1j * rng.normal(size=(n + 1, columns))
     durations = rng.uniform(0.0, 10.0, columns)
     evals, vecs = system
@@ -342,6 +362,70 @@ def test_oracle_fock_array_matches_as_written_products(preset_params, n, t, taus
                for tau in taus[:5]]
     assert all(isinstance(f, complex) for f in scalars)
     assert np.max(np.abs(np.array(scalars) - got[:5])) <= 1e-12
+
+
+def _per_matrix_factor(params, n, t, t_primes):
+    """Sector-n factor from one Hamiltonian per matrix: each of the three
+    built on its own and eigendecomposed by its own eigh call, then the
+    six _evolve steps over the same column blocks as the oracle."""
+    systems = []
+    k = np.arange(n + 1)
+    kk = k[:-1]
+    for m, n_sys in COUPLINGS:
+        h = np.zeros((n + 1, n + 1))
+        h[k, k] = params.omega1 * k + params.omega2 * (n - k)
+        g = params.d_e * m + params.d_g * n_sys
+        h[kk, kk + 1] = h[kk + 1, kk] = g * np.sqrt((kk + 1.0) * (n - kk))
+        systems.append(np.linalg.eigh(h))
+    h11, h10, h01 = systems
+    evolve, block = oracle_module._evolve, oracle_module._TAU_BLOCK
+    start = np.zeros((n + 1, 1), dtype=complex)
+    start[0] = 1.0
+    out = np.empty(t_primes.size, dtype=complex)
+    for lo in range(0, t_primes.size, block):
+        tp = t_primes[lo:lo + block]
+        tb = t if np.ndim(t) == 0 else t[lo:lo + block]
+        v = evolve(h11, tb, start)
+        v = evolve(h10, -tb, v)
+        v = evolve(h10, tp, v)
+        v = evolve(h01, -tp, v)
+        v = evolve(h01, tb, v)
+        v = evolve(h11, -tb, v)
+        out[lo:lo + tp.size] = v[0]
+    return out
+
+
+@pytest.mark.parametrize("n", [0, 1, 45, 160, 512])
+def test_oracle_fock_matches_the_per_matrix_construction(preset_params, n):
+    """One stacked eigh per sector runs the same LAPACK routine on each
+    Hamiltonian as three separate calls; LAPACK promises no bits, so the
+    bound is the _evolve test's, 1e-15 sqrt(n + 1), for a scalar t and for
+    300 (t, t') pairs, which cross a column block."""
+    rng = np.random.default_rng(16)
+    t = rng.uniform(0.0, 10.0, 300)
+    t_prime = rng.uniform(0.0, 10.0, 300)
+    bound = 1e-15 * math.sqrt(n + 1)
+    got = decoherence_factor_oracle_fock(preset_params, n, 10.0, t_prime)
+    assert np.max(np.abs(got - _per_matrix_factor(preset_params, n, 10.0, t_prime))) <= bound
+    got = decoherence_factor_oracle_fock(preset_params, n, t, t_prime)
+    assert np.max(np.abs(got - _per_matrix_factor(preset_params, n, t, t_prime))) <= bound
+
+
+def test_oracle_coherent_matches_the_per_matrix_construction(preset_params):
+    """|beta0|^2 = 10 at its certified cutoff 45, t in {0, 10} x 2 tau,
+    each sector from the per-matrix construction, weighted as the oracle
+    weights it."""
+    beta0 = complex(math.sqrt(10.0))
+    x = abs(beta0) ** 2
+    cutoff = min_cutoff(x)
+    t = np.array([0.0, 0.0, 10.0, 10.0])
+    t_prime = t + np.array([0.5, 2.5, 0.5, 2.5])
+    want = np.zeros(t.size, dtype=complex)
+    for n in range(cutoff + 1):
+        w = math.exp(-x + n * math.log(x) - math.lgamma(n + 1.0))
+        want += w * _per_matrix_factor(preset_params, n, t, t_prime)
+    got = decoherence_factor_oracle_coherent(preset_params, beta0, t, t_prime, cutoff).value
+    assert np.max(np.abs(got - want)) <= 1e-15 * math.sqrt(cutoff + 1)
 
 
 def test_oracle_coherent_array_matches_scalar_calls(preset_params):
@@ -397,9 +481,9 @@ def _count_eigh(monkeypatch):
 def test_compare_eigendecomposes_each_hamiltonian_once(preset_params, monkeypatch):
     calls = _count_eigh(monkeypatch)
     compare_methods(preset_params, 12, 10.0, np.linspace(0.0, 10.0, 11))
-    # three sector-12 Hamiltonians for the oracle, three single-quantum
-    # ones for the quadrature's own transform
-    assert calls == [(13, 13)] * 3 + [(2, 2)] * 3
+    # one stack of the three sector-12 Hamiltonians for the oracle, one of
+    # the three single-quantum ones for the quadrature's own transform
+    assert calls == [(3, 13, 13), (3, 2, 2)]
 
 
 @pytest.mark.parametrize("steps", [1, 9])
@@ -408,7 +492,7 @@ def test_coherent_oracle_eigendecomposes_once_per_sector(preset_params, monkeypa
     calls = _count_eigh(monkeypatch)
     decoherence_factor_oracle_coherent(preset_params, 1.0 + 1.0j, 0.0,
                                        np.linspace(0.0, 3.0, steps), cutoff=25)
-    assert len(calls) == 3 * 26
+    assert calls == [(3, n + 1, n + 1) for n in range(26)]
 
 
 def test_oracle_takes_one_t_per_t_prime(preset_params):
@@ -425,8 +509,8 @@ def test_oracle_takes_one_t_per_t_prime(preset_params):
 
 def test_oracle_sweep_eigendecomposes_once_per_sector_for_every_t(tmp_path,
                                                                   monkeypatch):
-    """Two t values share one eigensystem set per sector: 3 (C + 1) eigh
-    calls, not 3 (C + 1) per t.  |beta0|^2 = 10 sums sectors 0..45."""
+    """Two t values share one eigensystem set per sector: C + 1 stacked
+    eigh calls, not C + 1 per t.  |beta0|^2 = 10 sums sectors 0..45."""
     config = sweep_config_from_json({
         "omega1": 0.2, "omega2": 1.3, "d_e": 0.8, "d_g": 0.2, "omega_e": 1.0,
         "apparatus": {"kind": "coherent", "n": 10}, "t_values": [0.0, 1.5],
@@ -436,7 +520,7 @@ def test_oracle_sweep_eigendecomposes_once_per_sector_for_every_t(tmp_path,
     calls = _count_eigh(monkeypatch)
     points = run_sweep(config)
     assert cutoff == 45
-    assert len(calls) == 3 * 46
+    assert calls == [(3, n + 1, n + 1) for n in range(46)]
     taus = np.linspace(0.0, 3.0, 7)
     for t in config.t_values:
         per_t = decoherence_factor_oracle_coherent(
