@@ -47,6 +47,15 @@ which is system-wide on Linux, to stderr.  It reports ms from spawn to
 exit (``command_wall_ms``) and from the end of ``import soqd`` to exit
 (``command_post_import_ms``), per cell and summed over the six cells.
 
+The decay stage runs, in its own fresh interpreter, the 14 searches of
+the ``decay_search`` workload: ``decoherence_time`` for a coherent and a
+number-state preparation at n in {10, 100, 10^4} x t in {0, 10}, then both
+preparations at n = 100, t = 0 under equal couplings d_e = d_g = 0.5, a
+window that never decays.  It reports ms per search and the tau points
+each search evaluates, counted by wrapping the closed form's
+``echo_over_tau`` from outside, per cell and as the mean over the 12
+reached and over the 2 never-reached searches.
+
 Columns alternate their order from run to run, so that drift of the host
 falls on both.  The host fingerprint comes with the numbers.  Only the
 standard library and numpy are used.
@@ -79,6 +88,11 @@ CROSSCHECK_TAU_MAX = 4.0
 METHODS = ("oracle", "closed", "quadrature")
 #: the crosscheck workload's oracle sweep: coherent |beta0|^2, t values, tau
 ORACLE_SWEEP = (10.0, (0.0, 10.0), (0.5, 2.5))
+#: the decay_search workload's searches: (preparation, n, t) under the
+#: preset couplings, then (preparation, n, t) under equal couplings
+DECAY_CELLS = tuple((kind, n, t) for kind in ("coherent", "fock")
+                    for n in (10, 100, 10_000) for t in (0.0, 10.0))
+DECAY_NEVER = (("coherent", 100, 0.0), ("fock", 100, 0.0))
 #: a compare run as ``python -m soqd`` runs it, once ``import soqd`` has
 #: stamped the clock on stderr
 COMMAND_CHILD = ("import sys, time\n"
@@ -200,6 +214,44 @@ def _oracle_child(calls: int) -> None:
                       "eigh_per_call": len(eighs) / calls}))
 
 
+def _decay_child() -> None:
+    """Time each decay_search search once in this fresh process, counting
+    the tau points it hands the closed form; print both as JSON."""
+    import math
+    import time
+
+    import numpy as np
+
+    import soqd
+    from soqd import correlation
+
+    points = []
+    real_echo = correlation.echo_over_tau
+
+    def counting(params, t, taus):
+        points[-1] += np.size(taus)
+        return real_echo(params, t, taus)
+
+    correlation.echo_over_tau = counting
+    preset = soqd.ModelParams(**FIGURE_PARAMS)
+    flat = soqd.ModelParams(**dict(FIGURE_PARAMS, d_e=0.5, d_g=0.5))
+    cells = {}
+    for params, suffix, searches in ((preset, "", DECAY_CELLS), (flat, "-never", DECAY_NEVER)):
+        for kind, n, t in searches:
+            state = (soqd.CoherentState(0j, complex(math.sqrt(n))) if kind == "coherent"
+                     else soqd.FockState(n))
+            points.append(0)
+            start = time.perf_counter()
+            try:
+                soqd.decoherence_time(params, state, t)
+                reached = True
+            except soqd.DecoherenceNotReached:
+                reached = False
+            cells[f"{kind}-n{n}-t{t:g}{suffix}"] = {
+                "s": time.perf_counter() - start, "points": points[-1], "reached": reached}
+    print(json.dumps({"cells": cells}))
+
+
 def _fingerprint() -> dict:
     import ctypes
     import glob
@@ -249,13 +301,13 @@ def _quartiles(samples: list) -> dict:
 def _run_child(src: str, config: dict | None = None, calls: int | None = None,
                stage: str = "--crosscheck-child") -> dict:
     """One fresh child: the sweep of ``config``, or ``stage`` (the
-    crosscheck or the oracle stage) with ``calls`` calls per method and
-    cell."""
+    crosscheck or the oracle stage with ``calls`` calls per method and
+    cell, or the decay stage)."""
     # a new directory per child, as each benchmark job has: overwriting
     # the last child's output would add the truncation of its files
     with tempfile.TemporaryDirectory() as work:
         if config is None:
-            child = [stage, str(calls)]
+            child = [stage, str(calls)] if calls is not None else [stage]
         else:
             child = ["--child", os.path.join(work, "config.json")]
             with open(child[1], "w", encoding="utf-8") as fh:
@@ -287,11 +339,12 @@ def _run_command(src: str, n: int, t: float) -> dict:
 
 def measure(columns: dict, runs: int, steps: int, calls: int):
     """({label: {config: {metric: quartiles}}}, {label: crosscheck
-    quartiles}, {label: oracle quartiles}) over ``runs`` fresh children of
-    each kind."""
+    quartiles}, {label: oracle quartiles}, {label: decay quartiles}) over
+    ``runs`` fresh children of each kind."""
     samples = {label: {name: [] for name in CONFIGS} for label in columns}
     crosscheck = {label: [] for label in columns}
     oracle = {label: [] for label in columns}
+    decay = {label: [] for label in columns}
     commands = {label: [] for label in columns}
     for r in range(runs):
         order = list(columns) if r % 2 == 0 else list(columns)[::-1]
@@ -307,10 +360,26 @@ def measure(columns: dict, runs: int, steps: int, calls: int):
                                             stage="--oracle-child"))
             commands[label].append({f"n{n}-t{t:g}": _run_command(columns[label], n, t)
                                     for n, t in CROSSCHECK_CELLS})
+            decay[label].append(_run_child(columns[label], stage="--decay-child"))
     return (_sweep_report(samples),
             {label: _crosscheck_report(results, commands[label])
              for label, results in crosscheck.items()},
-            {label: _oracle_report(results) for label, results in oracle.items()})
+            {label: _oracle_report(results) for label, results in oracle.items()},
+            {label: _decay_report(results) for label, results in decay.items()})
+
+
+def _decay_report(results: list) -> dict:
+    cells = {name: {"reached": first["reached"], "points_per_search": first["points"],
+                    "ms_per_search": _quartiles([1e3 * x["cells"][name]["s"] for x in results])}
+             for name, first in results[0]["cells"].items()}
+    report = {"cells": cells}
+    for group, reached in (("reached", True), ("never", False)):
+        names = [name for name, cell in cells.items() if cell["reached"] is reached]
+        report[f"ms_per_search_{group}"] = _quartiles(
+            [1e3 * sum(x["cells"][name]["s"] for name in names) / len(names) for x in results])
+        report[f"points_per_search_{group}"] = sum(
+            cells[name]["points_per_search"] for name in names) / len(names)
+    return report
 
 
 def _oracle_report(results: list) -> dict:
@@ -371,6 +440,7 @@ def main(argv=None) -> int:
     parser.add_argument("--child", help=argparse.SUPPRESS)
     parser.add_argument("--crosscheck-child", type=int, help=argparse.SUPPRESS)
     parser.add_argument("--oracle-child", type=int, help=argparse.SUPPRESS)
+    parser.add_argument("--decay-child", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
         _child(args.child)
@@ -381,14 +451,17 @@ def main(argv=None) -> int:
     if args.oracle_child is not None:
         _oracle_child(args.oracle_child)
         return 0
+    if args.decay_child:
+        _decay_child()
+        return 0
     if args.calls < 1:
         parser.error("--calls must be >= 1")
     columns = dict(spec.split("=", 1) for spec in args.column) or {
         "change": os.path.join(ROOT, "src")}
-    sweep, crosscheck, oracle = measure(columns, args.runs, args.steps, args.calls)
+    sweep, crosscheck, oracle, decay = measure(columns, args.runs, args.steps, args.calls)
     report = {"host": _fingerprint(), "runs": args.runs, "steps_per_t": args.steps,
               "calls": args.calls, "columns": sweep, "crosscheck": crosscheck,
-              "oracle": oracle}
+              "oracle": oracle, "decay": decay}
     text = json.dumps(report, indent=1)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -8,6 +8,7 @@ loses tau to rounding, TauUnresolved), 3 tolerance failure or unphysical
 result (UnphysicalFactor), 4 I/O failure.
 """
 
+import gc
 import json
 import math
 import os
@@ -785,5 +786,18 @@ def main(argv=None) -> int:
         return 2
 
 
+def _console() -> int:
+    """``main`` for the console script and ``python -m soqd``.
+
+    Flushes stdout, so a reader has the whole output before the
+    interpreter tears down, then moves every object into the collector's
+    permanent generation, so the collections of that teardown skip them.
+    """
+    code = main()
+    sys.stdout.flush()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(_console())

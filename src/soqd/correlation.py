@@ -29,6 +29,8 @@ from .model import (
     FockState,
     ModelParams,
     NotNormalized,
+    TAU_ROUNDING_BUDGET,
+    TauUnresolved,
     _check_unit_disk,
 )
 from .propagator import echo_over_tau
@@ -43,6 +45,10 @@ __all__ = [
 
 #: threshold search window for decoherence_time
 TAU_MAX_DEFAULT = 200.0
+
+#: decoherence_time: taus of its log-spaced bracketing grid and of each
+#: refining linspace, and the relative bracket width it stops at
+_SEARCH_GRID, _SEARCH_REFINE, _SEARCH_WIDTH = 256, 64, 1e-12
 
 #: taus per closed-form block: D and the overlap peak at about 240 bytes
 #: per tau (tracemalloc), so a long grid is evaluated this many at a time
@@ -80,7 +86,12 @@ def g2_free(c_e: complex, c_g: complex, omega_e: float, omega_g: float,
 # ---------------------------------------------------------------------------
 
 def _overlap(state: ApparatusState, d: np.ndarray) -> np.ndarray:
-    """Closed-form factor of ``state`` from D = M - I, shape (..., 2, 2).
+    """Closed-form factor of ``state`` from D = M - I: exp(_log_overlap)."""
+    return np.exp(_complex(*_log_overlap(state, d)))
+
+
+def _log_overlap(state: ApparatusState, d: np.ndarray) -> tuple:
+    """(log|F|, arg F) of ``state`` from D = M - I, shape (..., 2, 2).
 
     |F| comes from unitarity and D alone, never from M = I + D: a coherent
     preparation z0 has F = exp(z0^dagger D z0) with real part -|D z0|^2/2,
@@ -90,18 +101,19 @@ def _overlap(state: ApparatusState, d: np.ndarray) -> np.ndarray:
     log/exp, which rounds the same under every SIMD target (real log,
     log1p, exp and arctan2 do not): log1p(x) is Goldberg's
     log(u) * x/(u - 1), u = 1 + x (x itself where u == 1), so the bits
-    depend on the code alone.
+    depend on the code alone.  log|F| never underflows, as |F| can.
     """
     if isinstance(state, FockState):
         if state.n == 0:
-            return np.ones(d.shape[:-2], dtype=complex)
+            zero = np.zeros(d.shape[:-2])
+            return zero, zero
         d12, d22 = d[..., 0, 1], d[..., 1, 1]
         x = -(d12.real * d12.real + d12.imag * d12.imag)
         u = 1.0 + x
         with np.errstate(divide="ignore", invalid="ignore"):
             log1p_x = np.where(u == 1.0, x, np.log(u.astype(complex)).real * (x / (u - 1.0)))
             phase = np.log(1.0 + d22).imag
-        return np.exp(_complex(state.n * (0.5 * log1p_x), state.n * phase))
+        return state.n * (0.5 * log1p_x), state.n * phase
     prep = (state.alpha0, state.beta0)
     norm2 = dot_im = 0.0
     for k, z0 in enumerate(prep):
@@ -112,7 +124,7 @@ def _overlap(state: ApparatusState, d: np.ndarray) -> np.ndarray:
             w_im = w_im + (e.real * c.imag + e.imag * c.real)
         norm2 = norm2 + (w_re * w_re + w_im * w_im)
         dot_im = dot_im + (z0.real * w_im - z0.imag * w_re)
-    return np.exp(_complex(-0.5 * norm2, dot_im))
+    return -0.5 * norm2, dot_im
 
 
 def _complex(re, im) -> np.ndarray:
@@ -149,7 +161,7 @@ def factor_over_tau(params: ModelParams, state: ApparatusState, t: float,
 
     The closed form's one entry point: a scalar F is
     ``factor_over_tau(params, state, t, [tau])[0]``, and sweeps, figures
-    and the threshold search all run through here.  The arithmetic is
+    and ``compare`` all run through here.  The arithmetic is
     elementwise per tau, so a length-1 call gives the bits of its entry in
     a whole grid, and evaluating a long grid in blocks of _TAU_BLOCK gives
     the same bits as one call.  Raises NegativeTime where t or t + tau is
@@ -172,47 +184,33 @@ def decoherence_time(params: ModelParams, state: ApparatusState, t: float,
                      tau_max: float = TAU_MAX_DEFAULT) -> float:
     """Smallest tau > 0 with |F(t, t + tau)| below threshold.
 
-    Scans |F| on grids of doubling resolution over (0, tau_max] until the
-    first sub-threshold sample stops moving, then bisects the bracketing
-    cell down to 1e-4 absolute width.  Raises ConfigError for a threshold
-    outside (0, 1) or tau_max <= 0, and DecoherenceNotReached when |F|
-    stays above threshold across the whole window (equal couplings, empty
-    preparations).
+    One log-spaced grid of _SEARCH_GRID taus, from the smallest tau that t
+    resolves (floored at tau_max * 2**-60) up to tau_max, brackets the
+    first crossing; linspaces of _SEARCH_REFINE taus then refine the
+    bracket to a relative width of at most 1e-12 and return its midpoint.
+    Each grid is one closed-form call, decided on log|F| < log(threshold),
+    so |F| never underflows.  Raises ConfigError for a threshold outside
+    (0, 1) or tau_max <= 0, DecoherenceNotReached when |F| stays above
+    threshold across the grid (equal couplings, empty preparations), and
+    TauUnresolved when |F| is below it already at the grid's first tau
+    (n = 1e16 at t = 10).
     """
     if not 0.0 < threshold < 1.0:
         raise ConfigError(f"threshold must lie in (0, 1), got {threshold}")
     if tau_max <= 0:
         raise ConfigError(f"tau_max must be > 0, got {tau_max}")
-
-    hit = None
-    spacing = None
-    points = 1024
-    while points <= 131072:
-        taus = np.linspace(0.0, tau_max, points + 1)[1:]
-        absf = np.abs(factor_over_tau(params, state, t, taus))
-        below = absf < threshold
-        if below.any():
-            idx = int(np.argmax(below))
-            new_hit = taus[idx]
-            new_spacing = tau_max / points
-            if hit is not None and abs(new_hit - hit) <= new_spacing:
-                hit, spacing = new_hit, new_spacing
-                break
-            hit, spacing = new_hit, new_spacing
-        points *= 2
-    if hit is None:
-        raise DecoherenceNotReached(
-            f"|F| stayed above {threshold:g} for tau in (0, {tau_max:g}]")
-
-    def absf_at(tau: float) -> float:
-        return float(np.abs(factor_over_tau(params, state, t, np.array([tau])))[0])
-
-    lo = max(0.0, hit - spacing)
-    hi = hit
-    while hi - lo > 1e-4:
-        mid = 0.5 * (lo + hi)
-        if absf_at(mid) < threshold:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    lo = min(tau_max, max(tau_max * 2.0 ** -60, math.ulp(t) / TAU_ROUNDING_BUDGET))
+    taus = np.geomspace(lo, tau_max, _SEARCH_GRID)
+    while True:
+        below = _log_overlap(state, echo_over_tau(params, t, taus))[0] < math.log(threshold)
+        if not below.any():
+            raise DecoherenceNotReached(f"|F| stayed above {threshold:g} up to tau = {tau_max:g}")
+        i = int(np.argmax(below))
+        if taus[i] == lo:
+            raise TauUnresolved(f"|F| is below {threshold:g} already at tau = {lo!r}, "
+                                f"the smallest tau searched at t = {t!r}")
+        lo, hi = (taus[i - 1] if i else lo), taus[i]
+        if hi - lo <= _SEARCH_WIDTH * hi:
+            return float(0.5 * (lo + hi))
+        # interior taus, then hi itself, so the next grid has a crossing
+        taus = np.linspace(lo, hi, _SEARCH_REFINE + 1)[1:]

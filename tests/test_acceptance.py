@@ -166,10 +166,13 @@ def test_07_decay_time_insensitive_to_first_measurement_time(decay_times):
 
 def test_08_preparations_share_the_large_occupation_limit(decay_times):
     """| |F_fock| - |F_coherent| | <= 0.05 pointwise over [0, 2*tau_d] at
-    n = 1e4, measured from t = 0 where the factor depends only on the
-    transform magnitude.  (At later first-measurement times the number
-    state, carrying no phase reference, stays blind to the phase rotation
-    that also damps the coherent overlap, and the profiles split.)"""
+    n = 1e4, measured from t = 0.  The split is derived: to first order in
+    tau, K - I = -i(d_e - d_g) tau sigma_x, so the coherent tau_d tends to
+    sqrt(-2 ln theta) / (|d_e - d_g| sqrt(n)) at every t, and the number
+    state's to that divided by sqrt(1 - x(t)^2), x(t) = u^dagger sigma_x u
+    with u = S1(t) e_2.  At t = 0, u = e_2 and x(0) = 0, so the two
+    preparations share the limit; at t = 10 the number state decays
+    slower by 1/sqrt(1 - x(10)^2) = 1.411821."""
     tau_d = decay_times["coherent", 10_000, 0.0]
     taus = np.linspace(0.0, 2.0 * tau_d, 256)
     fock = np.abs(factor_over_tau(PRESET, FockState(10_000), 0.0, taus))

@@ -1,5 +1,5 @@
 """Smoke run of the stage-timing script bench/run.py: one tiny run of each stage,
-the whole soqd compare command included."""
+the whole soqd compare command and the decay searches included."""
 
 import importlib.util
 import json
@@ -49,3 +49,13 @@ def test_bench_smoke_run_times_every_stage(tmp_path, capsys):
     oracle = report["oracle"]["change"]
     assert oracle["sectors"] == 46 and oracle["eigh_per_call"] == 46
     assert oracle["ms_per_call"]["median"] > 0
+    # the decay_search searches: 12 reached, 2 equal-coupling windows that
+    # never decay and cost one grid
+    decay = report["decay"]["change"]
+    assert len(decay["cells"]) == len(bench.DECAY_CELLS) + len(bench.DECAY_NEVER) == 14
+    for name, entry in decay["cells"].items():
+        assert entry["reached"] is not name.endswith("-never")
+        assert entry["points_per_search"] > 0 and entry["ms_per_search"]["median"] > 0
+    assert 0 < decay["points_per_search_never"] <= 512
+    for group in ("reached", "never"):
+        assert decay[f"ms_per_search_{group}"]["median"] > 0

@@ -1043,12 +1043,32 @@ def test_main_maps_unphysical_point_to_exit_3(tmp_path):
     assert not (tmp_path / "out.csv").exists()
 
 
-def test_module_entry_point_subprocess(tmp_path):
+def test_module_entry_point_subprocess(tmp_path, capsys):
+    """``python -m soqd`` and the console script run cli._console: the
+    whole stdout of main, and its exit codes 0, 2 and 4."""
+    pyproject = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                             "pyproject.toml")
+    with open(pyproject, encoding="utf-8") as fh:
+        assert '\nsoqd = "soqd.cli:_console"\n' in fh.read()
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "soqd", *argv], capture_output=True)
+
     cfg = write_config(tmp_path)
-    proc = subprocess.run([sys.executable, "-m", "soqd", "sweep", "--config", cfg],
-                          capture_output=True, text=True)
+    proc = run("sweep", "--config", cfg)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "out.csv").exists()
+    compare = ["compare", "--n", "4", "--t", "0", "--tau-max", "1", "--steps", "3"]
+    assert main(compare) == 0
+    proc = run(*compare)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == capsys.readouterr().out.encode()
+    proc = run("compare", "--n", "4")
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    obj = make_config(output_path=str(tmp_path / "missing_dir" / "out.csv"))
+    (tmp_path / "unwritable.json").write_text(json.dumps(obj), encoding="utf-8")
+    proc = run("sweep", "--config", str(tmp_path / "unwritable.json"))
+    assert proc.returncode == 4 and b"i/o error" in proc.stderr
 
 
 def run_script(script, *args):

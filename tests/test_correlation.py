@@ -26,6 +26,7 @@ from soqd import (
     factor_over_tau,
     g2_interacting,
 )
+from soqd import correlation
 from soqd.correlation import _TAU_BLOCK, TAU_MAX_DEFAULT, _overlap, g2_free, two_time_amplitude
 from soqd.propagator import echo_over_tau
 from soqd.quadrature import (
@@ -425,10 +426,80 @@ def test_decoherence_time_orders_by_occupation(preset_params):
     assert fast < slow
 
 
-def test_decoherence_time_not_reached_for_equal_couplings():
+def _counted_closed_form_calls(monkeypatch) -> list:
+    """Record the number of taus of every closed-form call the search makes."""
+    sizes = []
+
+    def counted(params, t, taus):
+        sizes.append(np.size(taus))
+        return echo_over_tau(params, t, taus)
+
+    monkeypatch.setattr(correlation, "echo_over_tau", counted)
+    return sizes
+
+
+def test_decoherence_time_not_reached_for_equal_couplings(monkeypatch):
+    """A window that never decays costs one grid: one call of at most 512
+    taus."""
+    sizes = _counted_closed_form_calls(monkeypatch)
     params = ModelParams(0.7, -0.4, 0.5, 0.5, omega_e=1.0)
     with pytest.raises(DecoherenceNotReached):
         decoherence_time(params, CoherentState(0j, 2.0 + 0j), 0.0, tau_max=5.0)
+    assert len(sizes) == 1 and sizes[0] <= 512
+
+
+def test_decoherence_time_evaluates_whole_grids(preset_params, monkeypatch):
+    """A reached search makes no one-tau call and at most 1024 tau
+    evaluations, down to its 1e-12 relative bracket."""
+    sizes = _counted_closed_form_calls(monkeypatch)
+    for state in (FockState(100), CoherentState(0j, 10.0 + 0j)):
+        for t in (0.0, 10.0):
+            sizes.clear()
+            decoherence_time(preset_params, state, t)
+            assert min(sizes) > 1 and sum(sizes) <= 1024, (state, t, sizes)
+
+
+def test_decoherence_time_refuses_a_decay_that_t_cannot_resolve(preset_params):
+    """At n = 1e16, t = 10, |F| falls through 1/e near tau = 3e-8, below
+    1.78e-7, the smallest tau that t + tau resolves at t = 10."""
+    with pytest.raises(TauUnresolved, match=r"already at tau = 1\.776\d*e-07"):
+        decoherence_time(preset_params, FockState(10 ** 16), 10.0)
+
+
+@pytest.mark.parametrize("n", [10 ** k for k in range(6, 17, 2)])
+def test_coherent_decay_time_follows_the_classical_law(preset_params, n):
+    """Coherent (0, sqrt(n)) at t = 0: tau_d * |d_e - d_g| * sqrt(n) is
+    sqrt(-2 ln(1/e)) = sqrt(2) to within 1e-5 relative from n = 1e6 up
+    (measured 3.6e-7 at 1e6, falling as 1/n)."""
+    tau = decoherence_time(preset_params, CoherentState(0j, complex(math.sqrt(n))), 0.0)
+    ratio = tau * abs(preset_params.d_e - preset_params.d_g) * math.sqrt(n) / math.sqrt(2)
+    assert abs(ratio - 1.0) <= 1e-5
+
+
+@pytest.fixture
+def number_state_limit_at_t10(preset_params):
+    """1/sqrt(1 - x^2) at t = 10, x = u^dagger sigma_x u, u = S1(10) e_2,
+    S1 = exp(-i H1 t) with H1 of coupling d_e + d_g, at 200 bits."""
+    mp = pytest.importorskip("mpmath").mp
+    p = preset_params
+    with mp.workprec(200):
+        s1 = mp.expm(mp.matrix([[p.omega1, p.d_e + p.d_g],
+                                [p.d_e + p.d_g, p.omega2]]) * (-10j))
+        x = 2 * mp.re(mp.conj(s1[0, 1]) * s1[1, 1])
+        return float(1 / mp.sqrt(1 - x ** 2))
+
+
+@pytest.mark.parametrize("n", [10 ** k for k in range(4, 13, 2)])
+def test_number_state_decay_time_follows_the_classical_law(preset_params, n,
+                                                           number_state_limit_at_t10):
+    """At t = 10, tau_fock / tau_coherent is the number-state law
+    1/sqrt(1 - x(10)^2) = 1.411821 to within 2/sqrt(n) relative: the
+    number state, with no phase reference, sees only the part of the
+    coupling orthogonal to S1's rotation (measured 1.67/sqrt(n))."""
+    fock = decoherence_time(preset_params, FockState(n), 10.0)
+    coherent = decoherence_time(preset_params, CoherentState(0j, complex(math.sqrt(n))), 10.0)
+    limit = number_state_limit_at_t10
+    assert abs(fock / coherent / limit - 1.0) <= 2.0 / math.sqrt(n)
 
 
 def test_decoherence_time_not_reached_for_empty_preparation(preset_params):

@@ -10,8 +10,8 @@ from dataclasses import astuple
 import pytest
 
 import soqd
-from soqd import (CoherentState, FockState, ModelParams, TauUnresolved, factor_over_tau,
-                  read_points_csv)
+from soqd import (CoherentState, FockState, ModelParams, TauUnresolved, decoherence_time,
+                  factor_over_tau, read_points_csv)
 from soqd.cli import FIGURE_PARAMS, PANEL_SETTINGS, reproduce_figure
 
 from test_propagator import schedule_product, schedule_rows
@@ -169,3 +169,36 @@ def test_large_occupations_match_a_200_bit_reference(figure):
                     assert phase <= PHASE_BOUND_PER_ROOT_N * math.sqrt(n), (n, t, tau, phase)
         with pytest.raises(TauUnresolved):
             factor_over_tau(FIGURE_PARAMS, state, 10.0, taus)
+
+
+# ---------------------------------------------------------------------------
+# decay times against a 200-bit root of the same schedule
+# ---------------------------------------------------------------------------
+
+#: relative bound on a decay time; the search brackets the crossing to a
+#: relative width of 1e-12
+DECAY_REL_BOUND = 1e-10
+
+
+@pytest.mark.parametrize("figure", [1, 2])
+def test_decay_times_match_a_200_bit_root(figure):
+    """The 1/e decay time of both preparations at n = 10 and 10^4, t = 0
+    and 10, within 1e-10 relative of the root of log|F_ref| = -1, F_ref
+    the 200-bit six-step schedule.  The root is bracketed at +-0.1 % of
+    the search's answer."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workprec(200):
+        for n in (10, 10_000):
+            state = CoherentState(0j, complex(math.sqrt(n))) if figure == 1 else FockState(n)
+            for t in (0.0, 10.0):
+                tau = decoherence_time(FIGURE_PARAMS, state, t)
+
+                def excess(x):
+                    f_ref, _ = _reference(mp, figure, n, t, mp.mpf(t) + x)
+                    return mp.log(abs(f_ref)) + 1
+
+                lo, hi = mp.mpf(tau) * (1 - 1e-3), mp.mpf(tau) * (1 + 1e-3)
+                assert excess(lo) > 0 > excess(hi), (n, t, tau)
+                root = mp.findroot(excess, (lo, hi), solver="anderson")
+                rel = float(abs(tau - root) / root)
+                assert rel <= DECAY_REL_BOUND, (n, t, tau, rel)
