@@ -30,7 +30,9 @@ The crosscheck child times the three factor methods on the cells of the
 ``soqd compare`` makes it): the closed form (``factor_over_tau``) and the
 oracle (``decoherence_factor_oracle_fock``) in ms per call, the quadrature
 (``decoherence_factor_fock_quadrature``) in ms per call and in ns per node,
-a node being one t' x radial x angular point.
+a node being one t' x radial x angular point.  Every method is given
+(t, tau); a source tree whose oracle and quadrature still take t' in
+place of tau (the ``t_prime`` parameter) is given t' = t + tau.
 
 The oracle stage runs, in its own fresh interpreter, the oracle sweep of
 the ``crosscheck`` workload: a coherent |beta0|^2 = 10 preparation at its
@@ -143,6 +145,14 @@ def _child(config_path: str) -> None:
                       "peak_rss_mib": peak, "numpy_ma": "numpy.ma" in sys.modules}))
 
 
+def _second_times(method, t, taus):
+    """What ``method`` takes after t: tau, or t' = t + tau where the source
+    tree under test is older than the (t, tau) contract."""
+    import inspect
+
+    return t + taus if "t_prime" in inspect.signature(method).parameters else taus
+
+
 def _crosscheck_child(calls: int) -> None:
     """Time every factor method ``calls`` times on each crosscheck cell in
     this fresh process, in the order ``compare_methods`` calls them; print
@@ -163,11 +173,11 @@ def _crosscheck_child(calls: int) -> None:
     taus = np.linspace(0.0, CROSSCHECK_TAU_MAX, CROSSCHECK_TAUS)
     cells = {}
     for n, t in CROSSCHECK_CELLS:
-        t_prime = t + taus
+        times = _second_times(soqd.decoherence_factor_fock_quadrature, t, taus)
         methods = {
-            "oracle": lambda: soqd.decoherence_factor_oracle_fock(params, n, t, t_prime),
+            "oracle": lambda: soqd.decoherence_factor_oracle_fock(params, n, t, times),
             "closed": lambda: soqd.factor_over_tau(params, soqd.FockState(n), t, taus),
-            "quadrature": lambda: soqd.decoherence_factor_fock_quadrature(params, n, t, t_prime),
+            "quadrature": lambda: soqd.decoherence_factor_fock_quadrature(params, n, t, times),
         }
         seconds = {}
         for name in METHODS:
@@ -205,10 +215,11 @@ def _oracle_child(calls: int) -> None:
     beta0 = complex(math.sqrt(x))
     cutoff = min_cutoff(abs(beta0) ** 2)
     t = np.repeat(t_values, len(taus))
-    t_prime = t + np.tile(taus, len(t_values))
+    times = _second_times(soqd.decoherence_factor_oracle_coherent, t,
+                          np.tile(taus, len(t_values)))
     start = time.perf_counter()
     for _ in range(calls):
-        soqd.decoherence_factor_oracle_coherent(params, beta0, t, t_prime, cutoff)
+        soqd.decoherence_factor_oracle_coherent(params, beta0, t, times, cutoff)
     seconds = (time.perf_counter() - start) / calls
     print(json.dumps({"s_per_call": seconds, "sectors": cutoff + 1,
                       "eigh_per_call": len(eighs) / calls}))
@@ -269,14 +280,18 @@ def _fingerprint() -> dict:
         prefix = "scipy_openblas_" if "scipy_openblas" in path else "openblas_"
         for suffix in ("64_", ""):
             core = getattr(lib, f"{prefix}get_corename{suffix}", None)
-            if core is not None:
+            threads = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+            if core is not None and threads is not None:
                 core.restype = ctypes.c_char_p
+                threads.restype = ctypes.c_int
                 host["blas"]["core"] = core().decode()
+                host["blas"]["threads"] = threads()
                 break
     from numpy._core._multiarray_umath import __cpu_features__
 
     host["simd"] = [k for k, on in __cpu_features__.items() if on]
-    host["env"] = {k: os.environ.get(k) for k in ("OPENBLAS_CORETYPE",
+    host["env"] = {k: os.environ.get(k) for k in ("OPENBLAS_NUM_THREADS", "OPENBLAS_CORETYPE",
+                                                   "OMP_NUM_THREADS",
                                                    "NPY_DISABLE_CPU_FEATURES")}
     try:
         with open("/proc/cpuinfo", encoding="utf-8") as fh:

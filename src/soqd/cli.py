@@ -35,7 +35,6 @@ from .model import (
     SimulationError,
     ToleranceExceeded,
     UnphysicalFactor,
-    _t_prime,
     apparatus_from_json,
     apparatus_to_json,
     model_params_from_json,
@@ -260,23 +259,6 @@ def sweep_config_to_json(config: SweepConfig) -> dict:
 # sweep driver
 # ---------------------------------------------------------------------------
 
-def _factor_series(config: SweepConfig, taus: np.ndarray, t: np.ndarray,
-                   t_prime: np.ndarray) -> np.ndarray:
-    """F over the (t, tau) grid flattened t-major: ``taus`` is one t block,
-    ``t`` and ``t_prime`` = t + tau are the flat grid."""
-    params, state = config.params, config.state
-    if config.method == "closed":
-        return np.concatenate([factor_over_tau(params, state, t0, taus)
-                               for t0 in config.t_values])
-    # one quadrature or oracle call for the whole grid
-    if config.method == "quadrature":
-        return decoherence_factor_fock_quadrature(params, state.n, t, t_prime)
-    if isinstance(state, FockState):
-        return decoherence_factor_oracle_fock(params, state.n, t, t_prime)
-    return decoherence_factor_oracle_coherent(
-        params, state.beta0, t, t_prime, _coherent_cutoff(state)).value
-
-
 def run_sweep(config: SweepConfig) -> CorrelationPoint:
     """Evaluate the sweep, write its output file(s) and return its columns.
 
@@ -286,9 +268,18 @@ def run_sweep(config: SweepConfig) -> CorrelationPoint:
     taus = np.linspace(config.tau_min, config.tau_max, config.tau_steps)
     t = np.repeat(config.t_values, taus.size)
     tau = np.tile(taus, len(config.t_values))
-    t_prime = _t_prime(t, tau)
-    f = _factor_series(config, taus, t, t_prime)
-    points = CorrelationPoint(t, tau, f, g2_interacting(f, t, t_prime, config.params.omega_e))
+    params, state = config.params, config.state
+    # the closed form takes one t per call, the other methods the whole grid
+    if config.method == "closed":
+        f = np.concatenate([factor_over_tau(params, state, t0, taus) for t0 in config.t_values])
+    elif config.method == "quadrature":
+        f = decoherence_factor_fock_quadrature(params, state.n, t, tau)
+    elif isinstance(state, FockState):
+        f = decoherence_factor_oracle_fock(params, state.n, t, tau)
+    else:
+        f = decoherence_factor_oracle_coherent(params, state.beta0, t, tau,
+                                               _coherent_cutoff(state)).value
+    points = CorrelationPoint(t, tau, f, g2_interacting(f, t, tau, params.omega_e))
 
     if config.output_format == "csv":
         write_points_csv(config.output_path, points)
@@ -577,15 +568,15 @@ def compare_methods(params: ModelParams, n: int, t: float, tau_grid,
     beats ``tolerance`` or is NaN.
     """
     taus = np.asarray(tau_grid, dtype=float)
-    t_prime = _t_prime(t, taus)
-    oracle = decoherence_factor_oracle_fock(params, n, t, t_prime)
+    oracle = decoherence_factor_oracle_fock(params, n, t, taus)
     closed = factor_over_tau(params, FockState(n), t, taus)
-    quadrature = decoherence_factor_fock_quadrature(params, n, t, t_prime)
+    quadrature = decoherence_factor_fock_quadrature(params, n, t, taus)
     # every pairwise |difference|, as hypot of the parts: the bits of abs()
     f = np.stack([closed, quadrature, oracle])
     d = f[[0, 0, 1]] - f[[1, 2, 2]]
     delta = np.max(np.hypot(d.real, d.imag), axis=0)
-    report = MethodComparison(taus, closed, quadrature, oracle, delta, float(np.max(delta)))
+    report = MethodComparison(taus, closed, quadrature, oracle, delta,
+                              float(np.max(delta, initial=0.0)))
     if not report.max_delta <= tolerance:
         raise ToleranceExceeded(
             f"methods disagree: max |delta| = {report.max_delta:.3e}, "
@@ -610,13 +601,31 @@ def _print_comparison(report: MethodComparison) -> None:
 # golden files
 # ---------------------------------------------------------------------------
 
+#: the dense oracle's re/im move by a few ULP under other LAPACK and BLAS
+#: kernels; a regenerated value this close to the pinned one keeps its pin
+_ORACLE_PIN_TOL = 1e-14
+
+
+def _pinned_parts(path: str) -> dict:
+    """{(key, "re" or "im"): float} already pinned at ``path``; {} without a readable file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return {(key, part): value for key, entry in json.load(fh).items()
+                    for part, value in entry.items()
+                    if part in ("re", "im") and isinstance(value, float)}
+    except (FileNotFoundError, ValueError, AttributeError):
+        return {}
+
+
 def regenerate_golden(out_dir: str) -> dict:
     """Regenerate every pinned golden file under ``out_dir``.
 
     Figure CSVs come from the production sweep path (they pin byte-level
     determinism); the derived scalar values are pinned from the dense
     oracle, except the large-occupation decay times which only the closed
-    form can reach.
+    form can reach.  An oracle re or im within _ORACLE_PIN_TOL of the
+    value already pinned in ``out_dir`` keeps the pinned value, so that a
+    regeneration on another host does not rewrite its last digits.
     """
     fig_dir = os.path.join(out_dir, "figures")
     os.makedirs(fig_dir, exist_ok=True)
@@ -627,8 +636,8 @@ def regenerate_golden(out_dir: str) -> dict:
             written.append(paths["csv"])
 
     p = FIGURE_PARAMS
-    m22_ref = decoherence_factor_oracle_fock(p, 1, 0.0, 2.0)
-    fock10_ref = decoherence_factor_oracle_fock(p, 10, 0.0, 2.0)
+    m22_ref = decoherence_factor_oracle_fock(p, 1, 0.0, 2.0)[0]
+    fock10_ref = decoherence_factor_oracle_fock(p, 10, 0.0, 2.0)[0]
     coherent_ref = decoherence_factor_oracle_coherent(
         p, complex(math.sqrt(10)), 0.0, 2.0, cutoff=120)
     tau_decay = {
@@ -646,7 +655,7 @@ def regenerate_golden(out_dir: str) -> dict:
         },
         "coherent_sqrt10_f_preset_t0_tp2": {
             "pinned_by": "dense oracle, Poisson mixture, cutoff 120",
-            "re": coherent_ref.value.real, "im": coherent_ref.value.imag,
+            "re": coherent_ref.value[0].real, "im": coherent_ref.value[0].imag,
             "tail_bound": coherent_ref.tail_bound,
         },
         "coherent_tau_decay_t0": {
@@ -655,6 +664,9 @@ def regenerate_golden(out_dir: str) -> dict:
         },
     }
     derived_path = os.path.join(out_dir, "derived_values.json")
+    for (key, part), old in _pinned_parts(derived_path).items():
+        if abs(derived.get(key, {}).get(part, math.inf) - old) <= _ORACLE_PIN_TOL:
+            derived[key][part] = old
     with open(derived_path, "w", encoding="utf-8") as fh:
         json.dump(derived, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -2,7 +2,7 @@
 
 The detector's two-time correlation is
 
-    G(t, t') = 1/2 + Re[exp(i*omega_e*(t - t')) * F(t, t')] / 2
+    G(t, t') = 1/2 + Re[exp(i*omega_e*(t - t')) * F(t, t')] / 2,  t' = t + tau
 
 for an equal-weight internal superposition, where the decoherence factor
 F is the overlap between the initial field state and the same state pushed
@@ -138,12 +138,13 @@ def _complex(re, im) -> np.ndarray:
 # correlation assembly
 # ---------------------------------------------------------------------------
 
-def g2_interacting(f, t, t_prime, omega_e: float) -> np.ndarray:
+def g2_interacting(f, t, tau, omega_e: float) -> np.ndarray:
     """Fold decoherence factors into the two-time correlation, elementwise.
 
-    f, t and t_prime broadcast against each other; scalars give a 0-d
-    array.  Equal internal weights are hard-wired: the fringe term enters
-    with coefficient 1/2 on top of the 1/2 plateau.  The real part of
+    f, t and tau broadcast against each other; scalars give a 0-d array.
+    Equal internal weights are hard-wired: the fringe term enters with
+    coefficient 1/2 on top of the 1/2 plateau.  t' is t + tau, as the
+    factor methods form it, so the phase has the same bits.  The real part of
     exp(i*omega_e*(t - t')) * f is taken as e.re*f.re - e.im*f.im on real
     arrays, never through a complex multiply, so the bits do not depend on
     SIMD dispatch.  Raises UnphysicalFactor when any |f| exceeds 1 by more
@@ -151,7 +152,7 @@ def g2_interacting(f, t, t_prime, omega_e: float) -> np.ndarray:
     """
     f = np.asarray(f, dtype=complex)
     _check_unit_disk(f)
-    e = np.exp(_complex(0.0, omega_e * (t - t_prime)))
+    e = np.exp(_complex(0.0, omega_e * (t - (t + tau))))
     return 0.5 + 0.5 * (e.real * f.real - e.imag * f.imag)
 
 
@@ -167,7 +168,7 @@ def factor_over_tau(params: ModelParams, state: ApparatusState, t: float,
     the same bits as one call.  Raises NegativeTime where t or t + tau is
     below 0.
     """
-    taus = np.asarray(taus, dtype=float)
+    taus = np.atleast_1d(np.asarray(taus, dtype=float))
     if taus.size <= _TAU_BLOCK:
         return _overlap(state, echo_over_tau(params, t, taus))
     return np.concatenate([

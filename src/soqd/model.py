@@ -3,6 +3,10 @@
 Everything downstream (propagator, correlation, quadrature, oracle, cli)
 imports from here.  Units: hbar = 1, so frequencies and couplings are
 inverse time and all times are dimensionless.
+
+The three factor methods share one time contract: t and tau in, scalars
+or 1-D arrays that broadcast to one grid, and a 1-D complex array out, one
+entry per node (length 1 for scalars).  Only _time_grid forms t' = t + tau.
 """
 
 import math
@@ -163,50 +167,30 @@ def model_params_from_json(obj: dict) -> ModelParams:
 TAU_ROUNDING_BUDGET = 1e-8
 
 
-def _check_nonnegative(t, t_prime) -> None:
-    """Raise NegativeTime, naming the lowest time, if any t or t' is below 0."""
+def _time_grid(t, tau):
+    """(t, t + tau) as a scalar or 1-D t and a 1-D t', checked.
+
+    A scalar ``t`` stays scalar, so the propagators before t' enters act
+    on one column only.  Raises ConfigError when t and tau do not
+    broadcast to one scalar or 1-D grid, then NegativeTime, naming the
+    lowest time, where t or t' is below 0, then TauUnresolved, naming the
+    first lost entry, where |(t' - t) - tau| > TAU_ROUNDING_BUDGET * |tau|.
+    """
+    t, tau = np.asarray(t, dtype=float), np.asarray(tau, dtype=float)
+    if max(t.ndim, tau.ndim) > 1 or 1 not in (t.size, tau.size) and t.size != tau.size:
+        raise ConfigError(f"t and tau must be scalars or 1-D and broadcast, got shapes "
+                          f"{t.shape} and {tau.shape}")
+    t_prime = (t + tau).reshape(-1)
     low = float(min(np.min(t, initial=0.0), np.min(t_prime, initial=0.0)))
     if low < 0:
         raise NegativeTime(f"measurement times must be >= 0, got {low!r}")
-
-
-def _t_prime(t, tau):
-    """t' = t + tau elementwise, after checking the times it forms.
-
-    Raises NegativeTime where t or t' is below 0, then TauUnresolved,
-    naming the first lost entry, where
-    |((t + tau) - t) - tau| > TAU_ROUNDING_BUDGET * |tau|.
-    """
-    t_prime = t + tau
-    _check_nonnegative(t, t_prime)
-    lost = np.abs((t_prime - t) - tau) > TAU_ROUNDING_BUDGET * np.abs(tau)
-    if np.any(lost):
-        t, tau = np.broadcast_arrays(t, tau)
-        i = np.flatnonzero(lost)[0]
-        t0, tau0 = float(t.flat[i]), float(tau.flat[i])
+    lost = np.flatnonzero(np.abs((t_prime - t) - tau) > TAU_ROUNDING_BUDGET * np.abs(tau))
+    if lost.size:
+        t0, tau0 = (float(np.broadcast_to(x, t_prime.shape)[lost[0]]) for x in (t, tau))
         raise TauUnresolved(
             f"tau = {tau0!r} is lost at t = {t0!r}: (t + tau) - t = "
             f"{(t0 + tau0) - t0!r}, beyond the relative budget {TAU_ROUNDING_BUDGET:g}")
-    return t_prime
-
-
-def _time_grid(t, t_prime):
-    """(t, t') as (scalar or 1-D t, 1-D t', whether both were scalars).
-
-    ``t`` broadcasts against ``t_prime``; a scalar ``t`` stays scalar, so
-    the propagators before t' enters act on one column only.  Raises
-    ConfigError when t and t' do not broadcast to a scalar or a 1-D grid,
-    and NegativeTime where t or t' is below 0.
-    """
-    t = np.asarray(t, dtype=float)
-    times = np.asarray(t_prime, dtype=float)
-    shape = np.broadcast_shapes(t.shape, times.shape)
-    if len(shape) > 1:
-        raise ConfigError(f"t and t_prime must be scalars or 1-D, got shapes "
-                         f"{t.shape} and {times.shape}")
-    _check_nonnegative(t, times)
-    t = float(t) if t.ndim == 0 else np.broadcast_to(t, shape).reshape(-1)
-    return t, np.broadcast_to(times, shape).reshape(-1), not shape
+    return (float(t) if t.ndim == 0 else np.broadcast_to(t, t_prime.shape)), t_prime
 
 
 # ---------------------------------------------------------------------------

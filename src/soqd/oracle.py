@@ -6,22 +6,24 @@ sector n we build the (n+1) x (n+1) real symmetric Hamiltonians H11, H10
 and H01 explicitly, stacked as one array from a shared diagonal and
 ladder band, and eigendecompose the stack in one call: every propagator
 exp(-i H d) is then V diag(exp(-i lambda d)) V^T, for any duration d, so
-one eigensystem set per sector serves a whole (t, t') grid (the
+one eigensystem set per sector serves a whole (t, tau) grid (the
 eigenvector method for normal matrices).  The start vector is pushed
 through the six sequence propagators as written, every (t, t') pair at
 once as matrix columns, in blocks of fixed width so the work arrays do
 not grow with the grid.  V is real, so each product with it is one real
-matrix product against the complex columns viewed as interleaved
-(re, im) floats.  No
-2x2 shortcut, no normal-ordering identity, nothing from the closed form:
-this path exists to catch sign and ordering mistakes in the closed form,
-at honest matrix-product cost.
+matrix product against the complex columns viewed as interleaved (re, im)
+floats.  No 2x2 shortcut, no normal-ordering identity, nothing from the
+closed form: this path exists to catch sign and ordering mistakes in the
+closed form, at honest matrix-product cost.
 
 Coherent preparations are Poisson mixtures over sectors, summed one
 sector at a time, with a log-space upper bound on the discarded Poisson
 mass.  That bound also sets the cutoff: the smallest one whose certified
 tail is at most 2^-53 (min_cutoff), so no sector is summed that could
 not change a bit of the result, and every sector that could is.
+
+Both entry points keep the time contract of soqd.model: (t, tau) in, one
+complex per grid node out as a 1-D array.
 """
 
 import math
@@ -124,33 +126,28 @@ def _sector_factor(params: ModelParams, n: int, t,
     return out
 
 
-def decoherence_factor_oracle_fock(params: ModelParams, n: int, t,
-                                   t_prime):
+def decoherence_factor_oracle_fock(params: ModelParams, n: int, t, tau) -> np.ndarray:
     """Decoherence factor of the n-quantum preparation, by dense propagators.
 
     Applies the six sequence propagators exp(+iH11 t), exp(-iH01 t),
     exp(+iH01 t'), exp(-iH10 t'), exp(+iH10 t), exp(-iH11 t) (the rightmost
     acts first) to the mode-1-empty state and returns its amplitude to end
-    where it started.  Scalar ``t`` and ``t_prime`` give a complex; a 1-D
-    array for either (the other broadcasts against it) gives one complex
-    per entry, all from one eigensystem set.  Raises ConfigError for
-    n < 0, SectorTooLarge above SECTOR_GUARD and NegativeTime where t or
-    t' is below 0.
+    where it started, one entry per (t, tau) node, all from one eigensystem
+    set.  Raises ConfigError for n < 0, SectorTooLarge above SECTOR_GUARD,
+    and model._time_grid's ConfigError, NegativeTime and TauUnresolved.
     """
     if n > SECTOR_GUARD:
         raise SectorTooLarge(f"sector {n} exceeds the dense guard {SECTOR_GUARD}")
     if n < 0:
         raise ConfigError(f"occupation must be >= 0, got {n}")
-    t, times, scalar = _time_grid(t, t_prime)
-    f = _sector_factor(params, n, t, times)
-    return complex(f[0]) if scalar else f
+    return _sector_factor(params, n, *_time_grid(t, tau))
 
 
 class CoherentOracleResult(NamedTuple):
-    """Mixture value (one per t' entry for an array t') plus an upper
-    bound on the discarded tail mass."""
+    """Mixture value (1-D, one per grid node) plus an upper bound on the
+    discarded tail mass."""
 
-    value: complex
+    value: np.ndarray
     tail_bound: float
 
 
@@ -184,8 +181,7 @@ def min_cutoff(x: float) -> int:
 
 
 def decoherence_factor_oracle_coherent(params: ModelParams, beta0: complex,
-                                       t, t_prime,
-                                       cutoff: int) -> CoherentOracleResult:
+                                       t, tau, cutoff: int) -> CoherentOracleResult:
     """Coherent-preparation factor as a Poisson mixture over sectors.
 
     Number conservation kills every cross-sector interference term, so the
@@ -194,10 +190,11 @@ def decoherence_factor_oracle_coherent(params: ModelParams, beta0: complex,
     truncation error is bounded by the discarded tail mass, whose upper
     bound is returned alongside the value.  Sectors are evaluated one at a
     time, each with one stacked eigendecomposition for the whole grid;
-    ``t`` and ``t_prime`` broadcast as in decoherence_factor_oracle_fock,
-    and an array gives one value per entry.  Raises CutoffTooSmall when the
+    ``t`` and ``tau`` broadcast as in decoherence_factor_oracle_fock, and
+    the value is one complex per grid node.  Raises CutoffTooSmall when the
     cutoff's certified tail exceeds MIXTURE_TAIL_TARGET (cutoff below
-    min_cutoff(x)), and SectorTooLarge above SECTOR_GUARD.
+    min_cutoff(x)), SectorTooLarge above SECTOR_GUARD, and the time errors
+    of decoherence_factor_oracle_fock.
     """
     x = abs(beta0) ** 2
     needed = min_cutoff(x)
@@ -209,8 +206,8 @@ def decoherence_factor_oracle_coherent(params: ModelParams, beta0: complex,
         raise SectorTooLarge(f"cutoff {cutoff} exceeds the dense guard {SECTOR_GUARD}")
     if x == 0:
         return CoherentOracleResult(
-            decoherence_factor_oracle_fock(params, 0, t, t_prime), 0.0)
-    t, times, scalar = _time_grid(t, t_prime)
+            decoherence_factor_oracle_fock(params, 0, t, tau), 0.0)
+    t, times = _time_grid(t, tau)
     log_x = math.log(x)
     value = np.zeros(times.size, dtype=complex)
     for n in range(cutoff + 1):
@@ -218,4 +215,4 @@ def decoherence_factor_oracle_coherent(params: ModelParams, beta0: complex,
         value += w * _sector_factor(params, n, t, times)
     # cutoff >= min_cutoff(x) >= ceil(x), so cutoff + 2 > x as the bound needs
     tail = _poisson_tail_bound(x, cutoff)
-    return CoherentOracleResult(complex(value[0]) if scalar else value, tail)
+    return CoherentOracleResult(value, tail)

@@ -31,7 +31,7 @@ import math
 
 import numpy as np
 
-from .model import ModelParams, _t_prime
+from .model import ModelParams, _time_grid
 
 __all__ = ["echo_over_tau"]
 
@@ -104,12 +104,13 @@ def echo_over_tau(params: ModelParams, t: float, taus) -> np.ndarray:
 
     Returns a complex array of shape taus-shape + (2, 2); the arithmetic
     is elementwise, so each tau gets the bits of a length-1 call.  t' is
-    formed only as the check the oracle and the quadrature make: raises
-    NegativeTime where t or t + tau is below 0 and TauUnresolved where
-    t + tau loses tau to rounding.
+    formed only for the check the oracle and the quadrature make
+    (model._time_grid): raises ConfigError for taus of more than one
+    dimension, NegativeTime where t or t + tau is below 0 and
+    TauUnresolved where t + tau loses tau to rounding.
     """
     taus = np.asarray(taus, dtype=float)
-    _t_prime(t, taus)
+    _time_grid(t, taus)
     w1, w2, de, dg = params.omega1, params.omega2, params.d_e, params.d_g
     k_less_i = _grown_matrix(_step_minus_identity(w1, w2, dg, -taus),
                              _step_minus_identity(w1, w2, de, taus))

@@ -25,6 +25,9 @@ numpy's float64 cos and sin are scalar libm calls.  The image is never
 factored: log(m22*beta) is not split into log m22 + log beta, and
 |m22*beta| is not replaced by |m22||beta|, since either would drop the
 angular sum and leave the closed form's m22**n.
+
+The entry point keeps the time contract of soqd.model: (t, tau) in, one
+complex per grid node out as a 1-D array.
 """
 
 import functools
@@ -181,7 +184,7 @@ def _node_sum(values: np.ndarray) -> np.ndarray:
     return values.reshape(len(values), -1).sum(axis=1)
 
 
-def decoherence_factor_fock_quadrature(params: ModelParams, n: int, t, t_prime):
+def decoherence_factor_fock_quadrature(params: ModelParams, n: int, t, tau) -> np.ndarray:
     """Number-state factor by direct phase-space integration.
 
     Resolve |n> on coherent states: F = integral d^2beta/pi of
@@ -197,18 +200,17 @@ def decoherence_factor_fock_quadrature(params: ModelParams, n: int, t, t_prime):
     arg conj beta) goes through one tan of its half (see _rotate), and the
     real and imaginary parts are summed separately.
 
-    Scalar ``t`` and ``t_prime`` give a complex; a 1-D array for either
-    (the other broadcasts against it) gives one complex per entry, from
-    one set of eigensystems, evaluated in blocks of _NODE_BUDGET nodes.
-    Raises ConfigError for n < 0, SectorTooLarge above
-    QUADRATURE_OCCUPATION_GUARD and NegativeTime where t or t' is below 0.
+    One entry per (t, tau) node, from one set of eigensystems, evaluated
+    in blocks of _NODE_BUDGET nodes.  Raises ConfigError for n < 0,
+    SectorTooLarge above QUADRATURE_OCCUPATION_GUARD, and
+    model._time_grid's ConfigError, NegativeTime and TauUnresolved.
     """
     if n < 0:
         raise ConfigError(f"occupation must be >= 0, got {n}")
     if n > QUADRATURE_OCCUPATION_GUARD:
         raise SectorTooLarge(
             f"occupation {n} exceeds the quadrature guard {QUADRATURE_OCCUPATION_GUARD}")
-    t, t_primes, scalar = _time_grid(t, t_prime)
+    t, t_primes = _time_grid(t, tau)
     m12, m22 = _image_of_mode2(params, t, t_primes)
     u, log_w = _gauss_laguerre_log(_radial_order(n))
     theta = 2.0 * math.pi * np.arange(_ANGULAR_ORDER) / _ANGULAR_ORDER
@@ -263,4 +265,4 @@ def decoherence_factor_fock_quadrature(params: ModelParams, n: int, t, t_prime):
         re, im = _rotate(weight, half_phase, b6_im)
         out[rows] = _node_sum(re) + 1j * _node_sum(im)
     out /= _ANGULAR_ORDER
-    return complex(out[0]) if scalar else out
+    return out

@@ -800,6 +800,17 @@ def test_compare_methods_treats_a_nan_delta_as_beyond_tolerance(preset_params, m
     assert math.isnan(excinfo.value.report.max_delta)
 
 
+def test_compare_methods_on_an_empty_grid(preset_params):
+    """An empty tau grid gives empty columns and max_delta = 0, not the
+    ValueError of a max over no entries."""
+    report = compare_methods(preset_params, 2, 0.0, [])
+    assert report.max_delta == 0.0
+    for column in (report.tau, report.f_closed, report.f_quadrature, report.f_oracle,
+                   report.delta):
+        assert column.shape == (0,)
+    assert report.f_oracle.dtype == report.f_quadrature.dtype == complex
+
+
 def test_compare_methods_raises_on_tight_tolerance(preset_params):
     with pytest.raises(ToleranceExceeded) as excinfo:
         compare_methods(preset_params, 2, 0.0, np.linspace(0.0, 5.0, 6),
@@ -871,6 +882,17 @@ def test_main_compare_refuses_negative_time(capsys):
         assert captured.out == ""
         assert "measurement times must be >= 0, got -1.0" in captured.err
         assert "Traceback" not in captured.err
+
+
+def test_main_compare_refuses_tau_lost_to_rounding(capsys):
+    """At t = 1e17, t + 0.5 rounds to t: the oracle, the first method
+    compare calls, refuses the grid before anything is printed."""
+    rc = main(["compare", "--n", "4", "--t", "1e17", "--tau-max", "1", "--steps", "3"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "tau = 0.5 is lost at t = 1e+17" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_main_compare_refuses_negative_occupation(capsys):
@@ -1024,6 +1046,30 @@ def test_main_golden_regen_reproduces_pinned_values(tmp_path, derived_values):
                 assert fresh[key][field] == want, (key, field)
     panels = sorted(p.name for p in (out / "figures").glob("*.csv"))
     assert len(panels) == 12 and panels[0] == "fig1a.csv"
+
+
+def test_main_golden_regen_keeps_pinned_oracle_values_within_tolerance(tmp_path):
+    """A pinned oracle re or im 5e-15 from the fresh value, within
+    ORACLE_ABS_TOL, keeps its pinned bits; one 1e-12 away is rewritten."""
+    out = tmp_path / "golden"
+    path = out / "derived_values.json"
+    assert main(["golden", "--regen", "--out", str(out)]) == 0
+    fresh = json.loads(path.read_text(encoding="utf-8"))
+    offsets = {("m22_preset_t0_tp2", "re"): 5e-15, ("m22_preset_t0_tp2", "im"): -1e-12,
+               ("fock10_f_preset_t0_tp2", "re"): 1e-12, ("fock10_f_preset_t0_tp2", "im"): -5e-15,
+               ("coherent_sqrt10_f_preset_t0_tp2", "re"): -5e-15,
+               ("coherent_sqrt10_f_preset_t0_tp2", "im"): 5e-15}
+    seeded = json.loads(path.read_text(encoding="utf-8"))
+    for (key, part), offset in offsets.items():
+        seeded[key][part] += offset
+    path.write_text(json.dumps(seeded), encoding="utf-8")
+    assert main(["golden", "--regen", "--out", str(out)]) == 0
+    got = json.loads(path.read_text(encoding="utf-8"))
+    for (key, part), offset in offsets.items():
+        want = seeded if abs(offset) <= ORACLE_ABS_TOL else fresh
+        assert got[key][part] == want[key][part], (key, part)
+        assert seeded[key][part] != fresh[key][part]
+    assert got["coherent_tau_decay_t0"] == fresh["coherent_tau_decay_t0"]
 
 
 def test_main_maps_unphysical_point_to_exit_3(tmp_path):

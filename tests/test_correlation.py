@@ -240,13 +240,13 @@ def test_gauss_laguerre_fifth_moment():
 
 
 def test_quadrature_empty_is_unity(preset_params):
-    f = decoherence_factor_fock_quadrature(preset_params, 0, 0.0, 5.0)
+    f = decoherence_factor_fock_quadrature(preset_params, 0, 0.0, 5.0)[0]
     assert abs(f - 1) <= 1e-12
 
 
 def test_quadrature_equal_couplings_is_unity():
     params = ModelParams(0.7, -0.4, 0.5, 0.5, omega_e=1.0)
-    f = decoherence_factor_fock_quadrature(params, 6, 1.0, 7.0)
+    f = decoherence_factor_fock_quadrature(params, 6, 1.0, 6.0)[0]
     assert abs(f - 1) <= 1e-9
 
 
@@ -254,13 +254,13 @@ def test_quadrature_matches_closed_form(preset_params, rng):
     for n in (1, 3, 10, 40):
         t, tp = rng.uniform(0, 10, size=2)
         closed = factor_over_tau(preset_params, FockState(n), t, [tp - t])[0]
-        quad = decoherence_factor_fock_quadrature(preset_params, n, t, tp)
+        quad = decoherence_factor_fock_quadrature(preset_params, n, t, tp - t)[0]
         assert abs(closed - quad) <= 1e-9
 
 
 def test_quadrature_matches_pinned_oracle(preset_params, derived_values):
     pinned = derived_values["fock10_f_preset_t0_tp2"]
-    got = decoherence_factor_fock_quadrature(preset_params, 10, 0.0, 2.0)
+    got = decoherence_factor_fock_quadrature(preset_params, 10, 0.0, 2.0)[0]
     assert abs(got - complex(pinned["re"], pinned["im"])) <= 1e-6
 
 
@@ -273,7 +273,7 @@ def test_quadrature_deep_occupation(preset_params):
     assert _radial_order(100) == 108
     taus = np.array([2.0, 0.05, 0.5])
     closed = factor_over_tau(preset_params, FockState(100), 10.0, taus)
-    quad = decoherence_factor_fock_quadrature(preset_params, 100, 10.0, 10.0 + taus)
+    quad = decoherence_factor_fock_quadrature(preset_params, 100, 10.0, taus)
     assert abs(closed[0] - quad[0]) <= 1e-6
     assert np.all(np.abs(closed[1:] - quad[1:]) <= 1e-9 * np.abs(closed[1:]))
 
@@ -294,7 +294,7 @@ def test_quadrature_rejects_negative_occupation(preset_params):
 # ---------------------------------------------------------------------------
 
 def test_g2_interacting_unit_factor_recovers_fringe():
-    got = g2_interacting(1.0 + 0j, 2.0, 5.0, omega_e=1.0)
+    got = g2_interacting(1.0 + 0j, 2.0, 3.0, omega_e=1.0)
     assert got == pytest.approx(0.5 + 0.5 * math.cos(3.0), abs=1e-14)
 
 
@@ -303,7 +303,7 @@ def test_g2_interacting_dead_factor_gives_plateau():
 
 
 def test_g2_interacting_complex_factor():
-    got = g2_interacting(0.5j, 1.0, 1.0, omega_e=1.0)
+    got = g2_interacting(0.5j, 1.0, 0.0, omega_e=1.0)
     assert got == pytest.approx(0.5, abs=1e-14)
 
 
@@ -327,14 +327,14 @@ def test_g2_interacting_array_matches_scalar_calls_bit_for_bit():
     f[50:100] = np.exp(1j * rng.uniform(-np.pi, np.pi, 50))
     f[100:104] = (1.0, -1.0, 1j, -1j)
     t = rng.uniform(0.0, 20.0, size)
-    t_prime = t + rng.uniform(-5.0, 30.0, size)
+    tau = rng.uniform(-5.0, 30.0, size)
     omega_e = 1.3
-    got = g2_interacting(f, t, t_prime, omega_e)
+    got = g2_interacting(f, t, tau, omega_e)
     assert got.shape == (size,)
     per_element = [g2_interacting(complex(z), float(a), float(b), omega_e)
-                   for z, a, b in zip(f, t, t_prime)]
-    formula = [0.5 + 0.5 * np.real(np.exp(1j * omega_e * (float(a) - float(b))) * complex(z))
-               for z, a, b in zip(f, t, t_prime)]
+                   for z, a, b in zip(f, t, tau)]
+    formula = [0.5 + 0.5 * np.real(np.exp(1j * omega_e * (a - (a + b))) * complex(z))
+               for z, a, b in zip(f, t.tolist(), tau.tolist())]
     assert np.array_equal(got, per_element)
     assert np.array_equal(got, formula)
 
@@ -346,7 +346,7 @@ def test_equal_couplings_reduce_to_free_fringe():
     c = 1 / math.sqrt(2)
     for tau in np.linspace(0.0, 10.0, 11):
         f = factor_over_tau(params, CoherentState(0j, 2.0 + 0j), 1.0, [tau])[0]
-        inter = g2_interacting(f, 1.0, 1.0 + float(tau), params.omega_e)
+        inter = g2_interacting(f, 1.0, float(tau), params.omega_e)
         free = g2_free(c, c, params.omega_e, 0.0, 1.0, 1.0 + float(tau))
         assert inter == pytest.approx(free, abs=1e-9)
 

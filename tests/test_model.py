@@ -14,16 +14,24 @@ from soqd import (
     ConfigError,
     FockState,
     ModelParams,
+    NegativeTime,
     NonFiniteParameter,
+    TauUnresolved,
     UnphysicalFactor,
     apparatus_from_json,
+    decoherence_factor_fock_quadrature,
+    decoherence_factor_oracle_coherent,
+    decoherence_factor_oracle_fock,
+    factor_over_tau,
     model_params_from_json,
 )
+from soqd.cli import FIGURE_PARAMS
 from soqd.model import (
     CorrelationPoint,
     apparatus_to_json,
     model_params_to_json,
 )
+from soqd.oracle import min_cutoff
 
 
 @pytest.mark.parametrize("field", ["omega1", "omega2", "d_e", "d_g", "omega_e"])
@@ -176,3 +184,93 @@ def test_correlation_point_check_survives_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", script],
                           capture_output=True, text=True)
     assert proc.returncode == 7, proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# the time contract of the three factor methods
+# ---------------------------------------------------------------------------
+
+#: each factor method as (t, tau) -> one complex per grid node
+METHODS = {
+    "closed": lambda t, tau: factor_over_tau(FIGURE_PARAMS, FockState(3), t, tau),
+    "quadrature": lambda t, tau: decoherence_factor_fock_quadrature(FIGURE_PARAMS, 3, t, tau),
+    "oracle_fock": lambda t, tau: decoherence_factor_oracle_fock(FIGURE_PARAMS, 3, t, tau),
+    "oracle_coherent": lambda t, tau: decoherence_factor_oracle_coherent(
+        FIGURE_PARAMS, 1.0 + 0j, t, tau, min_cutoff(1.0)).value,
+}
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_every_method_returns_a_1d_array(method):
+    for tau, size in ((2.0, 1), ([2.0], 1), (np.linspace(0.0, 2.0, 5), 5), ([], 0)):
+        f = METHODS[method](10.0, tau)
+        assert f.shape == (size,) and f.dtype == complex, (tau, f)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_every_method_refuses_a_tau_lost_to_rounding(method):
+    """At t = 1e17 the doubles lie 16 apart, so t + 0.5 rounds to t: each
+    method refuses at its own entry instead of returning F(t, t) = 1."""
+    with pytest.raises(TauUnresolved, match=r"tau = 0\.5 is lost at t = 1e\+17"):
+        METHODS[method](1e17, 0.5)
+    with pytest.raises(TauUnresolved, match=r"tau = 0\.5 is lost at t = 1e\+17"):
+        METHODS[method](1e17, [0.0, 0.5, 16.0])
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("t, tau", [(-1.0, [0.5]), (0.0, [0.5, -1.0]), (1e17, [0.5, -2e17])])
+def test_every_method_refuses_a_negative_time_first(method, t, tau):
+    """A negative t or t + tau is NegativeTime, also where another tau of
+    the grid is lost to rounding (the last case)."""
+    with pytest.raises(NegativeTime):
+        METHODS[method](t, tau)
+
+
+def test_every_method_refuses_times_that_make_no_1d_grid():
+    """Two dimensions, or two 1-D lengths that do not broadcast, are a
+    ConfigError, not numpy's bare ValueError."""
+    for method in ("quadrature", "oracle_fock", "oracle_coherent"):
+        with pytest.raises(ConfigError, match="scalars or 1-D"):
+            METHODS[method](np.zeros((2, 1)), np.zeros(3))
+        with pytest.raises(ConfigError, match=r"got shapes \(3,\) and \(2,\)"):
+            METHODS[method](np.zeros(3), np.zeros(2))
+    with pytest.raises(ConfigError, match="scalars or 1-D"):
+        METHODS["closed"](0.0, np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("t", [0.0, 10.0])
+def test_a_length_one_quadrature_call_has_the_bits_of_its_grid_entry(t):
+    """The quadrature's arithmetic is elementwise per (t, tau) node, also
+    across its node blocks, so a scalar call is its grid entry bit for bit."""
+    taus = np.linspace(0.0, 6.0, 301)
+    grid = METHODS["quadrature"](t, taus)
+    for i in (0, 1, 150, 255, 256, 300):
+        single = METHODS["quadrature"](t, taus[i])
+        assert single.view(np.uint64).tolist() == grid[i:i + 1].view(np.uint64).tolist(), i
+
+
+#: the oracle at a large sector and as a mixture, with the largest sector dimension
+ORACLES = {
+    "fock160": (lambda t, tau: decoherence_factor_oracle_fock(FIGURE_PARAMS, 160, t, tau), 161),
+    "coherent10": (lambda t, tau: decoherence_factor_oracle_coherent(
+        FIGURE_PARAMS, complex(math.sqrt(10.0)), t, tau, min_cutoff(10.0)).value,
+        min_cutoff(10.0) + 1),
+}
+
+
+@pytest.mark.parametrize("oracle", ORACLES)
+@pytest.mark.parametrize("t", [0.0, 10.0])
+def test_a_length_one_oracle_call_matches_its_grid_entry(oracle, t):
+    """The oracle's products go to BLAS, whose kernels promise no bits from
+    one column count to another: a scalar call and its entry in a 301-tau
+    grid differed by up to 6.7e-16 (fock160) and 2.2e-16 (coherent10)
+    under the SkylakeX, Haswell, Zen, SandyBridge and Prescott OpenBLAS
+    kernels.  The bound is the one of the oracle's _evolve test,
+    1e-15 sqrt(sector dimension), at the largest sector."""
+    method, dimension = ORACLES[oracle]
+    taus = np.linspace(0.0, 6.0, 301)
+    grid = method(t, taus)
+    for i in (0, 1, 150, 255, 256, 300):
+        single = method(t, taus[i])
+        assert single.shape == (1,)
+        assert abs(single[0] - grid[i]) <= 1e-15 * math.sqrt(dimension), i

@@ -155,13 +155,13 @@ def test_eigen_failure_is_wrapped(preset_params, monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_oracle_fock_vacuum_sector_is_unity(preset_params):
-    assert decoherence_factor_oracle_fock(preset_params, 0, 3.0, 8.0) == pytest.approx(1.0)
+    assert decoherence_factor_oracle_fock(preset_params, 0, 3.0, 5.0)[0] == pytest.approx(1.0)
 
 
 def test_oracle_fock_equal_times_is_unity(preset_params, rng):
     for n in (1, 3, 9):
         t = float(rng.uniform(0, 10))
-        f = decoherence_factor_oracle_fock(preset_params, n, t, t)
+        f = decoherence_factor_oracle_fock(preset_params, n, t, 0.0)[0]
         assert abs(f - 1) <= 1e-10
 
 
@@ -169,7 +169,7 @@ def test_oracle_fock_magnitude_bounded(preset_params, rng):
     for _ in range(20):
         n = int(rng.integers(0, 15))
         t, tp = rng.uniform(0, 10, size=2)
-        assert abs(decoherence_factor_oracle_fock(preset_params, n, t, tp)) <= 1 + 1e-10
+        assert abs(decoherence_factor_oracle_fock(preset_params, n, t, tp - t)[0]) <= 1 + 1e-10
 
 
 def test_oracle_fock_rejects_oversized_sector(preset_params):
@@ -183,13 +183,13 @@ def test_oracle_fock_single_quantum_equals_m22(preset_params, rng):
         params = ModelParams(w1, w2, de, dg, omega_e=1.0)
         t, tp = rng.uniform(0, 8, size=2)
         m22 = 1 + echo_over_tau(params, t, [tp - t])[0, 1, 1]
-        f = decoherence_factor_oracle_fock(params, 1, t, tp)
+        f = decoherence_factor_oracle_fock(params, 1, t, tp - t)[0]
         assert abs(f - m22) <= 1e-9
 
 
 def test_oracle_fock_agrees_with_m22_power(preset_params):
     m22 = 1 + echo_over_tau(preset_params, 0.0, [2.0])[0, 1, 1]
-    f = decoherence_factor_oracle_fock(preset_params, 10, 0.0, 2.0)
+    f = decoherence_factor_oracle_fock(preset_params, 10, 0.0, 2.0)[0]
     assert abs(f - m22**10) <= 1e-9
 
 
@@ -199,18 +199,18 @@ def test_oracle_fock_agrees_with_m22_power(preset_params):
 
 def test_oracle_coherent_empty_preparation_is_unity(preset_params):
     result = decoherence_factor_oracle_coherent(preset_params, 0j, 0.0, 7.0, cutoff=5)
-    assert result.value == pytest.approx(1.0)
+    assert result.value[0] == pytest.approx(1.0)
     assert result.tail_bound == 0.0
     # Poisson(0) has no tail: sector 0 alone is the exact mixture
     assert min_cutoff(0.0) == 0
     exact = decoherence_factor_oracle_coherent(preset_params, 0j, 0.0, 7.0, cutoff=0)
-    assert exact.value == 1.0 and exact.tail_bound == 0.0
+    assert exact.value[0] == 1.0 and exact.tail_bound == 0.0
 
 
 def test_oracle_coherent_equal_couplings_is_unity():
     params = ModelParams(0.4, -1.1, 0.6, 0.6, omega_e=1.0)
-    result = decoherence_factor_oracle_coherent(params, 2.0 + 0j, 1.0, 6.0, cutoff=40)
-    assert abs(result.value - 1) <= 1e-9
+    result = decoherence_factor_oracle_coherent(params, 2.0 + 0j, 1.0, 5.0, cutoff=40)
+    assert abs(result.value[0] - 1) <= 1e-9
 
 
 def test_oracle_coherent_rejects_small_cutoff(preset_params):
@@ -228,7 +228,7 @@ def test_oracle_coherent_rejects_oversized_cutoff(preset_params):
 def test_oracle_coherent_converges_under_cutoff_doubling(preset_params):
     lo = decoherence_factor_oracle_coherent(preset_params, 2.0 + 0j, 0.0, 2.0, cutoff=40)
     hi = decoherence_factor_oracle_coherent(preset_params, 2.0 + 0j, 0.0, 2.0, cutoff=80)
-    assert abs(lo.value - hi.value) <= 1e-9
+    assert abs(lo.value[0] - hi.value[0]) <= 1e-9
     assert lo.tail_bound <= 1e-9
 
 
@@ -236,7 +236,7 @@ def test_oracle_coherent_matches_closed_form(preset_params):
     beta0 = complex(math.sqrt(10))
     got = decoherence_factor_oracle_coherent(preset_params, beta0, 0.0, 2.0, cutoff=120)
     want = factor_over_tau(preset_params, CoherentState(0j, beta0), 0.0, [2.0])[0]
-    assert abs(got.value - want) <= 1e-6
+    assert abs(got.value[0] - want) <= 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -277,12 +277,12 @@ def test_certified_cutoff_agrees_with_the_old_cutoff(preset_params, x):
     above 1e-15, so there the reference takes twice the new cutoff."""
     rng = np.random.default_rng(11)
     t = rng.uniform(0.0, 10.0, 50)
-    t_prime = t + rng.uniform(0.0, 5.0, 50)
+    tau = rng.uniform(0.0, 5.0, 50)
     beta0 = complex(math.sqrt(x))
     cutoff = min_cutoff(x)
-    got = decoherence_factor_oracle_coherent(preset_params, beta0, t, t_prime, cutoff)
+    got = decoherence_factor_oracle_coherent(preset_params, beta0, t, tau, cutoff)
     old = max(20, math.ceil(10 * x))
-    ref = decoherence_factor_oracle_coherent(preset_params, beta0, t, t_prime,
+    ref = decoherence_factor_oracle_coherent(preset_params, beta0, t, tau,
                                              max(old, 2 * cutoff))
     assert np.max(np.abs(got.value - ref.value)) <= 1e-15
     assert got.tail_bound <= MIXTURE_TAIL_TARGET
@@ -294,11 +294,11 @@ def test_oracle_coherent_reaches_large_occupation(preset_params):
     beta0 = 10.0 + 0j
     assert min_cutoff(100.0) == 193
     t = np.repeat([0.0, 10.0], 3)
-    t_prime = t + np.tile([0.0, 0.05, 0.2], 2)
-    got = decoherence_factor_oracle_coherent(preset_params, beta0, t, t_prime,
+    tau = np.tile([0.0, 0.05, 0.2], 2)
+    got = decoherence_factor_oracle_coherent(preset_params, beta0, t, tau,
                                              min_cutoff(100.0))
-    want = [factor_over_tau(preset_params, CoherentState(0j, beta0), t0, [t1 - t0])[0]
-            for t0, t1 in zip(t.tolist(), t_prime.tolist())]
+    want = [factor_over_tau(preset_params, CoherentState(0j, beta0), t0, [tau0])[0]
+            for t0, tau0 in zip(t.tolist(), tau.tolist())]
     assert np.max(np.abs(got.value - want)) <= 1e-6
     assert got.tail_bound <= MIXTURE_TAIL_TARGET
 
@@ -354,14 +354,13 @@ def test_evolve_matches_the_complex_product(preset_params, rng, n, columns):
     (20, 2.0, np.linspace(0.5, 4.0, 300)),  # more than one column block
 ])
 def test_oracle_fock_array_matches_as_written_products(preset_params, n, t, taus):
-    got = decoherence_factor_oracle_fock(preset_params, n, t, t + taus)
+    got = decoherence_factor_oracle_fock(preset_params, n, t, taus)
     assert got.shape == taus.shape and got.dtype == complex
     want = np.array([_as_written_fock(preset_params, n, t, t + tau) for tau in taus])
     assert np.max(np.abs(got - want)) <= 1e-12
-    scalars = [decoherence_factor_oracle_fock(preset_params, n, t, t + tau)
-               for tau in taus[:5]]
-    assert all(isinstance(f, complex) for f in scalars)
-    assert np.max(np.abs(np.array(scalars) - got[:5])) <= 1e-12
+    scalars = [decoherence_factor_oracle_fock(preset_params, n, t, tau) for tau in taus[:5]]
+    assert all(f.shape == (1,) and f.dtype == complex for f in scalars)
+    assert np.max(np.abs(np.concatenate(scalars) - got[:5])) <= 1e-12
 
 
 def _per_matrix_factor(params, n, t, t_primes):
@@ -405,10 +404,12 @@ def test_oracle_fock_matches_the_per_matrix_construction(preset_params, n):
     t = rng.uniform(0.0, 10.0, 300)
     t_prime = rng.uniform(0.0, 10.0, 300)
     bound = 1e-15 * math.sqrt(n + 1)
-    got = decoherence_factor_oracle_fock(preset_params, n, 10.0, t_prime)
-    assert np.max(np.abs(got - _per_matrix_factor(preset_params, n, 10.0, t_prime))) <= bound
-    got = decoherence_factor_oracle_fock(preset_params, n, t, t_prime)
-    assert np.max(np.abs(got - _per_matrix_factor(preset_params, n, t, t_prime))) <= bound
+    tau = t_prime - 10.0
+    got = decoherence_factor_oracle_fock(preset_params, n, 10.0, tau)
+    assert np.max(np.abs(got - _per_matrix_factor(preset_params, n, 10.0, 10.0 + tau))) <= bound
+    tau = t_prime - t
+    got = decoherence_factor_oracle_fock(preset_params, n, t, tau)
+    assert np.max(np.abs(got - _per_matrix_factor(preset_params, n, t, t + tau))) <= bound
 
 
 def test_oracle_coherent_matches_the_per_matrix_construction(preset_params):
@@ -419,25 +420,25 @@ def test_oracle_coherent_matches_the_per_matrix_construction(preset_params):
     x = abs(beta0) ** 2
     cutoff = min_cutoff(x)
     t = np.array([0.0, 0.0, 10.0, 10.0])
-    t_prime = t + np.array([0.5, 2.5, 0.5, 2.5])
+    tau = np.array([0.5, 2.5, 0.5, 2.5])
     want = np.zeros(t.size, dtype=complex)
     for n in range(cutoff + 1):
         w = math.exp(-x + n * math.log(x) - math.lgamma(n + 1.0))
-        want += w * _per_matrix_factor(preset_params, n, t, t_prime)
-    got = decoherence_factor_oracle_coherent(preset_params, beta0, t, t_prime, cutoff).value
+        want += w * _per_matrix_factor(preset_params, n, t, t + tau)
+    got = decoherence_factor_oracle_coherent(preset_params, beta0, t, tau, cutoff).value
     assert np.max(np.abs(got - want)) <= 1e-15 * math.sqrt(cutoff + 1)
 
 
 def test_oracle_coherent_array_matches_scalar_calls(preset_params):
     taus = np.linspace(0.0, 6.0, 5)
     batch = decoherence_factor_oracle_coherent(preset_params, 1.5 + 0.5j, 2.0,
-                                               2.0 + taus, cutoff=30)
+                                               taus, cutoff=30)
     assert batch.value.shape == taus.shape
     for tau, f in zip(taus, batch.value):
         single = decoherence_factor_oracle_coherent(preset_params, 1.5 + 0.5j, 2.0,
-                                                    2.0 + tau, cutoff=30)
-        assert isinstance(single.value, complex)
-        assert abs(single.value - f) <= 1e-12
+                                                    tau, cutoff=30)
+        assert single.value.shape == (1,)
+        assert abs(single.value[0] - f) <= 1e-12
         assert single.tail_bound == batch.tail_bound
 
 
@@ -450,10 +451,11 @@ def test_oracle_coherent_array_matches_scalar_calls(preset_params):
 def test_oracle_refuses_negative_times(preset_params, t, t_prime):
     """Both oracle entry points refuse a negative t or t', as the closed
     form and the quadrature do, instead of evolving backwards."""
+    tau = t_prime - t
     with pytest.raises(NegativeTime):
-        decoherence_factor_oracle_fock(preset_params, 3, t, t_prime)
+        decoherence_factor_oracle_fock(preset_params, 3, t, tau)
     with pytest.raises(NegativeTime):
-        decoherence_factor_oracle_coherent(preset_params, 2.0 + 0j, t, t_prime, 40)
+        decoherence_factor_oracle_coherent(preset_params, 2.0 + 0j, t, tau, 40)
 
 
 def test_oracle_rejects_negative_occupation(preset_params):
@@ -499,11 +501,11 @@ def test_oracle_takes_one_t_per_t_prime(preset_params):
     """300 (t, t') pairs, so the t columns cross a block boundary."""
     rng = np.random.default_rng(7)
     t = rng.uniform(0.0, 5.0, 300)
-    t_prime = rng.uniform(0.0, 5.0, 300)
-    batch = decoherence_factor_oracle_fock(preset_params, 6, t, t_prime)
+    tau = rng.uniform(0.0, 5.0, 300) - t
+    batch = decoherence_factor_oracle_fock(preset_params, 6, t, tau)
     assert batch.shape == (300,)
     for i in (0, 255, 256, 299):
-        single = decoherence_factor_oracle_fock(preset_params, 6, t[i], t_prime[i])
+        single = decoherence_factor_oracle_fock(preset_params, 6, t[i], tau[i])[0]
         assert abs(single - batch[i]) <= 1e-12
 
 
@@ -524,7 +526,7 @@ def test_oracle_sweep_eigendecomposes_once_per_sector_for_every_t(tmp_path,
     taus = np.linspace(0.0, 3.0, 7)
     for t in config.t_values:
         per_t = decoherence_factor_oracle_coherent(
-            FIGURE_PARAMS, config.state.beta0, t, t + taus, cutoff).value
+            FIGURE_PARAMS, config.state.beta0, t, taus, cutoff).value
         assert np.max(np.abs(points.f[points.t == t] - per_t)) <= 1e-12
 
 
