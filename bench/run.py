@@ -25,14 +25,17 @@ the child itself) in MiB, each as the median and quartiles over the runs,
 one column per ``--column`` (default: ``change=src`` of this checkout).
 
 The crosscheck child times the three factor methods on the cells of the
-``crosscheck`` workload, n in {10, 40, 160} x t in {0, 10}, 11 tau each,
-``--calls`` calls per method and cell (the first included, as
-``soqd compare`` makes it): the closed form (``factor_over_tau``) and the
-oracle (``decoherence_factor_oracle_fock``) in ms per call, the quadrature
-(``decoherence_factor_fock_quadrature``) in ms per call and in ns per node,
-a node being one t' x radial x angular point.  Every method is given
-(t, tau); a source tree whose oracle and quadrature still take t' in
-place of tau (the ``t_prime`` parameter) is given t' = t + tau.
+``crosscheck`` workload, n in {10, 40, 160} x t in {0, 10}, 11 tau each:
+per method and cell, one first call (the one ``soqd compare`` makes), then
+``--calls`` steady-state calls, each timed on its own.  It reports the
+first call apart, and the median and the minimum of the steady-state
+calls: the closed form (``factor_over_tau``) and the oracle
+(``decoherence_factor_oracle_fock``) in ms per call, the quadrature
+(``decoherence_factor_fock_quadrature``) in ms per call and, from the
+steady-state median, in ns per node, a node being one t' x radial x
+angular point.  Every method is given (t, tau); a source tree whose oracle
+and quadrature still take t' in place of tau (the ``t_prime`` parameter)
+is given t' = t + tau.
 
 The oracle stage runs, in its own fresh interpreter, the oracle sweep of
 the ``crosscheck`` workload: a coherent |beta0|^2 = 10 preparation at its
@@ -154,9 +157,10 @@ def _second_times(method, t, taus):
 
 
 def _crosscheck_child(calls: int) -> None:
-    """Time every factor method ``calls`` times on each crosscheck cell in
-    this fresh process, in the order ``compare_methods`` calls them; print
-    seconds per call and the quadrature's nodes per call as JSON."""
+    """Time every factor method on each crosscheck cell in this fresh
+    process, in the order ``compare_methods`` calls them, once and then
+    ``calls`` more times; print the seconds of each call and the
+    quadrature's nodes per call as JSON."""
     import time
 
     t0 = time.perf_counter()
@@ -179,12 +183,12 @@ def _crosscheck_child(calls: int) -> None:
             "closed": lambda: soqd.factor_over_tau(params, soqd.FockState(n), t, taus),
             "quadrature": lambda: soqd.decoherence_factor_fock_quadrature(params, n, t, times),
         }
-        seconds = {}
+        seconds = {name: [] for name in METHODS}
         for name in METHODS:
-            start = time.perf_counter()
-            for _ in range(calls):
+            for _ in range(1 + calls):
+                start = time.perf_counter()
                 methods[name]()
-            seconds[name] = (time.perf_counter() - start) / calls
+                seconds[name].append(time.perf_counter() - start)
         nodes = taus.size * quadrature._radial_order(n) * quadrature._ANGULAR_ORDER
         cells[f"n{n}-t{t:g}"] = {"s_per_call": seconds, "quadrature_nodes": nodes}
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
@@ -407,12 +411,18 @@ def _crosscheck_report(results: list, commands: list) -> dict:
     cells = {}
     for cell, first in results[0]["cells"].items():
         nodes = first["quadrature_nodes"]
-        entry = {f"{name}_ms_per_call": _quartiles(
-            [1e3 * x["cells"][cell]["s_per_call"][name] for x in results])
-            for name in METHODS}
+        entry, steady = {}, {}
+        for name in METHODS:
+            # per run: the first call, then the median and the minimum of
+            # the steady-state calls
+            calls = [x["cells"][cell]["s_per_call"][name] for x in results]
+            steady[name] = [_quartiles(s[1:])["median"] for s in calls]
+            entry[f"{name}_first_ms"] = _quartiles([1e3 * s[0] for s in calls])
+            entry[f"{name}_ms_per_call"] = _quartiles([1e3 * s for s in steady[name]])
+            entry[f"{name}_min_ms"] = _quartiles([1e3 * min(s[1:]) for s in calls])
         entry["quadrature_nodes"] = nodes
         entry["quadrature_ns_per_node"] = _quartiles(
-            [1e9 * x["cells"][cell]["s_per_call"]["quadrature"] / nodes for x in results])
+            [1e9 * s / nodes for s in steady["quadrature"]])
         for key in ("wall_ms", "post_import_ms"):
             entry[f"command_{key}"] = _quartiles([run[cell][key] for run in commands])
         cells[cell] = entry
@@ -448,7 +458,8 @@ def main(argv=None) -> int:
     parser.add_argument("--runs", type=int, default=7)
     parser.add_argument("--steps", type=int, default=50_000, help="tau per t")
     parser.add_argument("--calls", type=int, default=5,
-                        help="calls per method and crosscheck cell")
+                        help="steady-state calls per method and crosscheck cell, after "
+                             "a first call timed apart, and calls per oracle sweep")
     parser.add_argument("--column", action="append", default=[],
                         help="LABEL=SRC_DIR, a soqd source tree to time (repeatable)")
     parser.add_argument("--out", help="write the report here as JSON")

@@ -98,7 +98,7 @@ FIGURE_TAU_MAX = {10: 20.0, 100: 5.0, 10_000: 0.5}
 FIGURE_TAU_STEPS = 600
 
 #: largest len(t_values) * tau_steps a sweep accepts.  A sweep peaks at
-#: about 155 bytes per row with JSON output and 110 with CSV or CSV + SVG
+#: about 155 bytes per row with JSON output and 71 with CSV or CSV + SVG
 #: (tracemalloc, 10^5-row sweeps), so the largest one stays near 0.3 GB
 MAX_SWEEP_ROWS = 2_000_000
 
@@ -345,14 +345,21 @@ _CSV_SEPARATORS = np.frombuffer(b",,,,,\n", np.uint8)
 def write_points_csv(path: str, points: CorrelationPoint) -> None:
     """CSV whose every cell is ``'%.17g' % v``: parsing recovers every bit.
 
-    Rows are formatted _ROW_BLOCK at a time by one ``_g17.cells`` call."""
+    Rows go _ROW_BLOCK at a time through one ``_g17.cells`` call on the
+    first cell of each run of equal bits in a column, which the run repeats."""
     from . import _g17  # here, so that import soqd does not compile the kernel
 
     with open(path, "wb") as fh:
         fh.write(CSV_HEADER.encode() + b"\n")
         for lo in range(0, len(points), _ROW_BLOCK):
-            block = np.stack(_columns(points, slice(lo, lo + _ROW_BLOCK)), axis=1)
-            cells = _g17.cells(block.ravel()).reshape(block.shape + (_g17.CELL,))
+            block = np.stack(_columns(points, slice(lo, lo + _ROW_BLOCK)))
+            bits = block.view(np.uint64)
+            head = np.ones(block.shape, bool)
+            np.not_equal(bits[:, 1:], bits[:, :-1], out=head[:, 1:])
+            # heads are counted column after column, and every column's
+            # first row is one: the count at a cell numbers its run's head
+            run = np.cumsum(head).reshape(block.shape).T - 1
+            cells = _g17.cells(block[head]).take(run, axis=0)
             cells[:, :, -1] = _CSV_SEPARATORS
             fh.write(cells.tobytes().translate(None, b"\0"))
 
@@ -432,7 +439,10 @@ def _series_color(i: int) -> str:
 
 def write_svg_plot(path: str, points: CorrelationPoint, title: str = "") -> None:
     """Fixed 800x500 polyline plot of G against tau, one line per t,
-    written as its points are formatted."""
+    written as its points are formatted.  Raises ConfigError for a record
+    without rows, before the file is opened."""
+    if not len(points):
+        raise ConfigError(f"{path!r}: no rows to plot")
     width, height = 800, 500
     left, right, top, bottom = 70, 20, 40, 55
     inner_w = width - left - right

@@ -36,9 +36,13 @@ def test_bench_smoke_run_times_every_stage(tmp_path, capsys):
     assert set(crosscheck["cells"]) == {f"n{n}-t{t:g}" for n, t in bench.CROSSCHECK_CELLS}
     for entry in crosscheck["cells"].values():
         assert entry["quadrature_nodes"] >= bench.CROSSCHECK_TAUS * 64 * 64
-        for metric in [f"{name}_ms_per_call" for name in bench.METHODS] + [
+        for metric in [f"{name}_{kind}" for name in bench.METHODS
+                       for kind in ("first_ms", "ms_per_call", "min_ms")] + [
                 "quadrature_ns_per_node"]:
             assert entry[metric]["median"] > 0
+        # the steady-state minimum is at most the steady-state median
+        for name in bench.METHODS:
+            assert entry[f"{name}_min_ms"]["median"] <= entry[f"{name}_ms_per_call"]["median"]
         # the whole command, spawn to exit, holds its post-import part
         wall, post = entry["command_wall_ms"]["median"], entry["command_post_import_ms"]["median"]
         assert 0 < post < wall

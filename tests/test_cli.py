@@ -475,6 +475,74 @@ def test_block_writers_match_the_per_row_reference(tmp_path, rows):
     assert (tmp_path / "o.svg").read_text(encoding="utf-8") == reference_svg(points, "edge")
 
 
+def runs(values, lengths):
+    """values[i] repeated lengths[i] times, one after another."""
+    return np.repeat(np.asarray(values), lengths)
+
+
+#: every fixed form, X = -4..16, with 1, 5 and 17 digits and both signs,
+#: then scientific notation with two- and three-digit exponents
+FORMS = [s * 10.0 ** x for x in range(-4, 17) for s in (1.0, -3.0625, 1.2345678901234567)] + [
+    2.5e17, -1e-5, 1.5e-99, -3.25e100, 5e-324, 2.2250738585072014e-308]
+
+
+def run_points(case):
+    """The records whose CSV must equal the per-row reference, by case."""
+    b = _ROW_BLOCK
+    if case == "runs across blocks":
+        lengths = [b - 1, 3, b + 7, 1, 2 * b]
+        return CorrelationPoint(
+            runs([0.0, 10.0, 0.0, 2.5, 7.0], lengths),
+            np.linspace(0.0, 1.0, sum(lengths)),
+            runs([0.5 + 0.25j, 0.5 + 0.25j, -0.125j, 0.5, 1e-30 - 1e-31j], lengths),
+            runs([0.5, 1.0, 0.5, 0.0, 0.5], lengths))
+    if case == "signed zeros and subnormals":
+        lengths = [5, 3, b + 1, 2, 4, 7]
+        return CorrelationPoint(
+            runs([0.0, -0.0, 0.0, -0.0, 5e-324, 1e-310], lengths),
+            runs([-0.0, 0.0, 5e-324, 2.5e-310, 2.5e-310, 0.0], lengths),
+            runs([-0.0, complex(0.0, -0.0), 5e-324, -4e-320j, -0.0, 1e-310], lengths),
+            runs([0.0, -0.0, 5e-324, 1e-310, 0.0, -0.0], lengths))
+    if case == "every form, alone and in runs":
+        forms = np.array(FORMS)
+        t = np.concatenate([forms, runs(forms, 3), forms[::-1]])
+        small = forms[np.abs(forms) < 1]
+        f = np.resize(np.concatenate([small, runs(small, 4)]), t.size)
+        return CorrelationPoint(t, t[::-1], f - 0.5j * f, np.abs(np.resize(small, t.size)))
+    rows = {"constant columns": 2 * b + 3, "one row": 1, "no rows": 0}[case]
+    return CorrelationPoint(np.full(rows, 10.0), np.full(rows, 2.5),
+                            np.full(rows, 0.5 - 0.25j), np.full(rows, 0.5))
+
+
+@pytest.mark.parametrize("case", ["runs across blocks", "signed zeros and subnormals",
+                                  "every form, alone and in runs", "constant columns",
+                                  "one row", "no rows"])
+def test_csv_runs_match_the_per_row_reference(tmp_path, case):
+    points = run_points(case)
+    write_points_csv(str(tmp_path / "o.csv"), points)
+    assert (tmp_path / "o.csv").read_text(encoding="utf-8") == reference_csv(points)
+
+
+def test_csv_formats_each_run_of_t_once_per_block(tmp_path, monkeypatch):
+    """A 2-t sweep of 3 blocks sends t to the kernel once per block and
+    once more where t changes: 4 cells, not 6000."""
+    sent = []
+    cells = _g17.cells
+    monkeypatch.setattr(_g17, "cells", lambda values: sent.append(values) or cells(values))
+    # t in {3, 7} is the only column that can hold 3 or 7: |F|, G <= 1 < tau_max
+    run_sweep(sweep_config_from_json(make_config(
+        t_values=[3.0, 7.0], tau_max=1.0, tau_steps=3000, output_path=str(tmp_path / "o.csv"))))
+    assert [((values == 3.0).sum(), (values == 7.0).sum()) for values in sent] == [
+        (1, 0), (1, 1), (0, 1)]
+
+
+def test_svg_refuses_a_record_without_rows(tmp_path):
+    empty = np.array([])
+    with pytest.raises(ConfigError, match="no rows to plot"):
+        write_svg_plot(str(tmp_path / "o.svg"), CorrelationPoint(empty, empty, empty, empty))
+    assert not (tmp_path / "o.svg").exists()
+
+
 def printf_corpus(rng):
     """Chunks of at most 2e5 float64 values that stress '%.17g'."""
     # random finite bit patterns
@@ -533,7 +601,8 @@ def test_csv_cells_are_printf_17g_of_every_value(tmp_path):
     path = tmp_path / "o.csv"
     for values in printf_corpus(np.random.default_rng(1990)):
         finite = np.isfinite(values)
-        cells = [cell.tobytes().rstrip(b"\0").decode() for cell in _g17.cells(values[~finite])]
+        cells = [cell.tobytes().replace(b"\0", b"").decode()
+                 for cell in _g17.cells(values[~finite])]
         assert cells == ["%.17g" % v for v in values[~finite].tolist()]
         values = values[finite]
         values = values[:values.size // 2 * 2]
@@ -658,8 +727,8 @@ def test_config_refuses_repeated_t_values(tmp_path, capsys):
 
 
 #: bytes per row a 10^5-row sweep may hold at its peak (tracemalloc); the
-#: per-row writers peaked at 244, the block writers at about 155, and the
-#: CSV kernel at about 110
+#: per-row writers peaked at 244, the block writers at about 155, the CSV
+#: kernel at about 110, and its fixed-slot cells at about 71
 SWEEP_PEAK_BYTES_PER_ROW = 170
 
 
