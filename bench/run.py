@@ -33,16 +33,22 @@ calls: the closed form (``factor_over_tau``) and the oracle
 (``decoherence_factor_oracle_fock``) in ms per call, the quadrature
 (``decoherence_factor_fock_quadrature``) in ms per call and, from the
 steady-state median, in ns per node, a node being one t' x radial x
-angular point.  Every method is given (t, tau); a source tree whose oracle
-and quadrature still take t' in place of tau (the ``t_prime`` parameter)
-is given t' = t + tau.
+angular point.  It also reports the first call of the quadrature's
+Gauss-Laguerre rule (``quadrature._gauss_laguerre_log``, wrapped from
+outside) in ms per order, 64 and 168 (``quadrature_rule_ms``): the call
+that builds or reads the rule, which every ``soqd compare`` process pays.
+Every method is given (t, tau); a source tree whose oracle and quadrature
+still take t' in place of tau (the ``t_prime`` parameter) is given
+t' = t + tau.
 
 The oracle stage runs, in its own fresh interpreter, the oracle sweep of
 the ``crosscheck`` workload: a coherent |beta0|^2 = 10 preparation at its
 certified cutoff (46 sectors), t in {0, 10} x 2 tau, as one
-``decoherence_factor_oracle_coherent`` call, ``--calls`` times.  It
-reports ms per call (the first included) and the ``numpy.linalg.eigh``
-calls per call, counted by wrapping ``eigh`` from outside.
+``decoherence_factor_oracle_coherent`` call: a first call, then
+``--calls`` steady-state calls, each timed on its own.  It reports the
+first call apart, and the median and the minimum of the steady-state
+calls, in ms, and the ``numpy.linalg.eigh`` calls per call, counted by
+wrapping ``eigh`` from outside.
 
 The command stage then runs the whole ``soqd compare`` on each of those
 cells (``--tau-max 4 --steps 11``), one fresh interpreter per cell, as
@@ -159,8 +165,8 @@ def _second_times(method, t, taus):
 def _crosscheck_child(calls: int) -> None:
     """Time every factor method on each crosscheck cell in this fresh
     process, in the order ``compare_methods`` calls them, once and then
-    ``calls`` more times; print the seconds of each call and the
-    quadrature's nodes per call as JSON."""
+    ``calls`` more times; print the seconds of each call, the quadrature's
+    nodes per call and the first call of its rule per order as JSON."""
     import time
 
     t0 = time.perf_counter()
@@ -174,6 +180,19 @@ def _crosscheck_child(calls: int) -> None:
     from soqd import quadrature
     from soqd.cli import FIGURE_PARAMS as params
 
+    # the quadrature's Gauss-Laguerre rule, wrapped from outside: the
+    # seconds of its first call per order, the one that builds or reads it
+    rule_s = {}
+    real_rule = quadrature._gauss_laguerre_log
+
+    def timed_rule(order):
+        start = time.perf_counter()
+        try:
+            return real_rule(order)
+        finally:
+            rule_s.setdefault(str(order), time.perf_counter() - start)
+
+    quadrature._gauss_laguerre_log = timed_rule
     taus = np.linspace(0.0, CROSSCHECK_TAU_MAX, CROSSCHECK_TAUS)
     cells = {}
     for n, t in CROSSCHECK_CELLS:
@@ -192,12 +211,15 @@ def _crosscheck_child(calls: int) -> None:
         nodes = taus.size * quadrature._radial_order(n) * quadrature._ANGULAR_ORDER
         cells[f"n{n}-t{t:g}"] = {"s_per_call": seconds, "quadrature_nodes": nodes}
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    print(json.dumps({"import_s": t_import, "cells": cells, "peak_rss_mib": peak}))
+    print(json.dumps({"import_s": t_import, "cells": cells, "rule_s": rule_s,
+                      "peak_rss_mib": peak}))
 
 
 def _oracle_child(calls: int) -> None:
-    """Time the crosscheck oracle sweep ``calls`` times in this fresh
-    process, counting numpy.linalg.eigh calls; print both as JSON."""
+    """Time the crosscheck oracle sweep in this fresh process, once and
+    then ``calls`` more times, each call on its own, counting
+    numpy.linalg.eigh calls; print the seconds of each call and the count
+    as JSON."""
     import math
     import time
 
@@ -221,12 +243,13 @@ def _oracle_child(calls: int) -> None:
     t = np.repeat(t_values, len(taus))
     times = _second_times(soqd.decoherence_factor_oracle_coherent, t,
                           np.tile(taus, len(t_values)))
-    start = time.perf_counter()
-    for _ in range(calls):
+    seconds = []
+    for _ in range(1 + calls):
+        start = time.perf_counter()
         soqd.decoherence_factor_oracle_coherent(params, beta0, t, times, cutoff)
-    seconds = (time.perf_counter() - start) / calls
+        seconds.append(time.perf_counter() - start)
     print(json.dumps({"s_per_call": seconds, "sectors": cutoff + 1,
-                      "eigh_per_call": len(eighs) / calls}))
+                      "eigh_per_call": len(eighs) / (1 + calls)}))
 
 
 def _decay_child() -> None:
@@ -404,30 +427,38 @@ def _decay_report(results: list) -> dict:
 def _oracle_report(results: list) -> dict:
     return {"sectors": results[0]["sectors"],
             "eigh_per_call": results[0]["eigh_per_call"],
-            "ms_per_call": _quartiles([1e3 * x["s_per_call"] for x in results])}
+            **_first_and_steady([x["s_per_call"] for x in results], "")}
+
+
+def _first_and_steady(calls: list, prefix: str) -> dict:
+    """From each run's call seconds, the first call, then the median and
+    the minimum of the steady-state calls, each in ms over the runs."""
+    return {f"{prefix}first_ms": _quartiles([1e3 * s[0] for s in calls]),
+            f"{prefix}ms_per_call": _quartiles([1e3 * _quartiles(s[1:])["median"]
+                                                for s in calls]),
+            f"{prefix}min_ms": _quartiles([1e3 * min(s[1:]) for s in calls])}
 
 
 def _crosscheck_report(results: list, commands: list) -> dict:
     cells = {}
     for cell, first in results[0]["cells"].items():
         nodes = first["quadrature_nodes"]
-        entry, steady = {}, {}
+        entry = {}
         for name in METHODS:
-            # per run: the first call, then the median and the minimum of
-            # the steady-state calls
-            calls = [x["cells"][cell]["s_per_call"][name] for x in results]
-            steady[name] = [_quartiles(s[1:])["median"] for s in calls]
-            entry[f"{name}_first_ms"] = _quartiles([1e3 * s[0] for s in calls])
-            entry[f"{name}_ms_per_call"] = _quartiles([1e3 * s for s in steady[name]])
-            entry[f"{name}_min_ms"] = _quartiles([1e3 * min(s[1:]) for s in calls])
+            entry.update(_first_and_steady(
+                [x["cells"][cell]["s_per_call"][name] for x in results], f"{name}_"))
         entry["quadrature_nodes"] = nodes
         entry["quadrature_ns_per_node"] = _quartiles(
-            [1e9 * s / nodes for s in steady["quadrature"]])
+            [1e9 * _quartiles(x["cells"][cell]["s_per_call"]["quadrature"][1:])["median"]
+             / nodes for x in results])
         for key in ("wall_ms", "post_import_ms"):
             entry[f"command_{key}"] = _quartiles([run[cell][key] for run in commands])
         cells[cell] = entry
     report = {"import_ms": _quartiles([1e3 * x["import_s"] for x in results]),
               "peak_rss_mib": _quartiles([x["peak_rss_mib"] for x in results]),
+              "quadrature_rule_ms": {order: _quartiles([1e3 * x["rule_s"][order]
+                                                        for x in results])
+                                     for order in results[0]["rule_s"]},
               "cells": cells}
     for key in ("wall_ms", "post_import_ms"):
         report[f"command_{key}_total"] = _quartiles(
@@ -458,8 +489,8 @@ def main(argv=None) -> int:
     parser.add_argument("--runs", type=int, default=7)
     parser.add_argument("--steps", type=int, default=50_000, help="tau per t")
     parser.add_argument("--calls", type=int, default=5,
-                        help="steady-state calls per method and crosscheck cell, after "
-                             "a first call timed apart, and calls per oracle sweep")
+                        help="steady-state calls per method and crosscheck cell, and "
+                             "per oracle sweep, after a first call timed apart")
     parser.add_argument("--column", action="append", default=[],
                         help="LABEL=SRC_DIR, a soqd source tree to time (repeatable)")
     parser.add_argument("--out", help="write the report here as JSON")

@@ -98,7 +98,7 @@ FIGURE_TAU_MAX = {10: 20.0, 100: 5.0, 10_000: 0.5}
 FIGURE_TAU_STEPS = 600
 
 #: largest len(t_values) * tau_steps a sweep accepts.  A sweep peaks at
-#: about 155 bytes per row with JSON output and 71 with CSV or CSV + SVG
+#: about 145 bytes per row with JSON output and 71 with CSV or CSV + SVG
 #: (tracemalloc, 10^5-row sweeps), so the largest one stays near 0.3 GB
 MAX_SWEEP_ROWS = 2_000_000
 

@@ -32,6 +32,7 @@ complex per grid node out as a 1-D array.
 
 import functools
 import math
+import os
 
 import numpy as np
 
@@ -62,48 +63,38 @@ def _radial_order(n: int) -> int:
     return max(64, n + 8)
 
 
+#: highest Gauss-Laguerre order the quadrature uses, and the table holds
+_TOP_ORDER = _radial_order(QUADRATURE_OCCUPATION_GUARD)
+
+#: nodes and log-weights of every Gauss-Laguerre order 1 ... _TOP_ORDER,
+#: little-endian float64: order R's R ascending nodes, then their R
+#: log-weights, start R (R - 1) doubles in.  Written by
+#: tools/gauss_laguerre_table.py
+_RULE_TABLE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "gauss_laguerre.f64")
+
+
 @functools.lru_cache(maxsize=32)
 def _gauss_laguerre_log(order: int):
     """Gauss-Laguerre nodes and log-weights for weight exp(-u) on [0, inf).
 
-    The rule depends on the order alone, so it is computed once per order
-    and cached; the returned arrays are read-only.
-
-    Nodes are the eigenvalues of the symmetrized Jacobi matrix (diagonal
-    2k+1, off-diagonal k), from a dense symmetric eigensolve of that
-    order x order matrix (Golub & Welsch, Math. Comp. 23, 1969), which
-    keeps the runtime on numpy alone.  Weights do NOT come from the
-    eigenvectors: the first components fall below the eigensolver's
-    absolute accuracy long before the rule's tail does, which silently
-    corrupts every weight under ~1e-14 -- exactly the ones a
-    high-occupation integrand leans on.  Instead each log-weight is
-    evaluated from the analytic form w = u / ((R+1) * L_{R+1}(u))^2, with
-    L_{R+1} run up by the three-term recurrence and renormalized on the
-    fly so the recursion stays finite while log(w) keeps full relative
-    accuracy at any magnitude.
+    The rule depends on the order alone: this order's 2 * order doubles
+    are read from _RULE_TABLE on first use and cached, and the returned
+    arrays are read-only.  Each value is the double nearest a 200-bit
+    computation (Newton's method on the roots of L_order, and log w =
+    log x - 2 log|order * L_{order-1}(x)|), so the rule's smallest
+    weights keep full relative accuracy.  Raises ConfigError for an order
+    outside 1 ... _TOP_ORDER and OSError for a table that cannot be read
+    or is cut short.
     """
-    k = np.arange(order, dtype=float)
-    jacobi = np.zeros((order, order))
-    jacobi.flat[::order + 1] = 2.0 * k + 1.0
-    jacobi.flat[1::order + 1] = k[1:]
-    jacobi.flat[order::order + 1] = k[1:]
-    nodes = np.linalg.eigvalsh(jacobi)
-    prev = np.ones_like(nodes)  # L_0
-    cur = 1.0 - nodes  # L_1
-    shift = np.zeros_like(nodes)  # accumulated log of the renormalizations
-    for j in range(1, order + 1):
-        prev, cur = cur, ((2.0 * j + 1.0 - nodes) * cur - j * prev) / (j + 1.0)
-        size = np.abs(cur)
-        if size.max() > 1e100:
-            factor = np.where(size > 1e100, size, 1.0)
-            cur /= factor
-            prev /= factor
-            shift += np.log(factor)
-    log_tail = shift + np.log(np.abs(cur))
-    log_w = np.log(nodes) - 2.0 * (math.log(order + 1.0) + log_tail)
-    nodes.flags.writeable = False
-    log_w.flags.writeable = False
-    return nodes, log_w
+    if not 1 <= order <= _TOP_ORDER:
+        raise ConfigError(
+            f"no Gauss-Laguerre rule of order {order}: the table holds 1 ... {_TOP_ORDER}")
+    rule = np.fromfile(_RULE_TABLE, dtype="<f8", count=2 * order,
+                       offset=8 * order * (order - 1))
+    if rule.size != 2 * order:
+        raise OSError(f"{_RULE_TABLE} is cut short: order {order} is missing")
+    rule.flags.writeable = False
+    return rule[:order], rule[order:]
 
 
 def _single_quantum_eigensystems(params: ModelParams):

@@ -47,12 +47,17 @@ def test_bench_smoke_run_times_every_stage(tmp_path, capsys):
         wall, post = entry["command_wall_ms"]["median"], entry["command_post_import_ms"]["median"]
         assert 0 < post < wall
     assert crosscheck["import_ms"]["median"] > 0 and crosscheck["peak_rss_mib"]["median"] > 0
+    # the rule's first call per order: n in {10, 40} take 64 nodes, n = 160 takes 168
+    assert set(crosscheck["quadrature_rule_ms"]) == {"64", "168"}
+    assert all(q["median"] > 0 for q in crosscheck["quadrature_rule_ms"].values())
     assert 0 < crosscheck["command_post_import_ms_total"]["median"] < (
         crosscheck["command_wall_ms_total"]["median"])
     # the crosscheck oracle sweep: one stacked eigh per sector per call
     oracle = report["oracle"]["change"]
     assert oracle["sectors"] == 46 and oracle["eigh_per_call"] == 46
-    assert oracle["ms_per_call"]["median"] > 0
+    for metric in ("first_ms", "ms_per_call", "min_ms"):
+        assert oracle[metric]["median"] > 0
+    assert oracle["min_ms"]["median"] <= oracle["ms_per_call"]["median"]
     # the decay_search searches: 12 reached, 2 equal-coupling windows that
     # never decay and cost one grid
     decay = report["decay"]["change"]

@@ -1,12 +1,17 @@
 """Phase-space quadrature: its own transform, whole grids, bounded memory."""
 
+import importlib.util
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from soqd import (
+    ConfigError,
     EigenFailure,
     FockState,
     NegativeTime,
@@ -18,6 +23,8 @@ from soqd import propagator
 from soqd import quadrature as quadrature_module
 from soqd.cli import FIGURE_PARAMS as PRESET
 from test_reproducibility import _reference
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def test_quadrature_does_not_share_the_schedule_table(monkeypatch):
@@ -85,8 +92,9 @@ def test_half_angle_rotation_matches_cos_and_sin():
 
 
 def _gauss_laguerre_log_as_first_built(order):
-    """The rule as first built: the Jacobi matrix as a sum of three dense
-    np.diag arrays, and a compare-and-any renormalization guard."""
+    """The rule as first built: the nodes from a dense eigensolve of the
+    Jacobi matrix, the log-weights from a renormalized three-term
+    recurrence for L_{R+1}, all in float64."""
     k = np.arange(order, dtype=float)
     jacobi = np.diag(2.0 * k + 1.0) + np.diag(k[1:], 1) + np.diag(k[1:], -1)
     nodes = np.linalg.eigvalsh(jacobi)
@@ -105,12 +113,103 @@ def _gauss_laguerre_log_as_first_built(order):
     return nodes, np.log(nodes) - 2.0 * (math.log(order + 1.0) + log_tail)
 
 
-@pytest.mark.parametrize("order", [64, 72, 168, 264])
-def test_gauss_laguerre_rule_bit_equals_its_first_construction(order):
+def _table_generator():
+    """tools/gauss_laguerre_table.py, which needs mpmath."""
+    pytest.importorskip("mpmath")
+    path = os.path.join(ROOT, "tools", "gauss_laguerre_table.py")
+    spec = importlib.util.spec_from_file_location("gauss_laguerre_table", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("order", [1, 8, 64, 72, 168, 264])
+def test_gauss_laguerre_table_bit_equals_its_200_bit_generator(order):
+    """The first, the last and seeded random nodes of the packaged table,
+    and their log-weights, have the bits the generator computes."""
+    generator = _table_generator()
+    nodes, log_w = quadrature_module._gauss_laguerre_log(order)
+    rng = np.random.default_rng(order)
+    sample = np.unique(np.concatenate(
+        [[0, order - 1], rng.choice(order, size=min(order, 6), replace=False)]))
+    ref_nodes, ref_log_w = generator.rule(order, generator.start_nodes(order)[sample])
+    assert nodes[sample].tobytes() == ref_nodes.tobytes()
+    assert log_w[sample].tobytes() == ref_log_w.tobytes()
+
+
+#: order -> (relative node bound, absolute log-weight bound) of the table
+#: against the rule as first built.  The log-weight difference is largest
+#: at the smallest node, where that construction's float64 node error is
+#: amplified: measured 5.9e-12, 8.0e-12, 3.9e-11 and 5.2e-10 at orders 64,
+#: 72, 168 and 264, the last two with the nodes off by 1.5e-13 and 2.9e-13
+FIRST_BUILT_BOUNDS = {8: (1e-12, 5e-11), 64: (1e-12, 5e-11), 72: (1e-12, 5e-11),
+                      168: (1e-12, 5e-11), 264: (1e-12, 1e-9)}
+
+
+@pytest.mark.parametrize("order", sorted(FIRST_BUILT_BOUNDS))
+def test_gauss_laguerre_table_is_near_the_rule_as_first_built(order):
+    node_bound, log_w_bound = FIRST_BUILT_BOUNDS[order]
     nodes, log_w = quadrature_module._gauss_laguerre_log(order)
     ref_nodes, ref_log_w = _gauss_laguerre_log_as_first_built(order)
-    assert nodes.tobytes() == ref_nodes.tobytes()
-    assert log_w.tobytes() == ref_log_w.tobytes()
+    assert np.max(np.abs(nodes - ref_nodes) / nodes) <= node_bound
+    assert np.max(np.abs(log_w - ref_log_w)) <= log_w_bound
+
+
+def test_gauss_laguerre_table_holds_every_order_the_quadrature_uses():
+    """Orders 1 ... 264 are all present, each with positive, strictly
+    increasing nodes whose weights integrate 1 and u to 1e-13, and 264 is
+    the order at the occupation guard."""
+    top = quadrature_module._TOP_ORDER
+    assert top == 264
+    assert quadrature_module._radial_order(quadrature_module.QUADRATURE_OCCUPATION_GUARD) == top
+    assert os.path.getsize(quadrature_module._RULE_TABLE) == 8 * top * (top + 1)
+    for order in range(1, top + 1):
+        nodes, log_w = quadrature_module._gauss_laguerre_log(order)
+        assert nodes.shape == log_w.shape == (order,)
+        assert nodes[0] > 0 and np.all(np.diff(nodes) > 0), order
+        weights = np.exp(log_w)
+        assert abs(math.fsum(weights) - 1.0) <= 1e-13, order
+        assert abs(math.fsum(weights * nodes) - 1.0) <= 1e-13, order
+
+
+@pytest.mark.parametrize("order", [0, -1, 265])
+def test_gauss_laguerre_table_refuses_an_order_it_lacks(order):
+    with pytest.raises(ConfigError, match="no Gauss-Laguerre rule"):
+        quadrature_module._gauss_laguerre_log(order)
+
+
+def test_gauss_laguerre_table_cut_short_is_an_io_error(tmp_path, monkeypatch):
+    short = tmp_path / "short.f64"
+    with open(quadrature_module._RULE_TABLE, "rb") as fh:
+        short.write_bytes(fh.read(8 * 200 * 201))  # orders 1 ... 200
+    monkeypatch.setattr(quadrature_module, "_RULE_TABLE", str(short))
+    quadrature_module._gauss_laguerre_log.cache_clear()
+    try:
+        assert quadrature_module._gauss_laguerre_log(200)[0].size == 200
+        with pytest.raises(OSError, match="cut short"):
+            quadrature_module._gauss_laguerre_log(201)
+    finally:
+        quadrature_module._gauss_laguerre_log.cache_clear()
+
+
+def test_import_soqd_does_not_read_the_rule_table():
+    """The table is opened on the first quadrature call, not by import."""
+    src = os.path.join(ROOT, "src")
+    code = ("import sys\n"
+            "opened = []\n"
+            "sys.addaudithook(lambda event, args: event == 'open' and opened.append(args[0]))\n"
+            "import soqd\n"
+            "from soqd import quadrature\n"
+            "name = 'gauss_laguerre.f64'\n"
+            "print(any(str(p).endswith(name) for p in opened))\n"
+            "quadrature._gauss_laguerre_log(64)\n"
+            "print(any(str(p).endswith(name) for p in opened))\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
 
 
 #: absolute bound on |F - F_ref| against the 200-bit reference; measured
