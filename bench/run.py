@@ -23,6 +23,8 @@ compiled inside it, as in a real job.  The report gives each stage in ns
 per row, ``import`` in ms and the child's own peak RSS (``getrusage`` of
 the child itself) in MiB, each as the median and quartiles over the runs,
 one column per ``--column`` (default: ``change=src`` of this checkout).
+Beside the SVG stage's total ms (``svg_ms``) it gives the size of the SVG
+file the sweep wrote (``svg_bytes``).
 
 The crosscheck child times the three factor methods on the cells of the
 ``crosscheck`` workload, n in {10, 40, 160} x t in {0, 10}, 11 tau each:
@@ -150,8 +152,10 @@ def _child(config_path: str) -> None:
     rows = len(soqd.read_points_csv(config.output_path))
     times["read"] = time.perf_counter() - start
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    svg_bytes = os.path.getsize(cli._plot_path(config.output_path))
     print(json.dumps({"rows": rows, "import_s": t_import, "stages_s": times,
-                      "peak_rss_mib": peak, "numpy_ma": "numpy.ma" in sys.modules}))
+                      "peak_rss_mib": peak, "numpy_ma": "numpy.ma" in sys.modules,
+                      "svg_bytes": svg_bytes}))
 
 
 def _second_times(method, t, taus):
@@ -480,6 +484,7 @@ def _sweep_report(samples: dict) -> dict:
                 entry[f"{stage}_ns_per_row"] = _quartiles(
                     [1e9 * x["stages_s"][stage] / rows for x in results])
             entry["svg_ms"] = _quartiles([1e3 * x["stages_s"]["svg"] for x in results])
+            entry["svg_bytes"] = results[0]["svg_bytes"]
             report[label][name] = entry
     return report
 

@@ -77,7 +77,7 @@ _TEXT_COLUMNS = ("t", "tau", "G")
 #: one JSON row object as json.dump(..., indent=1) lays it out in the list
 _JSON_ROW = "\n  {\n" + ",\n".join(
     f'   "{key}": {"%s" if key in _TEXT_COLUMNS else "%r"}' for key in CSV_COLUMNS) + "\n  }"
-#: rows per block of a CSV, JSON or SVG write: one kernel call or one % call each
+#: rows per block of a CSV or JSON write: one kernel call or one % call each
 _ROW_BLOCK = 2 ** 11
 
 #: parameters behind every preset panel
@@ -98,8 +98,9 @@ FIGURE_TAU_MAX = {10: 20.0, 100: 5.0, 10_000: 0.5}
 FIGURE_TAU_STEPS = 600
 
 #: largest len(t_values) * tau_steps a sweep accepts.  A sweep peaks at
-#: about 145 bytes per row with JSON output and 71 with CSV or CSV + SVG
-#: (tracemalloc, 10^5-row sweeps), so the largest one stays near 0.3 GB
+#: about 145 bytes per row with JSON output, 70 with CSV and 77-85 with
+#: CSV + SVG (tracemalloc, 10^5-row sweeps of one and two t), so the
+#: largest one stays near 0.3 GB
 MAX_SWEEP_ROWS = 2_000_000
 
 
@@ -437,12 +438,31 @@ def _series_color(i: int) -> str:
     return "#" + "".join(f"{round(255 * c):02x}" for c in rgb)
 
 
+def _m4(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The indices, ascending, of the rows of one series that its line is
+    drawn through: in each pixel column floor(x), the first and the last
+    row and the first rows of least and of greatest g.  x ascends.  This
+    is M4 aggregation (Jugel et al., PVLDB 7(10), 2014): the line keeps
+    each column's extent in g and the rows that join it to its neighbours,
+    and a series with at most four rows per column keeps them all."""
+    # the first row at or past the left edge of each column after the first
+    edges = np.searchsorted(x, np.arange(math.floor(x[0]) + 1.0, x[-1] + 1.0)).tolist()
+    kept = []
+    for lo, hi in zip([0] + edges, edges + [x.size]):
+        if lo < hi:
+            column = g[lo:hi]
+            kept += sorted({lo, hi - 1, lo + int(column.argmin()), lo + int(column.argmax())})
+    return np.array(kept)
+
+
 def write_svg_plot(path: str, points: CorrelationPoint, title: str = "") -> None:
-    """Fixed 800x500 polyline plot of G against tau, one line per t,
-    written as its points are formatted.  Raises ConfigError for a record
-    without rows, before the file is opened."""
+    """Fixed 800x500 polyline plot of G against tau, one line per t, each
+    line drawn through the rows _m4 keeps of it.  Raises ConfigError for a
+    record without rows or whose tau span overflows, before the file is
+    opened."""
     if not len(points):
         raise ConfigError(f"{path!r}: no rows to plot")
+    escaped = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     width, height = 800, 500
     left, right, top, bottom = 70, 20, 40, 55
     inner_w = width - left - right
@@ -459,6 +479,8 @@ def write_svg_plot(path: str, points: CorrelationPoint, title: str = "") -> None
     keys = bits[bounds[:-1]].view(np.float64).tolist()
     tau_lo, tau_hi = float(points.tau.min()), float(points.tau.max())
     span = tau_hi - tau_lo or 1.0
+    if span == math.inf:
+        raise ConfigError(f"{path!r}: tau from {tau_lo} to {tau_hi} spans more than a float holds")
 
     def px(tau):
         return left + (tau - tau_lo) / span * inner_w
@@ -470,7 +492,7 @@ def write_svg_plot(path: str, points: CorrelationPoint, title: str = "") -> None
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{left}" y="24" font-family="sans-serif" font-size="15">{title}</text>',
+        f'<text x="{left}" y="24" font-family="sans-serif" font-size="15">{escaped}</text>',
     ]
     # axes
     parts.append(f'<line x1="{left}" y1="{top}" x2="{left}" y2="{top + inner_h}" '
@@ -500,20 +522,17 @@ def write_svg_plot(path: str, points: CorrelationPoint, title: str = "") -> None
     column_width = min(_LEGEND_COLUMN_WIDTH,
                        (inner_w - _LEGEND_COLUMN_WIDTH) // max(1, columns - 1))
 
-    from . import _fixed2  # here, so that import soqd does not compile the kernel
-
     with open(path, "wb") as fh:
         fh.write("".join(part + "\n" for part in parts).encode())
         for i, j in enumerate(np.argsort(keys, kind="stable").tolist()):
             color = _series_color(i)
-            start, stop = bounds[j], bounds[j + 1]
-            fh.write(b'<polyline points="')
-            for lo in range(start, stop, _ROW_BLOCK):
-                rows = order[lo:min(lo + _ROW_BLOCK, stop)]
-                if lo > start:
-                    fh.write(b" ")
-                fh.write(_fixed2.points(px(points.tau[rows]), py(points.g[rows])))
-            fh.write(f'" fill="none" stroke="{color}" stroke-width="1.3"/>\n'.encode())
+            rows = order[bounds[j]:bounds[j + 1]]
+            x, g = px(points.tau[rows]), points.g[rows]
+            drawn = _m4(x, g)
+            coords = " ".join(["%.2f,%.2f" % p
+                               for p in zip(x[drawn].tolist(), py(g[drawn]).tolist())])
+            fh.write(f'<polyline points="{coords}" fill="none" stroke="{color}" '
+                     'stroke-width="1.3"/>\n'.encode())
             if len(keys) > 1:
                 column, row = divmod(i, _LEGEND_ROWS)
                 fh.write(f'<text x="{left + inner_w - 6 - column_width * column}" '

@@ -32,6 +32,7 @@ def test_bench_smoke_run_times_every_stage(tmp_path, capsys):
             q1, q3 = entry[metric]["iqr"]
             assert 0 < q1 <= entry[metric]["median"] <= q3
         assert entry["numpy_ma_loaded"] is False
+        assert entry["svg_ms"]["median"] > 0 and entry["svg_bytes"] > 0
     crosscheck = report["crosscheck"]["change"]
     assert set(crosscheck["cells"]) == {f"n{n}-t{t:g}" for n, t in bench.CROSSCHECK_CELLS}
     for entry in crosscheck["cells"].values():

@@ -1,6 +1,7 @@
 """Config validation, sweep driver, serialization, preset panels, entry point."""
 
 import colorsys
+import html
 import json
 import math
 import os
@@ -8,9 +9,12 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import xml.etree.ElementTree as ElementTree
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soqd import (
     CoherentState,
@@ -27,7 +31,7 @@ from soqd import (
     read_points_csv,
     run_sweep,
 )
-from soqd import _fixed2, _g17
+from soqd import _g17
 from soqd import cli as cli_module
 from soqd.cli import (
     _ROW_BLOCK,
@@ -380,6 +384,21 @@ def reference_color(i):
     return "#%02x%02x%02x" % tuple(round(255 * c) for c in rgb)
 
 
+def reference_m4(x, g):
+    """The rows a series is drawn through, ascending: in each pixel column
+    floor(x), the first and the last row and the first rows of least and
+    of greatest g."""
+    columns = {}
+    for i, v in enumerate(g):
+        rows = columns.setdefault(math.floor(x[i]), [i, i, i, i])
+        rows[1] = i
+        if v < g[rows[2]]:
+            rows[2] = i
+        if v > g[rows[3]]:
+            rows[3] = i
+    return sorted({i for rows in columns.values() for i in rows})
+
+
 def reference_svg(points, title):
     width, height = 800, 500
     left, right, top, bottom = 70, 20, 40, 55
@@ -401,7 +420,8 @@ def reference_svg(points, title):
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{left}" y="24" font-family="sans-serif" font-size="15">{title}</text>',
+        f'<text x="{left}" y="24" font-family="sans-serif" font-size="15">'
+        f'{html.escape(title, quote=False)}</text>',
         f'<line x1="{left}" y1="{top}" x2="{left}" y2="{top + inner_h}" '
         'stroke="black" stroke-width="1"/>',
         f'<line x1="{left}" y1="{top + inner_h}" x2="{left + inner_w}" '
@@ -432,8 +452,9 @@ def reference_svg(points, title):
         series = (points.t == t) & (np.signbit(points.t) == (sign < 0))
         tau, g = points.tau[series], points.g[series]
         order = np.lexsort((g, tau))
-        xy = zip(px(tau[order]).tolist(), py(g[order]).tolist())
-        coords = " ".join(["%.2f,%.2f" % cell for cell in xy])
+        x, y = px(tau[order]).tolist(), py(g[order]).tolist()
+        coords = " ".join(["%.2f,%.2f" % (x[k], y[k])
+                           for k in reference_m4(x, g[order].tolist())])
         parts.append(f'<polyline points="{coords}" fill="none" stroke="{color}" '
                      'stroke-width="1.3"/>')
         if len(t_values) > 1:
@@ -543,6 +564,14 @@ def test_svg_refuses_a_record_without_rows(tmp_path):
     assert not (tmp_path / "o.svg").exists()
 
 
+def test_svg_refuses_a_tau_span_beyond_float_range(tmp_path):
+    """tau from -1e308 to 1e308 has no finite span to scale by."""
+    points = CorrelationPoint([0.0, 0.0], [-1e308, 1e308], [1.0 + 0j, 1.0 + 0j], [1.0, 1.0])
+    with pytest.raises(ConfigError, match="spans more than a float holds"):
+        write_svg_plot(str(tmp_path / "o.svg"), points)
+    assert not (tmp_path / "o.svg").exists()
+
+
 def printf_corpus(rng):
     """Chunks of at most 2e5 float64 values that stress '%.17g'."""
     # random finite bit patterns
@@ -616,42 +645,15 @@ def test_csv_cells_are_printf_17g_of_every_value(tmp_path):
         assert len(got) == len(want) and not wrong, wrong[:5]
 
 
-def printf_2f_corpus(rng):
-    """float64 values that stress '%.2f' below 1000, and its fallback."""
-    cents = np.arange(10 ** 5) / 100
-    # (2n + 1) / 200: 100 v rounds onto a half-integer, mostly with an error
-    half_cents = np.arange(1, 2 * 10 ** 5, 2) / 200
-    # odd multiples of 1/8: 100 v is a half-integer exactly, a true tie
-    eighths = np.arange(1, 8000, 2) / 8
-    top = np.array([999.985, 999.99, 999.995, 1000.0])
-    top = np.concatenate([top + k * np.spacing(top) for k in range(-40, 41)])
-    grid = np.concatenate([cents, half_cents, eighths, top])
-    grid = np.concatenate([grid, np.nextafter(grid, 0), np.nextafter(grid, np.inf)])
-    fallback = np.array([-0.0, -5e-324, -0.004, -0.005, -0.006, -1.0, -999.99, -1e300,
-                         1000.0, 1e16, 1e300, np.inf, -np.inf, np.nan, 5e-324, 1e-310])
-    values = np.concatenate([fallback, grid, -cents[::97], rng.uniform(0, 1000, 10 ** 5)])
-    return values[:values.size // 2 * 2]
+def polylines(svg):
+    """The points of each polyline of an SVG text, as lists of (x, y) text."""
+    return [[tuple(point.split(",")) for point in line.split(" ")]
+            for line in re.findall(r'<polyline points="([^"]*)"', svg)]
 
 
-def test_svg_points_are_printf_2f_of_every_value():
-    """The SVG kernel's text of every float64 is '%.2f' % v, byte for
-    byte, and exactly the negative values, those that round to 1000.00 or
-    more, inf and nan take its per-value path."""
-    values = printf_2f_corpus(np.random.default_rng(1971))
-    want = ["%.2f" % v for v in values.tolist()]
-    got = _fixed2.points(values[0::2], values[1::2]).decode()
-    cells = got.replace(",", " ").split(" ")
-    wrong = [(v, g, w) for v, g, w in zip(values.tolist(), cells, want) if g != w]
-    assert len(cells) == len(want) and not wrong, wrong[:5]
-    assert got == " ".join(map(",".join, zip(want[0::2], want[1::2])))
-    _, fallback = _fixed2._rounded(values)
-    rounded = np.array([float(text) for text in want])
-    assert np.array_equal(fallback, np.signbit(values) | ~(rounded < 1000))
-
-
-def test_svg_of_a_bulk_sweep_matches_the_per_row_reference(tmp_path):
+def test_svg_of_a_bulk_sweep_matches_the_m4_reference(tmp_path):
     """Two 5x10^4-point series, as a sweep_bulk job draws them, including
-    G on and past the clip at 0 and 1."""
+    G on and past the clip at 0 and 1, in a file under 100 kB."""
     taus = np.linspace(0.0, 0.5, 50_000)
     t = np.repeat([0.0, 10.0], taus.size)
     tau = np.tile(taus, 2)
@@ -659,7 +661,60 @@ def test_svg_of_a_bulk_sweep_matches_the_per_row_reference(tmp_path):
     g[::101], g[1::103], g[2::107], g[3::109] = 0.0, 1.0, -1e-10, 1.0 + 1e-10
     points = CorrelationPoint(t, tau, np.full(t.size, 0.5 + 0j), g)
     write_svg_plot(str(tmp_path / "o.svg"), points, title="bulk")
-    assert (tmp_path / "o.svg").read_text(encoding="utf-8") == reference_svg(points, "bulk")
+    svg = (tmp_path / "o.svg").read_text(encoding="utf-8")
+    assert svg == reference_svg(points, "bulk")
+    assert len(svg.encode()) < 100_000
+    # 711 pixel columns, floor(x) = 70 to 780, at most 4 points each
+    lines = polylines(svg)
+    assert len(lines) == 2 and all(len(line) <= 4 * 711 for line in lines)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(1, 5000), distinct=st.integers(1, 5000),
+       span=st.sampled_from([1e-3, 1.0, 7.0, 1e4]), seed=st.integers(0, 2 ** 32 - 1))
+def test_svg_draws_each_pixel_column_through_its_m4_rows(tmp_path_factory, rows, distinct,
+                                                          span, seed):
+    """A random series, with tau repeated (``distinct`` values at most),
+    -0.0 beside 0.0, and G on and past the clip at 0 and 1: its line is
+    drawn through a subsequence of its rows in order, which holds each
+    pixel column's first and last row and its first rows of least and
+    greatest G, and at most 4 rows of any column."""
+    rng = np.random.default_rng(seed)
+    tau = rng.choice(rng.uniform(0.0, span, distinct), rows)
+    tau[rng.random(rows) < 0.05] = 0.0
+    tau[rng.random(rows) < 0.05] = -0.0
+    g = rng.choice([rng.uniform(0.0, 1.0), -1e-9, 0.0, -0.0, 1.0, 1.0 + 1e-9, 5e-324], rows)
+    g = np.where(rng.random(rows) < 0.5, rng.uniform(-1e-9, 1.0 + 1e-9, rows), g)
+    points = CorrelationPoint(np.full(rows, 2.0), tau, np.full(rows, 0.5 + 0j), g)
+    path = tmp_path_factory.mktemp("m4") / "o.svg"
+    write_svg_plot(str(path), points)
+    # the series in the writer's order, placed as the writer places it
+    order = np.lexsort((g, tau))
+    tau, g = tau[order], g[order]
+    x = 70.0 + (tau - tau.min()) / ((tau.max() - tau.min()) or 1.0) * 710.0
+    y = 40.0 + (1.0 - np.clip(g, 0.0, 1.0)) * 405.0
+    drawn = cli_module._m4(x, g)
+    [line] = polylines(path.read_text(encoding="utf-8"))
+    assert line == [("%.2f" % x[k], "%.2f" % y[k]) for k in drawn.tolist()]
+    assert np.all(np.diff(drawn) > 0) and 0 <= drawn[0] and drawn[-1] < rows
+    column = np.floor(x)
+    for c in set(column.tolist()):
+        members = np.flatnonzero(column == c)
+        kept = set(np.intersect1d(drawn, members).tolist())
+        assert {members[0], members[-1], members[np.argmin(g[members])],
+                members[np.argmax(g[members])]} <= kept
+        assert len(kept) <= 4
+
+
+def test_svg_title_is_escaped(tmp_path):
+    """&, < and > in a title are written as entities: the file parses as
+    XML and its title reads back as given."""
+    title = "G < 1 & t > 0"
+    points = CorrelationPoint([0.0, 0.0], [0.0, 1.0], [1.0 + 0j, 0.5 + 0j], [1.0, 0.5])
+    write_svg_plot(str(tmp_path / "o.svg"), points, title=title)
+    assert (tmp_path / "o.svg").read_text(encoding="utf-8") == reference_svg(points, title)
+    root = ElementTree.parse(tmp_path / "o.svg").getroot()
+    assert root.find("{http://www.w3.org/2000/svg}text").text == title
 
 
 def test_signed_zero_times_keep_their_sign(tmp_path):
@@ -1197,14 +1252,12 @@ def run_script(script, *args):
     return proc.stdout.splitlines()[-1]
 
 
-def test_figure_loads_no_numpy_ma_and_import_loads_no_svg_kernel(tmp_path):
-    """The SVG kernel is compiled on the first plot, not by import soqd,
-    and no figure run pulls in numpy.ma."""
+def test_figure_loads_no_numpy_ma(tmp_path):
+    """No figure run pulls in numpy.ma."""
     script = ("import sys, soqd\n"
-              "loaded = 'soqd._fixed2' in sys.modules\n"
               "soqd.main(['figure', '--id', '2', '--panel', 'e', '--out', sys.argv[1]])\n"
-              "print(loaded, 'numpy.ma' in sys.modules, 'soqd._fixed2' in sys.modules)\n")
-    assert run_script(script, str(tmp_path)) == "False False True"
+              "print('numpy.ma' in sys.modules)\n")
+    assert run_script(script, str(tmp_path)) == "False"
 
 
 def test_compare_loads_no_argparse_gettext_or_locale():
