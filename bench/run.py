@@ -37,8 +37,9 @@ calls: the closed form (``factor_over_tau``) and the oracle
 steady-state median, in ns per node, a node being one t' x radial x
 angular point.  It also reports the first call of the quadrature's
 Gauss-Laguerre rule (``quadrature._gauss_laguerre_log``, wrapped from
-outside) in ms per order, 64 and 168 (``quadrature_rule_ms``): the call
-that builds or reads the rule, which every ``soqd compare`` process pays.
+outside) in ms per order the cells use, 18, 48 and 168 for n = 10, 40 and
+160 (``quadrature_rule_ms``): the call that builds or reads the rule,
+which every ``soqd compare`` process pays.
 Every method is given (t, tau); a source tree whose oracle and quadrature
 still take t' in place of tau (the ``t_prime`` parameter) is given
 t' = t + tau.

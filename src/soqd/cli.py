@@ -98,9 +98,9 @@ FIGURE_TAU_MAX = {10: 20.0, 100: 5.0, 10_000: 0.5}
 FIGURE_TAU_STEPS = 600
 
 #: largest len(t_values) * tau_steps a sweep accepts.  A sweep peaks at
-#: about 145 bytes per row with JSON output, 70 with CSV and 77-85 with
-#: CSV + SVG (tracemalloc, 10^5-row sweeps of one and two t), so the
-#: largest one stays near 0.3 GB
+#: 145-188 bytes per row with JSON output and 70-75 with CSV, with or
+#: without SVG (tracemalloc, 10^5-row sweeps of two t and of one), so the
+#: largest one stays under 0.4 GB
 MAX_SWEEP_ROWS = 2_000_000
 
 
@@ -477,6 +477,7 @@ def write_svg_plot(path: str, points: CorrelationPoint, title: str = "") -> None
     bits = t_bits[order]
     bounds = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1], [True]))).tolist()
     keys = bits[bounds[:-1]].view(np.float64).tolist()
+    del bits  # 8 bytes a row, not needed by the series loop
     tau_lo, tau_hi = float(points.tau.min()), float(points.tau.max())
     span = tau_hi - tau_lo or 1.0
     if span == math.inf:

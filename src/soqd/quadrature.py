@@ -5,7 +5,20 @@ The number state is resolved on coherent states,
     F = integral d^2beta/pi <0,n | image of (0,beta)> <beta | n>,
 
 and the integral is taken on Gauss-Laguerre (radial) x uniform trapezoid
-(angular) nodes.  The image of (0, beta) comes from this module's own
+(angular) nodes.  The orders are the ones the integrand needs.  With
+mode 1 empty, the image of (0, beta) is (a6, b6) = (m12 beta, m22 beta),
+so with u = |beta|^2 the integrand exp(-(|a6|^2 + |b6|^2 + u)/2) *
+b6**n conj(beta)**n / n! is exp(-u) m22**n u**n / n! by unitarity, the
+same at every angle of beta.  The trapezoid rule is exact for a
+trigonometric polynomial of degree below its node count, and a constant
+needs one node, so _ANGULAR_ORDER = 8 (two per quadrant, so that arg b6,
+arg conj beta and their wrap at +-pi still vary from node to node); the
+radial factor is exp(-u) times a degree-n polynomial, which the
+Gauss-Laguerre rule of any order >= (n + 1)/2 integrates exactly, and
+_radial_order(n) = n + 8.  The kernel does not use this: every node is
+formed from its own image and summed, as if the angle mattered.
+
+The image of (0, beta) comes from this module's own
 transform: the three real symmetric single-quantum Hamiltonians
 [[omega1, g], [g, omega2]] with g = d_e*m + d_g*n_sys are eigendecomposed
 together, in one stacked call per factor call, and the mode-2 unit vector
@@ -48,19 +61,21 @@ __all__ = [
 QUADRATURE_OCCUPATION_GUARD = 256
 
 #: t' entries x radial x angular nodes evaluated together; at n = 160
-#: (168 x 64 nodes) that is one t' per block, so the work arrays stay at
-#: one t' worth whatever the grid size
+#: (168 x 8 nodes) that is 12 t' per block, so the work arrays stay at
+#: 12 t' worth whatever the grid size
 _NODE_BUDGET = 2 ** 14
 
-#: uniform trapezoid nodes on the phase circle
-_ANGULAR_ORDER = 64
+#: uniform trapezoid nodes on the phase circle: the integrand is the same
+#: at every angle, and two nodes per quadrant exercise the phase wrap
+_ANGULAR_ORDER = 8
 
 
 def _radial_order(n: int) -> int:
-    """Gauss-Laguerre order for occupation n: the radial factor is a
-    degree-n polynomial, which n + 1 nodes integrate exactly; n + 8 and a
-    floor of 64 add margin."""
-    return max(64, n + 8)
+    """Gauss-Laguerre order for occupation n: the radial factor is exp(-u)
+    times a degree-n polynomial in u, which every order >= (n + 1)/2
+    integrates exactly; n + 8 reaches the table's last order, 264, at the
+    occupation guard."""
+    return n + 8
 
 
 #: highest Gauss-Laguerre order the quadrature uses, and the table holds
@@ -183,9 +198,9 @@ def decoherence_factor_fock_quadrature(params: ModelParams, n: int, t, tau) -> n
     the radial integral carries weight exp(-u) (Gauss-Laguerre) and the
     phase integral is 2*pi-periodic with finite harmonic content (uniform
     trapezoid).  The orders follow from n alone: the non-weight radial
-    factor is a degree-n polynomial in u, so any radial order >= n + 1
-    integrates it exactly, and _radial_order(n) = max(64, n + 8) nodes
-    are used, with _ANGULAR_ORDER = 64 on the phase circle.  Each node's
+    factor is a degree-n polynomial in u and the phase integrand is
+    constant, so _radial_order(n) = n + 8 radial and _ANGULAR_ORDER = 8
+    angular nodes integrate it exactly (see the module docstring).  Each node's
     modulus is assembled in log space (lgamma, log|beta| once per call,
     log|b6| per node) and exponentiated once; its phase n*(arg b6 +
     arg conj beta) goes through one tan of its half (see _rotate), and the

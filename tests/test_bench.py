@@ -5,6 +5,8 @@ import importlib.util
 import json
 import os
 
+from soqd import quadrature
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -35,8 +37,10 @@ def test_bench_smoke_run_times_every_stage(tmp_path, capsys):
         assert entry["svg_ms"]["median"] > 0 and entry["svg_bytes"] > 0
     crosscheck = report["crosscheck"]["change"]
     assert set(crosscheck["cells"]) == {f"n{n}-t{t:g}" for n, t in bench.CROSSCHECK_CELLS}
-    for entry in crosscheck["cells"].values():
-        assert entry["quadrature_nodes"] >= bench.CROSSCHECK_TAUS * 64 * 64
+    for n, t in bench.CROSSCHECK_CELLS:
+        entry = crosscheck["cells"][f"n{n}-t{t:g}"]
+        assert entry["quadrature_nodes"] == (
+            bench.CROSSCHECK_TAUS * quadrature._radial_order(n) * quadrature._ANGULAR_ORDER)
         for metric in [f"{name}_{kind}" for name in bench.METHODS
                        for kind in ("first_ms", "ms_per_call", "min_ms")] + [
                 "quadrature_ns_per_node"]:
@@ -48,8 +52,8 @@ def test_bench_smoke_run_times_every_stage(tmp_path, capsys):
         wall, post = entry["command_wall_ms"]["median"], entry["command_post_import_ms"]["median"]
         assert 0 < post < wall
     assert crosscheck["import_ms"]["median"] > 0 and crosscheck["peak_rss_mib"]["median"] > 0
-    # the rule's first call per order: n in {10, 40} take 64 nodes, n = 160 takes 168
-    assert set(crosscheck["quadrature_rule_ms"]) == {"64", "168"}
+    # the rule's first call per order: n = 10, 40 and 160 take 18, 48 and 168 nodes
+    assert set(crosscheck["quadrature_rule_ms"]) == {"18", "48", "168"}
     assert all(q["median"] > 0 for q in crosscheck["quadrature_rule_ms"].values())
     assert 0 < crosscheck["command_post_import_ms_total"]["median"] < (
         crosscheck["command_wall_ms_total"]["median"])

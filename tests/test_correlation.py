@@ -165,10 +165,11 @@ def test_fock_closed_survives_huge_occupation(preset_params):
 # ---------------------------------------------------------------------------
 
 def test_default_quadrature_orders():
-    """The orders follow from n: exact from n + 1 radial nodes on, with margin."""
-    assert (_radial_order(0), _radial_order(40), _radial_order(100)) == (64, 64, 108)
+    """The orders follow from n: n + 8 radial nodes, never fewer than n + 1,
+    and 8 on the phase circle, where the integrand is constant."""
+    assert (_radial_order(0), _radial_order(40), _radial_order(100)) == (8, 48, 108)
     assert all(_radial_order(n) >= n + 1 for n in range(QUADRATURE_OCCUPATION_GUARD + 1))
-    assert _ANGULAR_ORDER == 64
+    assert _ANGULAR_ORDER == 8
 
 
 def test_gauss_laguerre_matches_numpy():

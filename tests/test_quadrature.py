@@ -232,12 +232,25 @@ def test_quadrature_matches_a_200_bit_reference():
                     assert error <= QUADRATURE_ABS_BOUND, (n, t, t_prime, error)
 
 
+def test_quadrature_orders_match_wider_rules(monkeypatch):
+    """The rules the integrand needs (n + 8 radial, 8 angular nodes) give
+    the values of the wider max(64, n + 8) x 64 rules, to 5e-14."""
+    taus = np.array([0.05, 0.3, 1.7, 4.137])
+    cells = [(n, t) for n in (0, 1, 10, 40, 160, 256) for t in (0.0, 10.0)]
+    needed = [decoherence_factor_fock_quadrature(PRESET, n, t, taus) for n, t in cells]
+    monkeypatch.setattr(quadrature_module, "_ANGULAR_ORDER", 64)
+    monkeypatch.setattr(quadrature_module, "_radial_order", lambda n: max(64, n + 8))
+    for (n, t), values in zip(cells, needed):
+        wider = decoherence_factor_fock_quadrature(PRESET, n, t, taus)
+        assert np.max(np.abs(values - wider)) <= 5e-14, (n, t)
+
+
 def test_quadrature_array_matches_scalar_calls():
-    """n = 100 evaluates two t' per block, so five t' cross two block
+    """n = 100 evaluates 18 t' per block, so 40 t' cross two block
     boundaries; each entry matches its own scalar call."""
     nodes = quadrature_module._radial_order(100) * quadrature_module._ANGULAR_ORDER
-    assert quadrature_module._NODE_BUDGET // nodes == 2
-    taus = np.linspace(0.0, 4.0, 5)
+    assert quadrature_module._NODE_BUDGET // nodes == 18
+    taus = np.linspace(0.0, 4.0, 40)
     batch = decoherence_factor_fock_quadrature(PRESET, 100, 10.0, taus)
     assert batch.shape == taus.shape and batch.dtype == complex
     singles = [decoherence_factor_fock_quadrature(PRESET, 100, 10.0, tau)
@@ -247,9 +260,9 @@ def test_quadrature_array_matches_scalar_calls():
 
 
 def test_quadrature_memory_does_not_grow_with_the_grid():
-    """300 t' at n = 40: one unblocked (300 x 64 x 64) complex temporary
-    alone would take 19.7 MB."""
-    taus = np.linspace(0.0, 10.0, 300)
+    """3000 t' at n = 40: one unblocked (3000 x 48 x 8) complex temporary
+    alone would take 18.4 MB."""
+    taus = np.linspace(0.0, 10.0, 3000)
     tracemalloc.start()
     try:
         values = decoherence_factor_fock_quadrature(PRESET, 40, 0.0, taus)
