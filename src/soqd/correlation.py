@@ -164,16 +164,15 @@ def factor_over_tau(params: ModelParams, state: ApparatusState, t: float,
     ``factor_over_tau(params, state, t, [tau])[0]``, and sweeps, figures
     and ``compare`` all run through here.  The arithmetic is
     elementwise per tau, so a length-1 call gives the bits of its entry in
-    a whole grid, and evaluating a long grid in blocks of _TAU_BLOCK gives
-    the same bits as one call.  Raises NegativeTime where t or t + tau is
-    below 0.
+    a whole grid, and the grid is evaluated _TAU_BLOCK taus at a time with
+    the bits of one call.  Raises NonFiniteParameter for a NaN or infinite
+    t or tau and NegativeTime where t or t + tau is below 0.
     """
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
-    if taus.size <= _TAU_BLOCK:
-        return _overlap(state, echo_over_tau(params, t, taus))
+    # an empty grid is one empty block, so its t is checked all the same
     return np.concatenate([
         _overlap(state, echo_over_tau(params, t, taus[lo:lo + _TAU_BLOCK]))
-        for lo in range(0, taus.size, _TAU_BLOCK)])
+        for lo in range(0, max(taus.size, 1), _TAU_BLOCK)])
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +197,8 @@ def decoherence_time(params: ModelParams, state: ApparatusState, t: float,
     """
     if not 0.0 < threshold < 1.0:
         raise ConfigError(f"threshold must lie in (0, 1), got {threshold}")
-    if tau_max <= 0:
-        raise ConfigError(f"tau_max must be > 0, got {tau_max}")
+    if not 0 < tau_max < math.inf:
+        raise ConfigError(f"tau_max must be finite and > 0, got {tau_max}")
     lo = min(tau_max, max(tau_max * 2.0 ** -60, math.ulp(t) / TAU_ROUNDING_BUDGET))
     taus = np.geomspace(lo, tau_max, _SEARCH_GRID)
     while True:

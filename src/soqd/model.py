@@ -50,7 +50,8 @@ class SimulationError(Exception):
 
 
 class NonFiniteParameter(SimulationError):
-    """A model parameter or a sweep coordinate is NaN or infinite."""
+    """A model parameter, a measurement time or a sweep coordinate is NaN
+    or infinite."""
 
 
 class NegativeTime(SimulationError):
@@ -172,14 +173,22 @@ def _time_grid(t, tau):
 
     A scalar ``t`` stays scalar, so the propagators before t' enters act
     on one column only.  Raises ConfigError when t and tau do not
-    broadcast to one scalar or 1-D grid, then NegativeTime, naming the
-    lowest time, where t or t' is below 0, then TauUnresolved, naming the
-    first lost entry, where |(t' - t) - tau| > TAU_ROUNDING_BUDGET * |tau|.
+    broadcast to one scalar or 1-D grid, then NonFiniteParameter, naming
+    the first NaN or infinite entry of t, else of tau, before any
+    arithmetic, then NegativeTime, naming the lowest time, where t or t' is
+    below 0, then TauUnresolved, naming the first lost entry, where
+    |(t' - t) - tau| > TAU_ROUNDING_BUDGET * |tau|.
     """
     t, tau = np.asarray(t, dtype=float), np.asarray(tau, dtype=float)
     if max(t.ndim, tau.ndim) > 1 or 1 not in (t.size, tau.size) and t.size != tau.size:
         raise ConfigError(f"t and tau must be scalars or 1-D and broadcast, got shapes "
                           f"{t.shape} and {tau.shape}")
+    for name, x in (("t", t), ("tau", tau)):
+        bad = np.flatnonzero(~np.isfinite(x))
+        if bad.size:
+            where = f"[{bad[0]}]" if x.ndim else ""
+            raise NonFiniteParameter(
+                f"{name}{where} = {float(x.reshape(-1)[bad[0]])!r} is not a finite time")
     t_prime = (t + tau).reshape(-1)
     low = float(min(np.min(t, initial=0.0), np.min(t_prime, initial=0.0)))
     if low < 0:

@@ -28,16 +28,13 @@ table, no half-angle step kernel, no m22**n) or from the oracle, so a
 sign or ordering mistake in either of those shows up as a disagreement
 with this path.
 
-The per-node kernel runs on separate real and imaginary float64 arrays.
+The per-node kernel is plain numpy expressions on real float64 arrays.
 Every node forms its own image b6 = m22*beta and takes its own
-log|b6| = log(re^2 + im^2)/2 and arg b6 = arctan2(im, re); the node's
-weight is exp(real exponent) * (cos, sin)(phi) with
-phi = n * (arg b6 + arg conj beta), formed from h = tan(phi/2) as
-(2 - q, 2h)/q with q = 1 + h^2: one vectorized tan per node, where
-numpy's float64 cos and sin are scalar libm calls.  The image is never
-factored: log(m22*beta) is not split into log m22 + log beta, and
-|m22*beta| is not replaced by |m22||beta|, since either would drop the
-angular sum and leave the closed form's m22**n.
+log|b6|^2 and arg b6 = arctan2(im, re); its weight is
+exp(real exponent) * (cos, sin)(n * (arg b6 + arg conj beta)).  The
+image is never factored: log(m22*beta) is not split into log m22 +
+log beta, and |m22*beta| is not replaced by |m22||beta|, since either
+would drop the angular sum and leave the closed form's m22**n.
 
 The entry point keeps the time contract of soqd.model: (t, tau) in, one
 complex per grid node out as a 1-D array.
@@ -61,8 +58,8 @@ __all__ = [
 QUADRATURE_OCCUPATION_GUARD = 256
 
 #: t' entries x radial x angular nodes evaluated together; at n = 160
-#: (168 x 8 nodes) that is 12 t' per block, so the work arrays stay at
-#: 12 t' worth whatever the grid size
+#: (168 x 8 nodes) that is 12 t' per block, so the kernel's temporaries
+#: stay at 12 t' worth whatever the grid size
 _NODE_BUDGET = 2 ** 14
 
 #: uniform trapezoid nodes on the phase circle: the integrand is the same
@@ -162,34 +159,6 @@ def _image_of_mode2(params: ModelParams, t, t_primes: np.ndarray):
     return v[0], v[1]
 
 
-def _rotate(weight: np.ndarray, half_phase: np.ndarray, spare: np.ndarray):
-    """(weight * cos 2x, weight * sin 2x) for x = half_phase, per element.
-
-    With h = tan x and q = 1 + h^2, cos 2x = (2 - q)/q and sin 2x = 2h/q,
-    so each element takes one tan, which numpy runs as a SIMD loop, where
-    its float64 cos and sin each go to scalar libm.  A node's |x| is at
-    most pi * QUADRATURE_OCCUPATION_GUARD, and |tan x| < 2e18 for every
-    double |x| <= 260 pi (at the double nearest an odd multiple of pi/2),
-    so h^2 stays finite; the results are within 4e-16 of weight * (cos,
-    sin).  Works in place: the results overwrite ``spare`` (the real part) and
-    ``half_phase`` (the imaginary part), and ``weight`` ends as weight / q.
-    """
-    h = np.tan(half_phase, out=half_phase)
-    q = np.multiply(h, h, out=spare)
-    q += 1.0
-    weight /= q
-    im = np.multiply(h, weight, out=half_phase)
-    im *= 2.0
-    re = np.subtract(2.0, q, out=spare)
-    re *= weight
-    return re, im
-
-
-def _node_sum(values: np.ndarray) -> np.ndarray:
-    """Sum over the radial and angular nodes, one total per t'."""
-    return values.reshape(len(values), -1).sum(axis=1)
-
-
 def decoherence_factor_fock_quadrature(params: ModelParams, n: int, t, tau) -> np.ndarray:
     """Number-state factor by direct phase-space integration.
 
@@ -202,9 +171,8 @@ def decoherence_factor_fock_quadrature(params: ModelParams, n: int, t, tau) -> n
     constant, so _radial_order(n) = n + 8 radial and _ANGULAR_ORDER = 8
     angular nodes integrate it exactly (see the module docstring).  Each node's
     modulus is assembled in log space (lgamma, log|beta| once per call,
-    log|b6| per node) and exponentiated once; its phase n*(arg b6 +
-    arg conj beta) goes through one tan of its half (see _rotate), and the
-    real and imaginary parts are summed separately.
+    log|b6| per node) and exponentiated once, and the real and imaginary
+    parts of its weight are summed separately.
 
     One entry per (t, tau) node, from one set of eigensystems, evaluated
     in blocks of _NODE_BUDGET nodes.  Raises ConfigError for n < 0,
@@ -229,46 +197,25 @@ def decoherence_factor_fock_quadrature(params: ModelParams, n: int, t, tau) -> n
     # where the image leaves beta unchanged
     arg_conj_beta = np.arctan2(-beta_im, beta_re)
     block = max(1, _NODE_BUDGET // beta_re.size)
-    # every step below writes into these block-sized arrays, so that a
-    # block allocates no temporaries
-    work = np.empty((5, min(block, t_primes.size)) + beta_re.shape)
     out = np.empty(t_primes.size, dtype=complex)
     for lo in range(0, out.size, block):
         m12_re, m12_im, m22_re, m22_im = (
             x[lo:lo + block, None, None] for x in (m12.real, m12.imag, m22.real, m22.imag))
-        rows = slice(lo, lo + len(m12_re))
-        w0, w1, w2, w3, tmp = work[:, :len(m12_re)]
         # preparation has mode 1 empty, so the image of (0, beta) is
         # (a6, b6) = (m12 beta, m22 beta), formed node by node
-        a6_re = np.multiply(m12_re, beta_re, out=w0)
-        a6_re -= np.multiply(m12_im, beta_im, out=tmp)
-        a6_im = np.multiply(m12_re, beta_im, out=w1)
-        a6_im += np.multiply(m12_im, beta_re, out=tmp)
-        b6_re = np.multiply(m22_re, beta_re, out=w2)
-        b6_re -= np.multiply(m22_im, beta_im, out=tmp)
-        b6_im = np.multiply(m22_re, beta_im, out=w3)
-        b6_im += np.multiply(m22_im, beta_re, out=tmp)
-        # exponent = log_base - (|a6|^2 + |b6|^2) / 2, over a6_re
-        exponent = np.multiply(a6_re, a6_re, out=a6_re)
-        exponent += np.multiply(a6_im, a6_im, out=a6_im)
-        b6_sq = np.multiply(b6_re, b6_re, out=w1)
-        b6_sq += np.multiply(b6_im, b6_im, out=tmp)
-        exponent += b6_sq
-        exponent *= -0.5
-        exponent += log_base
-        if n == 0:
-            out[rows] = _node_sum(np.exp(exponent, out=exponent))
-            continue
-        # log|b6| and arg b6 per node; b6 = 0 gives log 0 = -inf, weight 0
-        with np.errstate(divide="ignore"):
-            power = np.log(b6_sq, out=b6_sq)  # 2 log|b6|
-        power *= 0.5 * n
-        exponent += power
-        half_phase = np.arctan2(b6_im, b6_re, out=b6_re)
-        half_phase += arg_conj_beta
-        half_phase *= 0.5 * n
-        weight = np.exp(exponent, out=exponent)
-        re, im = _rotate(weight, half_phase, b6_im)
-        out[rows] = _node_sum(re) + 1j * _node_sum(im)
+        a6_re = m12_re * beta_re - m12_im * beta_im
+        a6_im = m12_re * beta_im + m12_im * beta_re
+        b6_re = m22_re * beta_re - m22_im * beta_im
+        b6_im = m22_re * beta_im + m22_im * beta_re
+        b6_sq = b6_re * b6_re + b6_im * b6_im
+        exponent = log_base - 0.5 * (a6_re * a6_re + a6_im * a6_im + b6_sq)
+        if n > 0:
+            # n log|b6|; b6 = 0 gives log 0 = -inf, weight 0
+            with np.errstate(divide="ignore"):
+                exponent += 0.5 * n * np.log(b6_sq)
+        phase = n * (np.arctan2(b6_im, b6_re) + arg_conj_beta)
+        weight = np.exp(exponent)
+        out[lo:lo + block] = ((weight * np.cos(phase)).sum(axis=(1, 2))
+                              + 1j * (weight * np.sin(phase)).sum(axis=(1, 2)))
     out /= _ANGULAR_ORDER
     return out

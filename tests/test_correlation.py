@@ -17,6 +17,7 @@ from soqd import (
     DecoherenceNotReached,
     FockState,
     ModelParams,
+    NonFiniteParameter,
     NotNormalized,
     SectorTooLarge,
     TauUnresolved,
@@ -516,6 +517,17 @@ def test_decoherence_time_validates_inputs(preset_params):
         decoherence_time(preset_params, state, 0.0, threshold=1.0)
     with pytest.raises(ConfigError):
         decoherence_time(preset_params, state, 0.0, tau_max=-1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_decoherence_time_refuses_a_non_finite_t_or_tau_max(preset_params, bad):
+    """A NaN or infinite t is NonFiniteParameter from the first grid, and
+    such a tau_max a ConfigError, not a search that reads "not reached"."""
+    state = FockState(5)
+    with pytest.raises(NonFiniteParameter, match=rf"^t = {bad!r}"):
+        decoherence_time(preset_params, state, bad)
+    with pytest.raises(ConfigError, match=rf"tau_max must be finite and > 0, got {bad!r}"):
+        decoherence_time(preset_params, state, 0.0, tau_max=bad)
 
 
 def test_default_search_window():

@@ -3,6 +3,7 @@
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -224,6 +225,21 @@ def test_every_method_refuses_a_negative_time_first(method, t, tau):
     the grid is lost to rounding (the last case)."""
     with pytest.raises(NegativeTime):
         METHODS[method](t, tau)
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_every_method_refuses_a_non_finite_time(method, bad):
+    """A NaN or infinite t or tau is NonFiniteParameter, naming the first
+    bad entry, before any arithmetic could warn or return NaN."""
+    cases = [((bad, [1.0]), rf"^t = {bad!r}"), ((1.0, bad), rf"^tau(\[0\])? = {bad!r}"),
+             ((1.0, [0.5, bad, bad]), rf"^tau\[1\] = {bad!r}"),
+             (([1.0, bad], [bad, 2.0]), rf"^t\[1\] = {bad!r}")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for (t, tau), message in cases:
+            with pytest.raises(NonFiniteParameter, match=message):
+                METHODS[method](t, tau)
 
 
 def test_every_method_refuses_times_that_make_no_1d_grid():

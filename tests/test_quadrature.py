@@ -72,25 +72,6 @@ def test_quadrature_reads_each_node_image_of_its_own_transform(monkeypatch):
         assert np.max(np.abs(closed - oracle)) <= 1e-6, t
 
 
-def test_half_angle_rotation_matches_cos_and_sin():
-    """The kernel's (cos, sin) from tan of the half phase is within 4e-16
-    of np.cos and np.sin (measured worst 3.3e-16) over the phases a node
-    can take, |phi| <= 2 pi * QUADRATURE_OCCUPATION_GUARD, including the
-    half-angle's poles at odd multiples of pi and phases near 0."""
-    limit = 2.0 * math.pi * quadrature_module.QUADRATURE_OCCUPATION_GUARD
-    rng = np.random.default_rng(14)
-    phi = np.concatenate([
-        [0.0, -0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi,
-         511 * math.pi, -511 * math.pi, limit, -limit],
-        rng.uniform(-limit, limit, 200_000),
-        rng.uniform(-1e-8, 1e-8, 1000),
-    ])
-    weight = np.ones_like(phi)
-    re, im = quadrature_module._rotate(weight, 0.5 * phi, np.empty_like(phi))
-    assert np.max(np.abs(re - np.cos(phi))) <= 4e-16
-    assert np.max(np.abs(im - np.sin(phi))) <= 4e-16
-
-
 def _gauss_laguerre_log_as_first_built(order):
     """The rule as first built: the nodes from a dense eigensolve of the
     Jacobi matrix, the log-weights from a renormalized three-term
@@ -219,11 +200,11 @@ QUADRATURE_ABS_BOUND = 2e-13
 
 def test_quadrature_matches_a_200_bit_reference():
     """The quadrature against a 200-bit mpmath.expm evaluation of the
-    six-step schedule, F_ref = m22**n, over n up to the guard."""
+    six-step schedule, F_ref = m22**n, over n from 0 up to the guard."""
     mp = pytest.importorskip("mpmath")
     taus = np.array([0.05, 0.3, 1.7, 4.137])
     with mp.workprec(200):
-        for n in (1, 10, 40, 160, 256):
+        for n in (0, 1, 10, 40, 160, 256):
             for t in (0.0, 10.0):
                 values = decoherence_factor_fock_quadrature(PRESET, n, t, taus)
                 for f, t_prime in zip(values.tolist(), (t + taus).tolist()):
