@@ -5,11 +5,15 @@
 
 Each run spawns one interpreter per sweep config and one for the
 crosscheck stage (``PYTHONDONTWRITEBYTECODE=1``, so every child compiles
-soqd from source) with ``SRC_DIR`` on ``PYTHONPATH``.
+soqd from source), each in a new temporary directory that holds a symlink
+to ``SRC_DIR`` and runs with that link as ``PYTHONPATH``: every column
+imports soqd from a path of one length, which the sweep children's peak
+RSS follows.
 The child times ``import soqd``, then one ``soqd.cli.run_sweep`` of one of
 the two ``sweep_bulk`` configs of ``perfbench/workloads.py`` (t in {0, 10},
-``--steps`` tau per t, CSV + SVG), then the CSV read back.  The stages are
-the public functions run_sweep calls, each wrapped from outside:
+``--steps`` tau per t, CSV + SVG), then the CSV read back, then a JSON
+write of the sweep's rows.  The stages are the public functions run_sweep
+calls, each wrapped from outside, and the two calls after it:
 
     F     factor_over_tau, the closed-form factor, summed over the t
     G     g2_interacting, the fringe
@@ -17,12 +21,15 @@ the public functions run_sweep calls, each wrapped from outside:
     svg   write_svg_plot
     rest  the rest of run_sweep: the grid and the CorrelationPoint record
     read  read_points_csv
+    json  write_points_json of the record run_sweep returned
 
 Every stage is a first call in its process, so lazily imported kernels are
 compiled inside it, as in a real job.  The report gives each stage in ns
 per row, ``import`` in ms and the child's own peak RSS (``getrusage`` of
-the child itself) in MiB, each as the median and quartiles over the runs,
-one column per ``--column`` (default: ``change=src`` of this checkout).
+the child itself, taken after the read and before the json stage, so the
+sweep's record is held through the read) in MiB, each as the median and
+quartiles over the runs, one column per ``--column`` (default:
+``change=src`` of this checkout).
 Beside the SVG stage's total ms (``svg_ms``) it gives the size of the SVG
 file the sweep wrote (``svg_bytes``).
 
@@ -94,7 +101,7 @@ CONFIGS = {
 #: stage -> the soqd.cli global that run_sweep calls for it
 WRAPPED = {"F": "factor_over_tau", "G": "g2_interacting",
            "csv": "write_points_csv", "svg": "write_svg_plot"}
-STAGES = (*WRAPPED, "rest", "read")
+STAGES = (*WRAPPED, "rest", "read", "json")
 #: the crosscheck workload's compare cells (n, t), each on CROSSCHECK_TAUS tau
 CROSSCHECK_CELLS = tuple((n, t) for n in (10, 40, 160) for t in (0.0, 10.0))
 CROSSCHECK_TAUS = 11
@@ -117,10 +124,10 @@ COMMAND_CHILD = ("import sys, time\n"
 
 
 def _child(config_path: str) -> None:
-    """Time one ``soqd.cli.run_sweep`` and its read-back in this fresh
-    process; print the stages as JSON.  The stages are the public
-    functions run_sweep calls, wrapped here from outside, so that what is
-    timed is the sweep path itself."""
+    """Time one ``soqd.cli.run_sweep``, its read-back and a JSON write of
+    its record in this fresh process; print the stages as JSON.  The
+    stages are the public functions run_sweep calls, wrapped here from
+    outside, so that what is timed is the sweep path itself."""
     import time
 
     t0 = time.perf_counter()
@@ -147,12 +154,15 @@ def _child(config_path: str) -> None:
     with open(config_path, encoding="utf-8") as fh:
         config = cli.sweep_config_from_json(json.load(fh))
     start = time.perf_counter()
-    cli.run_sweep(config)
+    points = cli.run_sweep(config)
     times["rest"] = time.perf_counter() - start - sum(times[s] for s in WRAPPED)
     start = time.perf_counter()
     rows = len(soqd.read_points_csv(config.output_path))
     times["read"] = time.perf_counter() - start
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    start = time.perf_counter()
+    cli.write_points_json("sweep.json", points)
+    times["json"] = time.perf_counter() - start
     svg_bytes = os.path.getsize(cli._plot_path(config.output_path))
     print(json.dumps({"rows": rows, "import_s": t_import, "stages_s": times,
                       "peak_rss_mib": peak, "numpy_ma": "numpy.ma" in sys.modules,
@@ -345,6 +355,16 @@ def _quartiles(samples: list) -> dict:
     return {"median": at(0.5), "iqr": [at(0.25), at(0.75)]}
 
 
+def _child_env(src: str, work: str) -> dict:
+    """The environment of a child run in ``work``: ``src`` reached through
+    a link in ``work``, so that every column's soqd is at a path of one
+    length (the sweep's peak RSS moved by 0.8 MiB with the length of
+    ``src``), and no bytecode written."""
+    link = os.path.join(work, "src")
+    os.symlink(os.path.abspath(src), link)
+    return dict(os.environ, PYTHONPATH=link, PYTHONDONTWRITEBYTECODE="1")
+
+
 def _run_child(src: str, config: dict | None = None, calls: int | None = None,
                stage: str = "--crosscheck-child") -> dict:
     """One fresh child: the sweep of ``config``, or ``stage`` (the
@@ -359,9 +379,9 @@ def _run_child(src: str, config: dict | None = None, calls: int | None = None,
             child = ["--child", os.path.join(work, "config.json")]
             with open(child[1], "w", encoding="utf-8") as fh:
                 json.dump(config, fh)
-        env = dict(os.environ, PYTHONPATH=os.path.abspath(src), PYTHONDONTWRITEBYTECODE="1")
         out = subprocess.run([sys.executable, os.path.abspath(__file__), *child],
-                             cwd=work, env=env, capture_output=True, text=True)
+                             cwd=work, env=_child_env(src, work), capture_output=True,
+                             text=True)
     if out.returncode:
         raise RuntimeError(f"bench child failed:\n{out.stderr}")
     return json.loads(out.stdout.splitlines()[-1])
@@ -372,8 +392,8 @@ def _run_command(src: str, n: int, t: float) -> dict:
     spawn to exit and from the end of ``import soqd`` to exit."""
     argv = ["compare", "--n", str(n), "--t", repr(t), "--tau-max", repr(CROSSCHECK_TAU_MAX),
             "--steps", str(CROSSCHECK_TAUS)]
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src), PYTHONDONTWRITEBYTECODE="1")
     with tempfile.TemporaryDirectory() as work:
+        env = _child_env(src, work)
         start = time.perf_counter()
         out = subprocess.run([sys.executable, "-c", COMMAND_CHILD, *argv], cwd=work, env=env,
                              capture_output=True, text=True)

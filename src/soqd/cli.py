@@ -13,7 +13,6 @@ import json
 import math
 import os
 import sys
-from collections.abc import Iterator
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -36,9 +35,7 @@ from .model import (
     ToleranceExceeded,
     UnphysicalFactor,
     apparatus_from_json,
-    apparatus_to_json,
     model_params_from_json,
-    model_params_to_json,
 )
 from .oracle import (
     SECTOR_GUARD,
@@ -71,13 +68,10 @@ CSV_COLUMNS = ("t", "tau", "re_F", "im_F", "abs_F", "G")
 CSV_HEADER = ",".join(CSV_COLUMNS)
 #: names np.loadtxt decompresses when it is given the path
 _COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
-#: JSON columns that repeat values (t per block, tau in every t block, G on
-#: the decayed plateau): converted once per distinct value, then placed as text
-_TEXT_COLUMNS = ("t", "tau", "G")
 #: one JSON row object as json.dump(..., indent=1) lays it out in the list
-_JSON_ROW = "\n  {\n" + ",\n".join(
-    f'   "{key}": {"%s" if key in _TEXT_COLUMNS else "%r"}' for key in CSV_COLUMNS) + "\n  }"
-#: rows per block of a CSV or JSON write: one kernel call or one % call each
+_JSON_ROW = "\n  {\n" + ",\n".join(f'   "{key}": %r' for key in CSV_COLUMNS) + "\n  }"
+#: rows per block of a CSV or JSON write: one kernel call, or one write of
+#: joined JSON rows, per block
 _ROW_BLOCK = 2 ** 11
 
 #: parameters behind every preset panel
@@ -98,9 +92,9 @@ FIGURE_TAU_MAX = {10: 20.0, 100: 5.0, 10_000: 0.5}
 FIGURE_TAU_STEPS = 600
 
 #: largest len(t_values) * tau_steps a sweep accepts.  A sweep peaks at
-#: 145-188 bytes per row with JSON output and 70-75 with CSV, with or
-#: without SVG (tracemalloc, 10^5-row sweeps of two t and of one), so the
-#: largest one stays under 0.4 GB
+#: 68-75 bytes per row with CSV or JSON output, with or without SVG
+#: (tracemalloc, 10^5-row sweeps of two t and of one), so the largest one
+#: stays under 0.2 GB
 MAX_SWEEP_ROWS = 2_000_000
 
 
@@ -207,6 +201,9 @@ def _validate_sweep_config(config: SweepConfig) -> None:
         raise ConfigError(f"unknown method {config.method!r}")
     if config.output_format not in ("csv", "json"):
         raise ConfigError(f"unknown output format {config.output_format!r}")
+    if config.emit_plot and _plot_path(config.output_path) == config.output_path:
+        raise ConfigError(f"'output_path' {config.output_path!r} is where 'emit_plot' "
+                          "writes the plot; give the data another name")
     if config.method == "quadrature":
         if not isinstance(config.state, FockState):
             raise ConfigError("method 'quadrature' needs a fock apparatus")
@@ -238,22 +235,6 @@ def load_sweep_config(path: str) -> SweepConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
     return sweep_config_from_json(obj)
-
-
-def sweep_config_to_json(config: SweepConfig) -> dict:
-    out = model_params_to_json(config.params)
-    out.update({
-        "apparatus": apparatus_to_json(config.state),
-        "t_values": list(config.t_values),
-        "tau_min": config.tau_min,
-        "tau_max": config.tau_max,
-        "tau_steps": config.tau_steps,
-        "method": config.method,
-        "output_path": config.output_path,
-        "output_format": config.output_format,
-        "emit_plot": config.emit_plot,
-    })
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -308,29 +289,6 @@ def _plot_title(config: SweepConfig) -> str:
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
-
-def _text_column(column: np.ndarray) -> np.ndarray:
-    """``repr`` of every entry as an object array of str, one conversion
-    per distinct value.  Values are told apart by their bits, so -0.0
-    keeps its own text."""
-    bits, where = np.unique(column.view(np.uint64), return_inverse=True)
-    text = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
-    return text[where]
-
-
-def _json_rows(columns) -> Iterator[str]:
-    """The rows of a JSON sweep file, _ROW_BLOCK at a time: row i is
-    _JSON_ROW of the i-th entry of every column, and a block is one % over
-    a flat tuple.  Concatenated, the pieces are ",".join of the rows."""
-    size = len(columns[0])
-    for lo in range(0, size, _ROW_BLOCK):
-        cells = np.empty((min(_ROW_BLOCK, size - lo), len(columns)), dtype=object)
-        for j, column in enumerate(columns):
-            cells[:, j] = column[lo:lo + _ROW_BLOCK]
-        if lo:
-            yield ","
-        yield ",".join([_JSON_ROW] * len(cells)) % tuple(cells.ravel().tolist())
-
 
 def _columns(points: CorrelationPoint, rows: slice = slice(None)) -> list:
     """The CSV_COLUMNS of ``rows``, in order; abs_F is hypot of F's parts."""
@@ -398,21 +356,18 @@ def read_points_csv(path: str) -> CorrelationPoint:
 
 
 def write_points_json(path: str, points: CorrelationPoint) -> None:
-    """{"points": [row, ...]} with the keys of CSV_COLUMNS, streamed in
-    blocks of rows.
+    """{"points": [row, ...]} with the keys of CSV_COLUMNS, written
+    _ROW_BLOCK rows at a time.
 
     The bytes are those of json.dump(..., indent=1) plus a newline: a
-    float cell is written as its repr, as json does for finite values
-    (sweep grids are finite, and CorrelationPoint refuses non-finite f
-    and g).
+    cell is the repr of its float, as json writes a finite value (sweep
+    grids are finite, and CorrelationPoint refuses non-finite f and g).
     """
     with open(path, "w", encoding="utf-8") as fh:
         fh.write('{\n "points": [')
-        # t, tau and G are converted once per distinct value, re_F, im_F
-        # and abs_F reach the rows as floats
-        fh.writelines(_json_rows([
-            _text_column(column) if key in _TEXT_COLUMNS else column
-            for key, column in zip(CSV_COLUMNS, _columns(points))]))
+        for lo in range(0, len(points), _ROW_BLOCK):
+            rows = zip(*[c.tolist() for c in _columns(points, slice(lo, lo + _ROW_BLOCK))])
+            fh.write(("," if lo else "") + ",".join([_JSON_ROW % row for row in rows]))
         fh.write("\n ]\n}\n" if len(points) else "]\n}\n")
 
 
@@ -469,8 +424,8 @@ def write_svg_plot(path: str, points: CorrelationPoint, title: str = "") -> None
     inner_h = height - top - bottom
 
     # one sort puts each series' points together, by tau then G.  Series
-    # are keyed on the bits of t, as _text_column keys its text, so
-    # t = -0.0 gets its own line and legend (np.unique would find them
+    # are keyed on the bits of t, as the CSV writer tells its runs apart,
+    # so t = -0.0 gets its own line and legend (np.unique would find them
     # too, but imports numpy.ma); drawn in ascending t, 0.0 before -0.0
     t_bits = points.t.view(np.uint64)
     order = np.lexsort((points.g, points.tau, t_bits))

@@ -29,12 +29,10 @@ __all__ = [
     "ToleranceExceeded",
     "TAU_ROUNDING_BUDGET",
     "ModelParams",
-    "model_params_to_json",
     "model_params_from_json",
     "CoherentState",
     "FockState",
     "ApparatusState",
-    "apparatus_to_json",
     "apparatus_from_json",
     "UNIT_BOUND_SLACK",
     "CorrelationPoint",
@@ -129,16 +127,6 @@ class ModelParams:
             raise NonFiniteParameter(f"non-finite model parameters: {', '.join(bad)}")
 
 
-def model_params_to_json(params: ModelParams) -> dict:
-    return {
-        "omega1": params.omega1,
-        "omega2": params.omega2,
-        "d_e": params.d_e,
-        "d_g": params.d_g,
-        "omega_e": params.omega_e,
-    }
-
-
 def model_params_from_json(obj: dict) -> ModelParams:
     """Build ModelParams from a plain dict, rejecting unknown keys."""
     if not isinstance(obj, dict):
@@ -229,17 +217,6 @@ class FockState:
 
 
 ApparatusState = CoherentState | FockState
-
-
-def apparatus_to_json(state: ApparatusState) -> dict:
-    """Serialize a preparation. The emitted form round-trips bit-exactly."""
-    if isinstance(state, FockState):
-        return {"kind": "fock", "n": state.n}
-    return {
-        "kind": "coherent",
-        "alpha0": [state.alpha0.real, state.alpha0.imag],
-        "beta0": [state.beta0.real, state.beta0.imag],
-    }
 
 
 def _complex_from_pair(value, key: str) -> complex:

@@ -33,6 +33,7 @@ def test_bench_smoke_run_times_every_stage(tmp_path, capsys):
         for metric in metrics:
             q1, q3 = entry[metric]["iqr"]
             assert 0 < q1 <= entry[metric]["median"] <= q3
+        assert entry["json_ns_per_row"]["median"] > 0
         assert entry["numpy_ma_loaded"] is False
         assert entry["svg_ms"]["median"] > 0 and entry["svg_bytes"] > 0
     crosscheck = report["crosscheck"]["change"]

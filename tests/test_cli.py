@@ -20,7 +20,9 @@ from soqd import (
     CoherentState,
     ConfigError,
     FockState,
+    ModelParams,
     NonFiniteParameter,
+    SweepConfig,
     TauUnresolved,
     ToleranceExceeded,
     UnphysicalFactor,
@@ -42,7 +44,6 @@ from soqd.cli import (
     load_sweep_config,
     reproduce_figure,
     sweep_config_from_json,
-    sweep_config_to_json,
     write_points_csv,
     write_points_json,
     write_svg_plot,
@@ -77,8 +78,16 @@ def test_config_defaults():
 
 
 def test_config_round_trip():
-    config = sweep_config_from_json(make_config(method="oracle", emit_plot=True))
-    assert sweep_config_from_json(sweep_config_to_json(config)) == config
+    """Every field of a SweepConfig comes from its JSON form, bit for bit."""
+    config = sweep_config_from_json(make_config(
+        method="oracle", output_format="json", emit_plot=True, t_values=[0, 2.5],
+        tau_min=-0.0, tau_steps=7))
+    assert config == SweepConfig(
+        params=ModelParams(omega1=0.2, omega2=1.3, d_e=0.8, d_g=0.2, omega_e=1.0),
+        state=FockState(3), t_values=(0.0, 2.5), tau_min=-0.0, tau_max=4.0, tau_steps=7,
+        method="oracle", output_path="out.csv", output_format="json", emit_plot=True)
+    assert all(type(t) is float for t in config.t_values)
+    assert math.copysign(1.0, config.tau_min) == -1.0
 
 
 def test_config_accepts_coherent_shorthand():
@@ -783,15 +792,20 @@ def test_config_refuses_repeated_t_values(tmp_path, capsys):
 
 #: bytes per row a 10^5-row sweep may hold at its peak (tracemalloc); the
 #: per-row writers peaked at 244, the block writers at about 155, the CSV
-#: kernel at about 110, and its fixed-slot cells at about 71
+#: kernel at about 110, and its fixed-slot cells at about 71; JSON rows
+#: built from per-distinct-value text peaked at about 188 with one t, and
+#: from one row template per block at about 72
 SWEEP_PEAK_BYTES_PER_ROW = 170
 
 
-@pytest.mark.parametrize("output_format, emit_plot", [("csv", True), ("json", False)])
-def test_sweep_memory_stays_bounded_per_row(tmp_path, output_format, emit_plot):
+@pytest.mark.parametrize("output_format, emit_plot, t_values", [
+    ("csv", True, [0.0, 10.0]), ("json", False, [0.0, 10.0]), ("json", False, [10.0]),
+], ids=["csv-True", "json-False", "json-False-one-t"])
+def test_sweep_memory_stays_bounded_per_row(tmp_path, output_format, emit_plot, t_values):
+    """10^5 rows, as two series of 5*10^4 tau or one of 10^5."""
     config = sweep_config_from_json(make_config(
-        apparatus={"kind": "fock", "n": 10_000}, t_values=[0.0, 10.0], tau_max=0.5,
-        tau_steps=50_000, output_format=output_format, emit_plot=emit_plot,
+        apparatus={"kind": "fock", "n": 10_000}, t_values=t_values, tau_max=0.5,
+        tau_steps=100_000 // len(t_values), output_format=output_format, emit_plot=emit_plot,
         output_path=str(tmp_path / f"o.{output_format}")))
     tracemalloc.start()
     try:
@@ -1002,6 +1016,24 @@ def test_main_sweep_refuses_tau_lost_to_rounding(tmp_path, capsys):
     assert rc == 2
     assert "tau = 0.5 is lost at t = 1e+17" in capsys.readouterr().err
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("output_format", ["csv", "json"])
+def test_main_sweep_refuses_a_plot_over_its_data(tmp_path, capsys, output_format):
+    """emit_plot writes the plot beside the data as <stem>.svg: data named
+    .svg would be overwritten by its own plot, so the sweep is refused
+    before anything is written."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(make_config(
+        output_path=str(tmp_path / "out.svg"), output_format=output_format,
+        emit_plot=True)), encoding="utf-8")
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("config error: ") and "out.svg" in err
+    assert "Traceback" not in err
+    assert sorted(os.listdir(tmp_path)) == ["config.json"]
+    sweep_config_from_json(make_config(output_path="out.svg"))
 
 
 def test_main_compare_ok(capsys):
