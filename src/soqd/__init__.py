@@ -23,7 +23,6 @@ from .model import (
     ModelParams,
     NegativeTime,
     NonFiniteParameter,
-    NotNormalized,
     SectorTooLarge,
     SimulationError,
     TauUnresolved,

@@ -1,4 +1,4 @@
-"""Command-line driver: sweeps, preset figures, method comparison, goldens.
+"""Command-line driver: sweeps, preset figures, method comparison.
 
 Subcommands and options are one table, _COMMANDS, that ``soqd --help``
 prints; options take exact names, as ``--name value`` or ``--name=value``.
@@ -18,12 +18,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .correlation import (
-    _complex,
-    decoherence_time,
-    factor_over_tau,
-    g2_interacting,
-)
+from .correlation import _complex, factor_over_tau, g2_interacting
 from .model import (
     ApparatusState,
     CoherentState,
@@ -31,6 +26,7 @@ from .model import (
     CorrelationPoint,
     FockState,
     ModelParams,
+    SectorTooLarge,
     SimulationError,
     ToleranceExceeded,
     UnphysicalFactor,
@@ -59,7 +55,6 @@ __all__ = [
     "reproduce_figure",
     "MethodComparison",
     "compare_methods",
-    "regenerate_golden",
     "main",
 ]
 
@@ -549,9 +544,15 @@ def compare_methods(params: ModelParams, n: int, t: float, tau_grid,
                     tolerance: float = 1e-6) -> MethodComparison:
     """Evaluate all three factor paths on a tau grid and cross-diff them.
 
-    Raises ToleranceExceeded (report attached) if any pairwise deviation
-    beats ``tolerance`` or is NaN.
+    Raises SectorTooLarge, before any method has run, for an n beyond
+    QUADRATURE_OCCUPATION_GUARD, and ToleranceExceeded (report attached)
+    if any pairwise deviation beats ``tolerance`` or is NaN.
     """
+    # the oracle refuses an n beyond its guard on entry, but the quadrature
+    # runs last: its guard is checked before any method runs
+    if n > QUADRATURE_OCCUPATION_GUARD:
+        raise SectorTooLarge(
+            f"occupation {n} exceeds the quadrature guard {QUADRATURE_OCCUPATION_GUARD}")
     taus = np.asarray(tau_grid, dtype=float)
     oracle = decoherence_factor_oracle_fock(params, n, t, taus)
     closed = factor_over_tau(params, FockState(n), t, taus)
@@ -580,83 +581,6 @@ def _print_comparison(report: MethodComparison) -> None:
               f"{fo.real:+.9f}{fo.imag:+.9f}j  "
               f"{delta:11.3e}")
     print(f"max pairwise |delta| = {report.max_delta:.3e}")
-
-
-# ---------------------------------------------------------------------------
-# golden files
-# ---------------------------------------------------------------------------
-
-#: the dense oracle's re/im move by a few ULP under other LAPACK and BLAS
-#: kernels; a regenerated value this close to the pinned one keeps its pin
-_ORACLE_PIN_TOL = 1e-14
-
-
-def _pinned_parts(path: str) -> dict:
-    """{(key, "re" or "im"): float} already pinned at ``path``; {} without a readable file."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return {(key, part): value for key, entry in json.load(fh).items()
-                    for part, value in entry.items()
-                    if part in ("re", "im") and isinstance(value, float)}
-    except (FileNotFoundError, ValueError, AttributeError):
-        return {}
-
-
-def regenerate_golden(out_dir: str) -> dict:
-    """Regenerate every pinned golden file under ``out_dir``.
-
-    Figure CSVs come from the production sweep path (they pin byte-level
-    determinism); the derived scalar values are pinned from the dense
-    oracle, except the large-occupation decay times which only the closed
-    form can reach.  An oracle re or im within _ORACLE_PIN_TOL of the
-    value already pinned in ``out_dir`` keeps the pinned value, so that a
-    regeneration on another host does not rewrite its last digits.
-    """
-    fig_dir = os.path.join(out_dir, "figures")
-    os.makedirs(fig_dir, exist_ok=True)
-    written = []
-    for figure in (1, 2):
-        for panel in PANEL_SETTINGS:
-            paths = reproduce_figure(figure, panel, fig_dir)
-            written.append(paths["csv"])
-
-    p = FIGURE_PARAMS
-    m22_ref = decoherence_factor_oracle_fock(p, 1, 0.0, 2.0)[0]
-    fock10_ref = decoherence_factor_oracle_fock(p, 10, 0.0, 2.0)[0]
-    coherent_ref = decoherence_factor_oracle_coherent(
-        p, complex(math.sqrt(10)), 0.0, 2.0, cutoff=120)
-    tau_decay = {
-        str(n): decoherence_time(p, CoherentState(0j, complex(math.sqrt(n))), 0.0)
-        for n in (10, 100, 10_000)
-    }
-    derived = {
-        "m22_preset_t0_tp2": {
-            "pinned_by": "dense oracle, sector 1",
-            "re": m22_ref.real, "im": m22_ref.imag,
-        },
-        "fock10_f_preset_t0_tp2": {
-            "pinned_by": "dense oracle, sector 10",
-            "re": fock10_ref.real, "im": fock10_ref.imag,
-        },
-        "coherent_sqrt10_f_preset_t0_tp2": {
-            "pinned_by": "dense oracle, Poisson mixture, cutoff 120",
-            "re": coherent_ref.value[0].real, "im": coherent_ref.value[0].imag,
-            "tail_bound": coherent_ref.tail_bound,
-        },
-        "coherent_tau_decay_t0": {
-            "pinned_by": "closed-form threshold search (1/e)",
-            "values": tau_decay,
-        },
-    }
-    derived_path = os.path.join(out_dir, "derived_values.json")
-    for (key, part), old in _pinned_parts(derived_path).items():
-        if abs(derived.get(key, {}).get(part, math.inf) - old) <= _ORACLE_PIN_TOL:
-            derived[key][part] = old
-    with open(derived_path, "w", encoding="utf-8") as fh:
-        json.dump(derived, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    written.append(derived_path)
-    return {"files": written}
 
 
 # ---------------------------------------------------------------------------
@@ -696,15 +620,8 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _cmd_golden(args) -> int:
-    result = regenerate_golden(args.out)
-    for path in result["files"]:
-        print(f"wrote {path}")
-    return 0
-
-
 #: command -> (handler, summary, {option: (converter, default, choices)}); a
-#: default of ... marks a required option, and converter bool a flag
+#: default of ... marks a required option
 _COMMANDS = {
     "sweep": (_cmd_sweep, "run a sweep from a JSON config", {"--config": (str, ..., ())}),
     "figure": (_cmd_figure, "reproduce a preset panel (CSV + SVG) into a directory",
@@ -713,15 +630,13 @@ _COMMANDS = {
     "compare": (_cmd_compare, "cross-check closed form vs quadrature vs dense oracle",
                 {"--n": (int, ..., ()), "--t": (float, ..., ()), "--tau-max": (float, ..., ()),
                  "--steps": (int, 21, ())}),
-    "golden": (_cmd_golden, "regenerate the pinned golden files (destructive)",
-               {"--regen": (bool, ..., ()), "--out": (str, os.path.join("tests", "golden"), ())}),
 }
 
 
 def _print_usage(commands) -> int:
     print("usage (options by exact name, as --name value or --name=value):")
     for command, (_, summary, options) in commands.items():
-        words = [f"[{name}={default}]" if default is not ... else name if convert is bool
+        words = [f"[{name}={default}]" if default is not ...
                  else f"{name} {'|'.join(map(str, choices)) or convert.__name__}"
                  for name, (convert, default, choices) in options.items()]
         print(f"  soqd {command} {' '.join(words)}\n      {summary}")
@@ -742,12 +657,9 @@ def _parse(argv: list):
         if arg in ("-h", "--help"):
             return _print_usage, {command: _COMMANDS[command]}
         name, eq, value = arg.partition("=")
-        if name not in options or eq and options[name][0] is bool:
+        if name not in options:
             raise ConfigError(f"{command}: unknown option {arg!r}")
         convert, _, choices = options[name]
-        if convert is bool:
-            values[name] = True
-            continue
         value = value if eq else next(rest, None)
         if value is None:
             raise ConfigError(f"{command}: {name} needs a value")

@@ -28,7 +28,6 @@ from .model import (
     DecoherenceNotReached,
     FockState,
     ModelParams,
-    NotNormalized,
     TAU_ROUNDING_BUDGET,
     TauUnresolved,
     _check_unit_disk,
@@ -36,8 +35,6 @@ from .model import (
 from .propagator import echo_over_tau
 
 __all__ = [
-    "two_time_amplitude",
-    "g2_free",
     "factor_over_tau",
     "g2_interacting",
     "decoherence_time",
@@ -53,32 +50,6 @@ _SEARCH_GRID, _SEARCH_REFINE, _SEARCH_WIDTH = 256, 64, 1e-12
 #: taus per closed-form block: D and the overlap peak at about 240 bytes
 #: per tau (tracemalloc), so a long grid is evaluated this many at a time
 _TAU_BLOCK = 2 ** 12
-
-
-# ---------------------------------------------------------------------------
-# free two-level interference (no field coupling)
-# ---------------------------------------------------------------------------
-
-def _check_normalized(c_e: complex, c_g: complex) -> None:
-    norm = abs(c_e) ** 2 + abs(c_g) ** 2
-    if abs(norm - 1.0) > 1e-9:
-        raise NotNormalized(f"|c_e|^2 + |c_g|^2 = {norm!r}, expected 1")
-
-
-def two_time_amplitude(c_e: complex, c_g: complex, omega_e: float,
-                       omega_g: float, t1: float, t2: float) -> complex:
-    """Symmetrized two-time amplitude of a freely precessing two-level system."""
-    _check_normalized(c_e, c_g)
-    return (c_e * c_g * np.exp(-1j * (omega_e * t2 + omega_g * t1))
-            + c_g * c_e * np.exp(-1j * (omega_g * t2 + omega_e * t1)))
-
-
-def g2_free(c_e: complex, c_g: complex, omega_e: float, omega_g: float,
-            t1: float, t2: float) -> float:
-    """|two_time_amplitude|^2 in closed form: an undamped cosine fringe."""
-    _check_normalized(c_e, c_g)
-    return float(2.0 * abs(c_e * c_g) ** 2
-                 * (1.0 + math.cos((omega_g - omega_e) * (t2 - t1))))
 
 
 # ---------------------------------------------------------------------------

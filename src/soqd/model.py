@@ -19,7 +19,6 @@ __all__ = [
     "NonFiniteParameter",
     "NegativeTime",
     "TauUnresolved",
-    "NotNormalized",
     "UnphysicalFactor",
     "DecoherenceNotReached",
     "EigenFailure",
@@ -59,10 +58,6 @@ class NegativeTime(SimulationError):
 class TauUnresolved(SimulationError):
     """t + tau rounds so coarsely at this t that tau is lost: (t + tau) - t
     differs from tau by more than TAU_ROUNDING_BUDGET * |tau|."""
-
-
-class NotNormalized(SimulationError):
-    """Internal-state amplitudes do not have unit norm."""
 
 
 class UnphysicalFactor(SimulationError):

@@ -21,10 +21,10 @@ from soqd import (
     decoherence_factor_oracle_fock,
     decoherence_time,
     factor_over_tau,
+    g2_interacting,
     main,
 )
 from soqd.cli import FIGURE_PARAMS as PRESET
-from soqd.correlation import g2_free, two_time_amplitude
 from soqd.propagator import echo_over_tau
 
 from test_propagator import step_transform, step_transform_ode, unitarity_defect
@@ -182,17 +182,20 @@ def test_08_preparations_share_the_large_occupation_limit(decay_times):
 
 
 def test_09_free_fringe_is_an_undamped_cosine():
-    """g2 with the field coupling off is exactly 1/2 + cos(tau)/2 for the
-    balanced superposition, <= 1e-12 on 100 tau values, and always equals
-    the squared two-time amplitude."""
-    c = 1 / math.sqrt(2)
+    """With equal couplings d_e = d_g the field carries no which-path
+    information: the closed form, the quadrature and the dense oracle all
+    give F = 1 for n = 10 at t = 0 and 10, and G is the undamped fringe
+    1/2 + cos(omega_e tau)/2, each <= 1e-12 on 100 tau values."""
+    params = ModelParams(PRESET.omega1, PRESET.omega2, PRESET.d_e, PRESET.d_e, PRESET.omega_e)
+    taus = np.linspace(0.0, 20.0, 100)
+    fringe = 0.5 + 0.5 * np.cos(params.omega_e * taus)
     worst = 0.0
-    for tau in np.linspace(0.0, 20.0, 100):
-        got = g2_free(c, c, 1.0, 0.0, 0.0, float(tau))
-        amp = two_time_amplitude(c, c, 1.0, 0.0, 0.0, float(tau))
-        worst = max(worst,
-                    abs(got - (0.5 + 0.5 * math.cos(tau))),
-                    abs(got - abs(amp) ** 2))
+    for t in (0.0, 10.0):
+        for f in (factor_over_tau(params, FockState(10), t, taus),
+                  decoherence_factor_fock_quadrature(params, 10, t, taus),
+                  decoherence_factor_oracle_fock(params, 10, t, taus)):
+            worst = max(worst, float(np.max(np.abs(f - 1.0))),
+                        float(np.max(np.abs(g2_interacting(f, t, taus, params.omega_e) - fringe))))
     assert worst <= 1e-12
 
 

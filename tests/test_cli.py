@@ -2,6 +2,7 @@
 
 import colorsys
 import html
+import importlib.util
 import json
 import math
 import os
@@ -1116,6 +1117,22 @@ def test_main_compare_accepts_steps_up_to_the_cap(monkeypatch, capsys):
     assert "config error" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n", [300, 512])
+def test_main_compare_refuses_an_occupation_beyond_a_guard_before_any_method_runs(
+        monkeypatch, capsys, n):
+    """n = 300 and 512 pass the dense guard but not the quadrature's:
+    compare exits 2 without running the oracle or the closed form."""
+    def never(*args):
+        raise AssertionError("a factor method ran")
+
+    for method in ("decoherence_factor_oracle_fock", "factor_over_tau"):
+        monkeypatch.setattr(f"soqd.cli.{method}", never)
+    assert main(["compare", "--n", str(n), "--t", "0", "--tau-max", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: occupation {n} exceeds the quadrature guard 256\n"
+
+
 def test_main_compare_disagreement_exits_3(monkeypatch, capsys):
     def forced_failure(*args, **kwargs):
         raise ToleranceExceeded("forced", None)
@@ -1147,16 +1164,18 @@ def test_main_rejects_unknown_panel(tmp_path, capsys):
     # an abbreviation is an unknown option
     (["compare", "--n", "2", "--t", "0", "--tau", "1"], "compare: unknown option '--tau'"),
     (["sweep", "config.json"], "sweep: unknown option 'config.json'"),
-    (["golden", "--regen=yes"], "golden: unknown option '--regen=yes'"),
+    (["sweep", "--config-file=sweep.json"], "sweep: unknown option '--config-file=sweep.json'"),
     (["compare", "--n", "2", "--t", "0", "--tau-max"], "compare: --tau-max needs a value"),
     (["compare", "--n", "2", "--t", "0"], "compare: missing --tau-max"),
     (["figure", "--out", "figs"], "figure: missing --id, --panel"),
-    (["golden", "--out", "golden"], "golden: missing --regen"),
+    (["compare", "--t", "0", "--tau-max", "1"], "compare: missing --n"),
     (["compare", "--n", "x", "--t", "0", "--tau-max", "1"], "compare: --n takes int, got 'x'"),
     (["compare", "--n=2", "--t", "0", "--tau-max", "1", "--steps=2.5"],
      "compare: --steps takes int, got '2.5'"),
     (["compare", "--n", "2", "--t", "zero", "--tau-max", "1"], "compare: --t takes float"),
     (["figure", "--id", "3", "--panel", "a", "--out", "figs"], "figure: --id takes 1|2, got '3'"),
+    # golden files are rewritten by tools/regen_golden.py, not by the package
+    (["golden", "--regen"], "unknown command 'golden', expected one of sweep, figure, compare"),
 ])
 def test_main_refuses_a_usage_error_with_exit_2(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)
@@ -1177,8 +1196,8 @@ def test_main_reads_name_equals_value_and_keeps_a_repeated_option_last(capsys):
 
 
 @pytest.mark.parametrize("argv, commands", [
-    ([], 4), (["-h"], 4), (["--help"], 4), (["compare", "-h"], 1),
-    (["golden", "--help"], 1), (["compare", "--n", "2", "--help"], 1)])
+    ([], 3), (["-h"], 3), (["--help"], 3), (["compare", "-h"], 1),
+    (["figure", "--help"], 1), (["compare", "--n", "2", "--help"], 1)])
 def test_main_help_prints_the_usage_and_exits_0(monkeypatch, capsys, argv, commands):
     monkeypatch.setattr(sys, "argv", ["soqd", *argv])
     assert main() == 0
@@ -1188,13 +1207,22 @@ def test_main_help_prints_the_usage_and_exits_0(monkeypatch, capsys, argv, comma
     assert lines[0].startswith("usage") and "--name=value" in lines[0]
     synopses = [line.strip() for line in lines if line.startswith("  soqd ")]
     assert len(synopses) == commands == len(lines[1:]) // 2
-    if commands == 4:
+    if commands == 3:
         assert synopses == ["soqd sweep --config str",
                             "soqd figure --id 1|2 --panel a|b|c|d|e|f --out str",
-                            "soqd compare --n int --t float --tau-max float [--steps=21]",
-                            f"soqd golden --regen [--out={os.path.join('tests', 'golden')}]"]
+                            "soqd compare --n int --t float --tau-max float [--steps=21]"]
     else:
         assert synopses[0].startswith(f"soqd {argv[0]} ")
+
+
+def regen_golden(argv: list) -> int:
+    """main of tools/regen_golden.py, imported by its path."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "tools", "regen_golden.py")
+    spec = importlib.util.spec_from_file_location("regen_golden", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool.main(argv)
 
 
 #: the dense oracle runs LAPACK eigh and BLAS zgemm, which promise no bits:
@@ -1207,7 +1235,7 @@ def test_main_golden_regen_reproduces_pinned_values(tmp_path, derived_values):
     """Keys, provenance strings, the tail bound and the closed-form decay
     times come back exactly; the oracle's re/im within ORACLE_ABS_TOL."""
     out = tmp_path / "golden"
-    assert main(["golden", "--regen", "--out", str(out)]) == 0
+    assert regen_golden(["--out", str(out)]) == 0
     with open(out / "derived_values.json", encoding="utf-8") as fh:
         fresh = json.load(fh)
     assert fresh.keys() == derived_values.keys()
@@ -1227,7 +1255,7 @@ def test_main_golden_regen_keeps_pinned_oracle_values_within_tolerance(tmp_path)
     ORACLE_ABS_TOL, keeps its pinned bits; one 1e-12 away is rewritten."""
     out = tmp_path / "golden"
     path = out / "derived_values.json"
-    assert main(["golden", "--regen", "--out", str(out)]) == 0
+    assert regen_golden(["--out", str(out)]) == 0
     fresh = json.loads(path.read_text(encoding="utf-8"))
     offsets = {("m22_preset_t0_tp2", "re"): 5e-15, ("m22_preset_t0_tp2", "im"): -1e-12,
                ("fock10_f_preset_t0_tp2", "re"): 1e-12, ("fock10_f_preset_t0_tp2", "im"): -5e-15,
@@ -1237,7 +1265,7 @@ def test_main_golden_regen_keeps_pinned_oracle_values_within_tolerance(tmp_path)
     for (key, part), offset in offsets.items():
         seeded[key][part] += offset
     path.write_text(json.dumps(seeded), encoding="utf-8")
-    assert main(["golden", "--regen", "--out", str(out)]) == 0
+    assert regen_golden(["--out", str(out)]) == 0
     got = json.loads(path.read_text(encoding="utf-8"))
     for (key, part), offset in offsets.items():
         want = seeded if abs(offset) <= ORACLE_ABS_TOL else fresh

@@ -7,8 +7,6 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import soqd
 from soqd import (
@@ -18,7 +16,6 @@ from soqd import (
     FockState,
     ModelParams,
     NonFiniteParameter,
-    NotNormalized,
     SectorTooLarge,
     TauUnresolved,
     UnphysicalFactor,
@@ -28,7 +25,7 @@ from soqd import (
     g2_interacting,
 )
 from soqd import correlation
-from soqd.correlation import _TAU_BLOCK, TAU_MAX_DEFAULT, _overlap, g2_free, two_time_amplitude
+from soqd.correlation import _TAU_BLOCK, TAU_MAX_DEFAULT, _overlap
 from soqd.propagator import echo_over_tau
 from soqd.quadrature import (
     _ANGULAR_ORDER,
@@ -36,53 +33,6 @@ from soqd.quadrature import (
     _gauss_laguerre_log,
     _radial_order,
 )
-
-
-# ---------------------------------------------------------------------------
-# free fringe
-# ---------------------------------------------------------------------------
-
-def test_two_time_amplitude_fringe_null():
-    c = 1 / math.sqrt(2)
-    amp = two_time_amplitude(c, c, omega_e=1.0, omega_g=0.0, t1=0.0, t2=math.pi)
-    assert abs(amp) <= 1e-15
-
-
-def test_two_time_amplitude_equal_times():
-    c = 1 / math.sqrt(2)
-    amp = two_time_amplitude(c, c, 1.0, 0.3, 2.0, 2.0)
-    assert amp == pytest.approx(np.exp(-1.3j * 2.0))
-
-
-def test_two_time_amplitude_rejects_unnormalized():
-    with pytest.raises(NotNormalized):
-        two_time_amplitude(1.0, 1.0, 1.0, 0.0, 0.0, 1.0)
-    with pytest.raises(NotNormalized):
-        g2_free(0.3, 0.3, 1.0, 0.0, 0.0, 1.0)
-
-
-def test_g2_free_cosine_profile():
-    c = 1 / math.sqrt(2)
-    for tau in np.linspace(0.0, 12.0, 25):
-        got = g2_free(c, c, 1.0, 0.0, 0.0, float(tau))
-        assert got == pytest.approx(0.5 + 0.5 * math.cos(tau), abs=1e-14)
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    theta=st.floats(0.0, math.pi / 2),
-    phi=st.floats(0.0, 2 * math.pi),
-    omega_e=st.floats(-5.0, 5.0),
-    omega_g=st.floats(-5.0, 5.0),
-    t1=st.floats(0.0, 20.0),
-    t2=st.floats(0.0, 20.0),
-)
-def test_g2_free_is_squared_amplitude(theta, phi, omega_e, omega_g, t1, t2):
-    c_e = math.cos(theta) * complex(math.cos(phi), math.sin(phi))
-    c_g = complex(math.sin(theta))
-    amp = two_time_amplitude(c_e, c_g, omega_e, omega_g, t1, t2)
-    assert g2_free(c_e, c_g, omega_e, omega_g, t1, t2) == pytest.approx(
-        abs(amp) ** 2, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -343,13 +293,12 @@ def test_g2_interacting_array_matches_scalar_calls_bit_for_bit():
 
 def test_equal_couplings_reduce_to_free_fringe():
     """When both internal states stir the field identically the fringe
-    never decays, and the interacting correlation equals the free one."""
+    never decays: the interacting correlation is the free 1/2 + cos(omega_e tau)/2."""
     params = ModelParams(0.7, -0.4, 0.5, 0.5, omega_e=1.0)
-    c = 1 / math.sqrt(2)
     for tau in np.linspace(0.0, 10.0, 11):
         f = factor_over_tau(params, CoherentState(0j, 2.0 + 0j), 1.0, [tau])[0]
         inter = g2_interacting(f, 1.0, float(tau), params.omega_e)
-        free = g2_free(c, c, params.omega_e, 0.0, 1.0, 1.0 + float(tau))
+        free = 0.5 + 0.5 * math.cos(params.omega_e * tau)
         assert inter == pytest.approx(free, abs=1e-9)
 
 
