@@ -28,12 +28,11 @@ from .model import (
     TauUnresolved,
     ToleranceExceeded,
     UnphysicalFactor,
-    apparatus_from_json,
-    model_params_from_json,
 )
 from .correlation import decoherence_time, factor_over_tau, g2_interacting
 from .quadrature import decoherence_factor_fock_quadrature
 from .oracle import decoherence_factor_oracle_coherent, decoherence_factor_oracle_fock
-from .cli import SweepConfig, compare_methods, main, read_points_csv, run_sweep
+from .cli import (SweepConfig, apparatus_from_json, compare_methods, main,
+                  model_params_from_json, read_points_csv, run_sweep)
 
 __version__ = "0.1.0"

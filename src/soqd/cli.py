@@ -13,7 +13,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -30,8 +30,6 @@ from .model import (
     SimulationError,
     ToleranceExceeded,
     UnphysicalFactor,
-    apparatus_from_json,
-    model_params_from_json,
 )
 from .oracle import (
     SECTOR_GUARD,
@@ -43,6 +41,8 @@ from .quadrature import QUADRATURE_OCCUPATION_GUARD, decoherence_factor_fock_qua
 
 __all__ = [
     "SweepConfig",
+    "model_params_from_json",
+    "apparatus_from_json",
     "load_sweep_config",
     "sweep_config_from_json",
     "run_sweep",
@@ -111,77 +111,103 @@ class SweepConfig:
     emit_plot: bool = False
 
 
-_TOP_KEYS = {
-    "omega1", "omega2", "d_e", "d_g", "omega_e", "apparatus", "t_values",
-    "tau_min", "tau_max", "tau_steps", "method", "output_path",
-    "output_format", "emit_plot",
-}
+_PARAM_KEYS = tuple(f.name for f in fields(ModelParams))
 
 
-def _real_number(obj, key):
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
-        raise ConfigError(f"{key!r} must be a finite real number")
-    return float(v)
-
-
-def sweep_config_from_json(obj: dict) -> SweepConfig:
-    """Validate a config dict and build a SweepConfig from it."""
+def _object(obj, what: str, required, optional=()) -> dict:
+    """``obj``, refused unless it is a JSON object with every key of
+    ``required`` and no key outside ``required`` and ``optional``."""
     if not isinstance(obj, dict):
-        raise ConfigError("sweep config must be a JSON object")
-    unknown = set(obj) - _TOP_KEYS
+        raise ConfigError(f"{what} must be a JSON object")
+    unknown = set(obj) - set(required) - set(optional)
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    required = ("omega1", "omega2", "d_e", "d_g", "omega_e", "apparatus",
-                "t_values", "tau_min", "tau_max", "tau_steps", "output_path")
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
     missing = [k for k in required if k not in obj]
     if missing:
-        raise ConfigError(f"missing config keys: {missing}")
+        raise ConfigError(f"missing {what} keys: {missing}")
+    return obj
 
-    params = model_params_from_json(
-        {k: obj[k] for k in ("omega1", "omega2", "d_e", "d_g", "omega_e")})
-    state = apparatus_from_json(obj["apparatus"])
 
-    raw_ts = obj["t_values"]
-    if not isinstance(raw_ts, list) or not raw_ts:
-        raise ConfigError("'t_values' must be a non-empty list")
-    t_values = []
-    for v in raw_ts:
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
-            raise ConfigError("'t_values' entries must be finite real numbers")
-        if v < 0:
-            raise ConfigError("'t_values' entries must be >= 0")
-        t_values.append(float(v))
+def _number(value, what: str, kind: type):
+    """``value`` as a ``kind``, int or float.  Refuses a bool, a non-number,
+    a non-int for int and, for float, a value beyond the float range (NaN
+    and infinities included), compared without converting a huge int."""
+    if (isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float))
+            or kind is float and not abs(value) <= sys.float_info.max):
+        kind_name = "an integer" if kind is int else "a finite real number"
+        raise ConfigError(f"{what} must be {kind_name}")
+    return kind(value)
 
-    tau_min = _real_number(obj, "tau_min")
-    tau_max = _real_number(obj, "tau_max")
-    tau_steps = obj["tau_steps"]
-    if isinstance(tau_steps, bool) or not isinstance(tau_steps, int):
-        raise ConfigError("'tau_steps' must be an integer")
-    method = obj.get("method", "closed")
-    output_format = obj.get("output_format", "csv")
-    emit_plot = obj.get("emit_plot", False)
-    if not isinstance(emit_plot, bool):
-        raise ConfigError("'emit_plot' must be a boolean")
-    output_path = obj["output_path"]
-    if not isinstance(output_path, str) or not output_path:
-        raise ConfigError("'output_path' must be a non-empty string")
 
-    config = SweepConfig(params=params, state=state, t_values=tuple(t_values),
-                         tau_min=tau_min, tau_max=tau_max, tau_steps=tau_steps,
-                         method=method, output_path=output_path,
-                         output_format=output_format, emit_plot=emit_plot)
-    _validate_sweep_config(config)
-    return config
+def model_params_from_json(obj: dict) -> ModelParams:
+    """Build ModelParams from a JSON object, refusing unknown and missing keys."""
+    _object(obj, "model parameter", _PARAM_KEYS)
+    return ModelParams(**{k: _number(obj[k], f"model parameter {k!r}", float)
+                          for k in _PARAM_KEYS})
+
+
+def _complex_from_pair(value, key: str) -> complex:
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ConfigError(f"apparatus key {key!r} must be a [re, im] pair")
+    return complex(*(_number(x, f"each part of apparatus key {key!r}", float) for x in value))
+
+
+def apparatus_from_json(obj: dict) -> ApparatusState:
+    """Parse a preparation from its JSON form.
+
+    Two coherent spellings are accepted: the shorthand
+    ``{"kind": "coherent", "n": <mean occupation>}`` which places
+    sqrt(n) in mode 2 and leaves mode 1 empty, and the exact form with
+    explicit ``alpha0``/``beta0`` amplitude pairs.
+    """
+    kind = _object(obj, "apparatus", (), ("kind", "n", "alpha0", "beta0")).get("kind")
+    if kind == "fock":
+        return FockState(_number(_object(obj, "fock apparatus", ("kind", "n"))["n"],
+                                 "fock apparatus 'n'", int))
+    if kind != "coherent":
+        raise ConfigError(f"apparatus kind must be 'coherent' or 'fock', got {kind!r}")
+    if "n" not in obj:
+        _object(obj, "coherent apparatus", ("kind", "alpha0", "beta0"))
+        return CoherentState(*(_complex_from_pair(obj[k], k) for k in ("alpha0", "beta0")))
+    if "alpha0" in obj or "beta0" in obj:
+        raise ConfigError("coherent apparatus takes either 'n' or amplitudes, not both")
+    n = _number(obj["n"], "coherent apparatus 'n'", float)
+    if n < 0:
+        raise ConfigError("coherent apparatus 'n' must be >= 0")
+    return CoherentState(0j, complex(math.sqrt(n)))
 
 
 def _coherent_cutoff(state: CoherentState) -> int:
     return min_cutoff(abs(state.beta0) ** 2)
 
 
-def _validate_sweep_config(config: SweepConfig) -> None:
+def sweep_config_from_json(obj: dict) -> SweepConfig:
+    """Validate a config dict and build a SweepConfig from it."""
+    _object(obj, "config", _PARAM_KEYS + ("apparatus", "t_values", "tau_min", "tau_max",
+                                          "tau_steps", "output_path"),
+            ("method", "output_format", "emit_plot"))
+    if not isinstance(obj["t_values"], list) or not obj["t_values"]:
+        raise ConfigError("'t_values' must be a non-empty list")
+    config = SweepConfig(
+        params=model_params_from_json({k: obj[k] for k in _PARAM_KEYS}),
+        state=apparatus_from_json(obj["apparatus"]),
+        t_values=tuple(_number(v, "each 't_values' entry", float) for v in obj["t_values"]),
+        tau_min=_number(obj["tau_min"], "'tau_min'", float),
+        tau_max=_number(obj["tau_max"], "'tau_max'", float),
+        tau_steps=_number(obj["tau_steps"], "'tau_steps'", int),
+        method=obj.get("method", "closed"), output_path=obj["output_path"],
+        output_format=obj.get("output_format", "csv"), emit_plot=obj.get("emit_plot", False))
+    if min(config.t_values) < 0:
+        raise ConfigError("'t_values' entries must be >= 0")
+    if not isinstance(config.emit_plot, bool):
+        raise ConfigError("'emit_plot' must be a boolean")
+    if not isinstance(config.output_path, str) or not config.output_path:
+        raise ConfigError("'output_path' must be a non-empty string")
     if config.tau_min >= config.tau_max:
         raise ConfigError("'tau_min' must be strictly below 'tau_max'")
+    if config.tau_max - config.tau_min == math.inf:
+        raise ConfigError(f"the tau span from {config.tau_min!r} to {config.tau_max!r} "
+                          "overflows a float")
     if config.tau_steps < 2:
         raise ConfigError("'tau_steps' must be >= 2")
     rows = len(config.t_values) * config.tau_steps
@@ -203,21 +229,19 @@ def _validate_sweep_config(config: SweepConfig) -> None:
         if not isinstance(config.state, FockState):
             raise ConfigError("method 'quadrature' needs a fock apparatus")
         if config.state.n > QUADRATURE_OCCUPATION_GUARD:
-            raise ConfigError(
-                f"fock n = {config.state.n} exceeds the quadrature guard "
-                f"{QUADRATURE_OCCUPATION_GUARD}")
+            raise ConfigError(f"fock n = {config.state.n} exceeds the quadrature guard "
+                              f"{QUADRATURE_OCCUPATION_GUARD}")
     if config.method == "oracle":
         if isinstance(config.state, FockState):
             if config.state.n > SECTOR_GUARD:
                 raise ConfigError(
                     f"fock n = {config.state.n} exceeds the dense guard {SECTOR_GUARD}")
-        else:
-            if config.state.alpha0 != 0:
-                raise ConfigError("method 'oracle' needs mode 1 empty (alpha0 = 0)")
-            if _coherent_cutoff(config.state) > SECTOR_GUARD:
-                raise ConfigError(
-                    "coherent occupation too large for the dense oracle "
-                    f"(needs cutoff {_coherent_cutoff(config.state)} > {SECTOR_GUARD})")
+        elif config.state.alpha0 != 0:
+            raise ConfigError("method 'oracle' needs mode 1 empty (alpha0 = 0)")
+        elif _coherent_cutoff(config.state) > SECTOR_GUARD:
+            raise ConfigError("coherent occupation too large for the dense oracle (needs "
+                              f"cutoff {_coherent_cutoff(config.state)} > {SECTOR_GUARD})")
+    return config
 
 
 def load_sweep_config(path: str) -> SweepConfig:
@@ -227,7 +251,7 @@ def load_sweep_config(path: str) -> SweepConfig:
             obj = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also bad UTF-8, a huge int, deep nesting
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
     return sweep_config_from_json(obj)
 
@@ -499,10 +523,7 @@ def write_svg_plot(path: str, points: CorrelationPoint, title: str = "") -> None
 
 def _panel_config(figure: int, panel: str, out_dir: str) -> SweepConfig:
     n, t = PANEL_SETTINGS[panel]
-    if figure == 1:
-        state: ApparatusState = CoherentState(0j, complex(math.sqrt(n)))
-    else:
-        state = FockState(n)
+    state = apparatus_from_json({"kind": ("coherent", "fock")[figure - 1], "n": n})
     base = os.path.join(out_dir, f"fig{figure}{panel}")
     return SweepConfig(
         params=FIGURE_PARAMS, state=state, t_values=(float(t),),

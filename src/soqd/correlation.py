@@ -127,22 +127,25 @@ def g2_interacting(f, t, tau, omega_e: float) -> np.ndarray:
     return 0.5 + 0.5 * (e.real * f.real - e.imag * f.imag)
 
 
-def factor_over_tau(params: ModelParams, state: ApparatusState, t: float,
-                    taus) -> np.ndarray:
+def factor_over_tau(params: ModelParams, state: ApparatusState, t, taus) -> np.ndarray:
     """Decoherence factor on a whole tau grid (t' = t + tau), closed form.
 
     The closed form's one entry point: a scalar F is
     ``factor_over_tau(params, state, t, [tau])[0]``, and sweeps, figures
-    and ``compare`` all run through here.  The arithmetic is
-    elementwise per tau, so a length-1 call gives the bits of its entry in
-    a whole grid, and the grid is evaluated _TAU_BLOCK taus at a time with
-    the bits of one call.  Raises NonFiniteParameter for a NaN or infinite
-    t or tau and NegativeTime where t or t + tau is below 0.
+    and ``compare`` all run through here.  t is a scalar or, as for every
+    method, 1-D and broadcast against taus.  The arithmetic is elementwise,
+    so a length-1 call gives the bits of its entry in a whole grid, and the
+    grid is evaluated _TAU_BLOCK nodes at a time with the bits of one call.
+    Raises NonFiniteParameter for a NaN or infinite t or tau and
+    NegativeTime where t or t + tau is below 0.
     """
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
-    # an empty grid is one empty block, so its t is checked all the same
+    # a 1-D t is cut with the grid; an empty grid is one block, so t is checked
+    cut_t = np.ndim(t) == 1 and taus.size in (1, np.size(t))
+    taus = np.broadcast_to(taus, np.shape(t)) if cut_t else taus
     return np.concatenate([
-        _overlap(state, echo_over_tau(params, t, taus[lo:lo + _TAU_BLOCK]))
+        _overlap(state, echo_over_tau(params, t[lo:lo + _TAU_BLOCK] if cut_t else t,
+                                      taus[lo:lo + _TAU_BLOCK]))
         for lo in range(0, max(taus.size, 1), _TAU_BLOCK)])
 
 

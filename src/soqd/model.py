@@ -1,8 +1,8 @@
-"""Shared parameter types, state descriptions and error taxonomy.
+"""Shared parameter types, state descriptions, errors and the sweep record.
 
 Everything downstream (propagator, correlation, quadrature, oracle, cli)
-imports from here.  Units: hbar = 1, so frequencies and couplings are
-inverse time and all times are dimensionless.
+imports from here; soqd.cli parses their JSON form.  Units: hbar = 1, so
+frequencies and couplings are inverse time and all times are dimensionless.
 
 The three factor methods share one time contract: t and tau in, scalars
 or 1-D arrays that broadcast to one grid, and a 1-D complex array out, one
@@ -28,11 +28,9 @@ __all__ = [
     "ToleranceExceeded",
     "TAU_ROUNDING_BUDGET",
     "ModelParams",
-    "model_params_from_json",
     "CoherentState",
     "FockState",
     "ApparatusState",
-    "apparatus_from_json",
     "UNIT_BOUND_SLACK",
     "CorrelationPoint",
 ]
@@ -122,29 +120,6 @@ class ModelParams:
             raise NonFiniteParameter(f"non-finite model parameters: {', '.join(bad)}")
 
 
-def model_params_from_json(obj: dict) -> ModelParams:
-    """Build ModelParams from a plain dict, rejecting unknown keys."""
-    if not isinstance(obj, dict):
-        raise ConfigError("model parameters must be a JSON object")
-    required = ("omega1", "omega2", "d_e", "d_g", "omega_e")
-    unknown = set(obj) - set(required)
-    if unknown:
-        raise ConfigError(f"unknown model parameter keys: {sorted(unknown)}")
-    missing = [k for k in required if k not in obj]
-    if missing:
-        raise ConfigError(f"missing model parameter keys: {missing}")
-    vals = {}
-    for key in required:
-        v = obj[key]
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError(f"model parameter {key!r} must be a real number")
-        vals[key] = float(v)
-    try:
-        return ModelParams(**vals)
-    except NonFiniteParameter as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 #: largest relative error in tau that forming t' = t + tau may introduce;
 #: past it the grid no longer resolves tau at that t (t = 1e17 turns every
 #: tau below 8 into 0 or 16)
@@ -172,7 +147,8 @@ def _time_grid(t, tau):
             where = f"[{bad[0]}]" if x.ndim else ""
             raise NonFiniteParameter(
                 f"{name}{where} = {float(x.reshape(-1)[bad[0]])!r} is not a finite time")
-    t_prime = (t + tau).reshape(-1)
+    with np.errstate(over="ignore"):  # a t' past the float range is lost below
+        t_prime = (t + tau).reshape(-1)
     low = float(min(np.min(t, initial=0.0), np.min(t_prime, initial=0.0)))
     if low < 0:
         raise NegativeTime(f"measurement times must be >= 0, got {low!r}")
@@ -191,17 +167,32 @@ def _time_grid(t, tau):
 
 @dataclass(frozen=True)
 class CoherentState:
-    """Product coherent preparation (alpha0 in mode 1, beta0 in mode 2)."""
+    """Product coherent preparation (alpha0 in mode 1, beta0 in mode 2).
+
+    Raises ConfigError unless 4(|alpha0|^2 + |beta0|^2), which bounds
+    |D z0|^2 as ||D|| <= 2 for unitary M, is a finite float."""
 
     alpha0: complex
     beta0: complex
+
+    def __post_init__(self):
+        bound = 4 * sum(z.real * z.real + z.imag * z.imag for z in (self.alpha0, self.beta0))
+        if not math.isfinite(bound):
+            raise ConfigError(f"coherent amplitudes give 4(|alpha0|^2 + |beta0|^2) = {bound}, "
+                              "not a finite float")
+
+
+#: largest n for which n * log|F| and n * arg F are finite floats:
+#: |log|F|| / n = |log1p(x)| / 2 <= 26.5 ln 2, as u = 1 + x is 0 or at
+#: least 2^-53, and |arg F| / n <= pi is smaller
+_FOCK_CEILING = int(np.finfo(float).max / (26.5 * math.log(2)))
 
 
 @dataclass(frozen=True)
 class FockState:
     """Number-state preparation: mode 1 empty, n quanta in mode 2.
 
-    Raises ConfigError unless n is a non-negative int.
+    Raises ConfigError unless n is an int in [0, _FOCK_CEILING].
     """
 
     n: int
@@ -209,56 +200,12 @@ class FockState:
     def __post_init__(self):
         if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 0:
             raise ConfigError(f"occupation must be a non-negative integer, got {self.n!r}")
+        if self.n > _FOCK_CEILING:
+            raise ConfigError(f"occupation exceeds {_FOCK_CEILING:.6g}, the largest whose "
+                              "log|F| is a finite float")
 
 
 ApparatusState = CoherentState | FockState
-
-
-def _complex_from_pair(value, key: str) -> complex:
-    if (not isinstance(value, (list, tuple)) or len(value) != 2
-            or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in value)):
-        raise ConfigError(f"apparatus key {key!r} must be a [re, im] pair")
-    z = complex(float(value[0]), float(value[1]))
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ConfigError(f"apparatus key {key!r} must be finite")
-    return z
-
-
-def apparatus_from_json(obj: dict) -> ApparatusState:
-    """Parse a preparation from its JSON form.
-
-    Two coherent spellings are accepted: the shorthand
-    ``{"kind": "coherent", "n": <mean occupation>}`` which places
-    sqrt(n) in mode 2 and leaves mode 1 empty, and the exact form with
-    explicit ``alpha0``/``beta0`` amplitude pairs.
-    """
-    if not isinstance(obj, dict):
-        raise ConfigError("apparatus must be a JSON object")
-    kind = obj.get("kind")
-    if kind == "fock":
-        unknown = set(obj) - {"kind", "n"}
-        if unknown:
-            raise ConfigError(f"unknown apparatus keys: {sorted(unknown)}")
-        n = obj.get("n")
-        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-            raise ConfigError("fock apparatus needs a non-negative integer 'n'")
-        return FockState(n)
-    if kind == "coherent":
-        unknown = set(obj) - {"kind", "n", "alpha0", "beta0"}
-        if unknown:
-            raise ConfigError(f"unknown apparatus keys: {sorted(unknown)}")
-        if "n" in obj:
-            if "alpha0" in obj or "beta0" in obj:
-                raise ConfigError("coherent apparatus takes either 'n' or amplitudes, not both")
-            n = obj["n"]
-            if isinstance(n, bool) or not isinstance(n, (int, float)) or n < 0 or not math.isfinite(n):
-                raise ConfigError("coherent apparatus 'n' must be a finite number >= 0")
-            return CoherentState(0j, complex(math.sqrt(n)))
-        if "alpha0" not in obj or "beta0" not in obj:
-            raise ConfigError("coherent apparatus needs 'n' or both 'alpha0' and 'beta0'")
-        return CoherentState(_complex_from_pair(obj["alpha0"], "alpha0"),
-                             _complex_from_pair(obj["beta0"], "beta0"))
-    raise ConfigError(f"apparatus kind must be 'coherent' or 'fock', got {kind!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -88,8 +88,8 @@ def _step_minus_identity(alpha1: float, alpha2: float, beta: float, duration):
     rate = math.hypot(delta, beta)
     angle = rate * d
     half_phase = 0.5 * (alpha1 + alpha2) * d
-    p = (-2.0 * np.sin(0.5 * half_phase) ** 2, -np.sin(half_phase))
-    cos_less_1 = -2.0 * np.sin(0.5 * angle) ** 2
+    p = (-2.0 * np.square(np.sin(0.5 * half_phase)), -np.sin(half_phase))
+    cos_less_1 = -2.0 * np.square(np.sin(0.5 * angle))
     denom = rate if rate > 0 else 1.0
     sin_ratio = np.where(np.abs(angle) < _SMALL_ANGLE, d, np.sin(angle) / denom)
     dsin = delta * sin_ratio

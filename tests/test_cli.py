@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 import xml.etree.ElementTree as ElementTree
 
 import numpy as np
@@ -192,6 +193,16 @@ def test_load_sweep_config_missing_file(tmp_path):
 def test_load_sweep_config_invalid_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json", encoding="utf-8")
+    with pytest.raises(ConfigError, match="not valid JSON"):
+        load_sweep_config(str(path))
+
+
+@pytest.mark.parametrize("content", [b'{"omega1": "\xff"}', b'{"omega1": 1' + b"0" * 5000 + b"}",
+                                     b"[" * 200_000 + b"]" * 200_000],
+                         ids=["bad-utf8", "int-past-the-digit-limit", "nested-past-the-stack"])
+def test_load_sweep_config_refuses_undecodable_json(tmp_path, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
     with pytest.raises(ConfigError, match="not valid JSON"):
         load_sweep_config(str(path))
 
@@ -985,6 +996,52 @@ def write_config(tmp_path, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(obj), encoding="utf-8")
     return str(path)
+
+
+def _main_without_warnings(argv) -> int:
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return main(argv)
+
+
+@pytest.mark.parametrize("apparatus", [
+    {"kind": "fock", "n": 10**400}, {"kind": "fock", "n": 10**308},
+    {"kind": "coherent", "alpha0": [0.0, 0.0], "beta0": [1.3e154, 0.0]},
+    {"kind": "coherent", "n": 1e308}], ids=["fock-1e400", "fock-1e308", "beta0", "shorthand"])
+def test_main_sweep_refuses_a_preparation_too_large_for_a_float(tmp_path, capsys, apparatus):
+    """Refused when it is built: exit 2, before a numpy overflow or an int
+    too large to convert could surface."""
+    rc = _main_without_warnings(["sweep", "--config", write_config(
+        tmp_path, apparatus=apparatus, t_values=[0.0, 10.0])])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_main_sweep_refuses_a_tau_span_that_overflows(tmp_path, capsys):
+    """tau_max - tau_min = inf is named before np.linspace could warn and
+    turn the grid into NaN."""
+    rc = _main_without_warnings(["sweep", "--config", write_config(
+        tmp_path, t_values=[1e308], tau_min=-1e308, tau_max=1e308)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == ("config error: the tau span from -1e+308 to 1e+308 "
+                            "overflows a float\n")
+
+
+def test_main_refuses_a_second_time_past_the_float_range(tmp_path, capsys):
+    """t + tau past the float range loses tau, without an overflow warning."""
+    rc = _main_without_warnings(["sweep", "--config", write_config(
+        tmp_path, t_values=[1e308], tau_min=0.0, tau_max=1e308)])
+    assert rc == 2
+    assert "is lost at t = 1e+308: (t + tau) - t = inf" in capsys.readouterr().err
+    rc = _main_without_warnings(["compare", "--n", "3", "--t", "1e308", "--tau-max", "1e308",
+                                 "--steps", "3"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert "is lost at t = 1e+308" in captured.err
 
 
 def test_main_sweep_ok(tmp_path, capsys):

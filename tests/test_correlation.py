@@ -340,6 +340,26 @@ def test_factor_over_tau_in_blocks_keeps_every_bit(preset_params, state):
         assert np.array_equal(got.view(np.uint64), whole.view(np.uint64))
 
 
+@pytest.mark.parametrize("state", [FockState(40), CoherentState(0.3j, 1.5 - 0.5j)])
+def test_factor_over_tau_cuts_a_long_t_into_blocks_with_its_taus(preset_params, state):
+    """A 1-D t longer than a block pairs with the taus entry by entry and
+    gives, bit for bit, the per-t scalar calls; a scalar tau goes with
+    every t."""
+    rng = np.random.default_rng(27)
+    t = rng.uniform(0.0, 20.0, _TAU_BLOCK + 904)
+    taus = rng.uniform(0.0, 20.0, t.size)
+    got = factor_over_tau(preset_params, state, t, taus)
+    singles = np.array([factor_over_tau(preset_params, state, t0, [tau])[0]
+                        for t0, tau in zip(t.tolist(), taus.tolist())])
+    assert got.shape == t.shape
+    assert np.array_equal(got.view(np.uint64), singles.view(np.uint64))
+    got = factor_over_tau(preset_params, state, t, 3.0)
+    singles = np.array([factor_over_tau(preset_params, state, t0, 3.0)[0] for t0 in t.tolist()])
+    assert np.array_equal(got.view(np.uint64), singles.view(np.uint64))
+    with pytest.raises(ConfigError, match=rf"got shapes \({t.size},\) and \(3,\)"):
+        factor_over_tau(preset_params, state, t, taus[:3])
+
+
 def test_factor_over_tau_refuses_tau_lost_to_rounding(preset_params):
     """At t = 1e17 the spacing of doubles is 16, so t + tau drops every
     tau below 8; the grid is refused instead of returning F(t, t) = 1."""

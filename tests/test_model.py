@@ -24,11 +24,14 @@ from soqd import (
     decoherence_factor_fock_quadrature,
     decoherence_factor_oracle_coherent,
     decoherence_factor_oracle_fock,
+    decoherence_time,
     factor_over_tau,
+    g2_interacting,
     model_params_from_json,
 )
 from soqd.cli import FIGURE_PARAMS
-from soqd.model import CorrelationPoint
+from soqd.correlation import _log_overlap
+from soqd.model import _FOCK_CEILING, CorrelationPoint
 from soqd.oracle import min_cutoff
 
 
@@ -67,6 +70,63 @@ def test_params_json_rejects_non_numbers(preset_params):
 def test_fock_state_rejects_bad_occupation(bad):
     with pytest.raises(ConfigError, match="non-negative integer"):
         FockState(bad)
+
+
+def _largest_coherent_amplitude() -> float:
+    """The largest b with 4 * b^2 a finite float."""
+    b = math.sqrt(sys.float_info.max / 4)
+    while math.isfinite(4 * (b * b)):
+        b = math.nextafter(b, math.inf)
+    while not math.isfinite(4 * (b * b)):
+        b = math.nextafter(b, 0.0)
+    return b
+
+
+def test_fock_state_refuses_an_occupation_whose_log_factor_overflows():
+    """n * log|F| and n * arg F stay finite up to _FOCK_CEILING at the worst
+    D the closed form can meet: u = 1 - |D12|^2 = 2^-53 and arg(1 + D22) = pi."""
+    assert FockState(_FOCK_CEILING).n == _FOCK_CEILING
+    for n in (_FOCK_CEILING + 1, 10**308, 10**400):
+        with pytest.raises(ConfigError, match="occupation exceeds 9.78688e"):
+            FockState(n)
+    d = np.zeros((1, 2, 2), dtype=complex)
+    d[0, 0, 1], d[0, 1, 1] = complex(1 - 2.0 ** -53, 2.0 ** -26.5), -2.0
+    d12 = d[0, 0, 1]
+    assert 1.0 - (d12.real * d12.real + d12.imag * d12.imag) == 2.0 ** -53
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        log_abs, phase = _log_overlap(FockState(_FOCK_CEILING), d)
+    assert -np.inf < log_abs[0] < -1.79e308 and phase[0] == _FOCK_CEILING * math.pi
+
+
+def test_coherent_state_refuses_amplitudes_whose_bound_overflows():
+    """4(|alpha0|^2 + |beta0|^2) bounds |D z0|^2; past a finite float it is refused."""
+    b = _largest_coherent_amplitude()
+    CoherentState(0j, complex(b))
+    CoherentState(complex(0.0, b * 0.6), complex(b * 0.8))
+    CoherentState(0j, 1e153 + 0j)
+    for alpha0, beta0 in ((0j, complex(math.nextafter(b, math.inf))),
+                          (0j, complex(0.0, -b * 1.001)), (complex(b), complex(b)),
+                          (0j, 1.3e154 + 0j), (0j, complex(math.nan))):
+        with pytest.raises(ConfigError, match=r"4\(\|alpha0\|\^2 \+ \|beta0\|\^2\)"):
+            CoherentState(alpha0, beta0)
+
+
+@pytest.mark.parametrize("state", [FockState(_FOCK_CEILING),
+                                   CoherentState(0j, complex(_largest_coherent_amplitude()))],
+                         ids=["fock", "coherent"])
+def test_the_largest_preparations_run_without_a_warning(state):
+    """At each edge the closed form, G and the decay search run with every
+    warning an error: |F| is 1 at tau = 0 and 0 past it."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (0.0, 10.0):
+            taus = np.linspace(0.0, 50.0, 2001)
+            f = factor_over_tau(FIGURE_PARAMS, state, t, taus)
+            g2_interacting(f, t, taus, FIGURE_PARAMS.omega_e)
+            assert abs(f[0]) == 1.0 and np.abs(f[1:]).max() == 0.0
+            with pytest.raises(TauUnresolved, match="already at tau"):
+                decoherence_time(FIGURE_PARAMS, state, t)
 
 
 def test_fock_round_trip():
