@@ -30,6 +30,7 @@ from .model import (
     SimulationError,
     ToleranceExceeded,
     UnphysicalFactor,
+    _shown,
 )
 from .oracle import (
     SECTOR_GUARD,
@@ -99,6 +100,10 @@ MAX_SWEEP_ROWS = 2_000_000
 
 @dataclass(frozen=True)
 class SweepConfig:
+    """One sweep.  Checks every field when it is built, from code as from
+    JSON, raising ConfigError that names the field, and stores t_values as a
+    tuple of floats, tau_min and tau_max as floats and tau_steps as an int."""
+
     params: ModelParams
     state: ApparatusState
     t_values: tuple
@@ -109,6 +114,58 @@ class SweepConfig:
     output_path: str = "sweep.csv"
     output_format: str = "csv"
     emit_plot: bool = False
+
+    def __post_init__(self):
+        if not isinstance(self.t_values, (list, tuple)) or not self.t_values:
+            raise ConfigError("'t_values' must be a non-empty list")
+        t_values = tuple(_number(v, "each 't_values' entry", float) for v in self.t_values)
+        object.__setattr__(self, "t_values", t_values)
+        for name, kind in (("tau_min", float), ("tau_max", float), ("tau_steps", int)):
+            object.__setattr__(self, name, _number(getattr(self, name), f"'{name}'", kind))
+        if min(t_values) < 0:
+            raise ConfigError("'t_values' entries must be >= 0")
+        if not isinstance(self.emit_plot, bool):
+            raise ConfigError("'emit_plot' must be a boolean")
+        if not isinstance(self.output_path, str) or not self.output_path:
+            raise ConfigError("'output_path' must be a non-empty string")
+        if self.tau_min >= self.tau_max:
+            raise ConfigError("'tau_min' must be strictly below 'tau_max'")
+        if self.tau_max - self.tau_min == math.inf:
+            raise ConfigError(f"the tau span from {self.tau_min!r} to {self.tau_max!r} "
+                              "overflows a float")
+        if self.tau_steps < 2:
+            raise ConfigError("'tau_steps' must be >= 2")
+        rows = len(t_values) * self.tau_steps
+        if rows > MAX_SWEEP_ROWS:
+            raise ConfigError(f"sweep of {_shown(rows)} rows exceeds the limit of {MAX_SWEEP_ROWS} "
+                              "(len(t_values) * tau_steps); split it into smaller sweeps")
+        if min(t_values) + self.tau_min < 0:
+            raise ConfigError("t + tau must stay >= 0 over the grid")
+        if len({t.hex() for t in t_values}) < len(t_values):
+            raise ConfigError("'t_values' must not repeat a value (0.0 and -0.0 differ)")
+        if self.method not in ("closed", "quadrature", "oracle"):
+            raise ConfigError(f"unknown method {_shown(self.method)}")
+        if self.output_format not in ("csv", "json"):
+            raise ConfigError(f"unknown output format {_shown(self.output_format)}")
+        if self.emit_plot and _plot_path(self.output_path) == self.output_path:
+            raise ConfigError(f"'output_path' {self.output_path!r} is where 'emit_plot' "
+                              "writes the plot; give the data another name")
+        if self.method == "quadrature":
+            if not isinstance(self.state, FockState):
+                raise ConfigError("method 'quadrature' needs a fock apparatus")
+            if self.state.n > QUADRATURE_OCCUPATION_GUARD:
+                raise ConfigError(f"fock n = {self.state.n} exceeds the quadrature guard "
+                                  f"{QUADRATURE_OCCUPATION_GUARD}")
+        if self.method == "oracle":
+            if isinstance(self.state, FockState):
+                if self.state.n > SECTOR_GUARD:
+                    raise ConfigError(
+                        f"fock n = {self.state.n} exceeds the dense guard {SECTOR_GUARD}")
+            elif self.state.alpha0 != 0:
+                raise ConfigError("method 'oracle' needs mode 1 empty (alpha0 = 0)")
+            elif _coherent_cutoff(self.state) > SECTOR_GUARD:
+                raise ConfigError("coherent occupation too large for the dense oracle (needs "
+                                  f"cutoff {_coherent_cutoff(self.state)} > {SECTOR_GUARD})")
 
 
 _PARAM_KEYS = tuple(f.name for f in fields(ModelParams))
@@ -158,12 +215,11 @@ def apparatus_from_json(obj: dict) -> ApparatusState:
     Two coherent spellings are accepted: the shorthand
     ``{"kind": "coherent", "n": <mean occupation>}`` which places
     sqrt(n) in mode 2 and leaves mode 1 empty, and the exact form with
-    explicit ``alpha0``/``beta0`` amplitude pairs.
+    explicit ``alpha0``/``beta0`` amplitude pairs.  FockState checks a fock n.
     """
     kind = _object(obj, "apparatus", (), ("kind", "n", "alpha0", "beta0")).get("kind")
     if kind == "fock":
-        return FockState(_number(_object(obj, "fock apparatus", ("kind", "n"))["n"],
-                                 "fock apparatus 'n'", int))
+        return FockState(_object(obj, "fock apparatus", ("kind", "n"))["n"])
     if kind != "coherent":
         raise ConfigError(f"apparatus kind must be 'coherent' or 'fock', got {kind!r}")
     if "n" not in obj:
@@ -182,66 +238,13 @@ def _coherent_cutoff(state: CoherentState) -> int:
 
 
 def sweep_config_from_json(obj: dict) -> SweepConfig:
-    """Validate a config dict and build a SweepConfig from it."""
+    """Check the keys, decode params and apparatus; SweepConfig checks the rest."""
     _object(obj, "config", _PARAM_KEYS + ("apparatus", "t_values", "tau_min", "tau_max",
                                           "tau_steps", "output_path"),
             ("method", "output_format", "emit_plot"))
-    if not isinstance(obj["t_values"], list) or not obj["t_values"]:
-        raise ConfigError("'t_values' must be a non-empty list")
-    config = SweepConfig(
-        params=model_params_from_json({k: obj[k] for k in _PARAM_KEYS}),
-        state=apparatus_from_json(obj["apparatus"]),
-        t_values=tuple(_number(v, "each 't_values' entry", float) for v in obj["t_values"]),
-        tau_min=_number(obj["tau_min"], "'tau_min'", float),
-        tau_max=_number(obj["tau_max"], "'tau_max'", float),
-        tau_steps=_number(obj["tau_steps"], "'tau_steps'", int),
-        method=obj.get("method", "closed"), output_path=obj["output_path"],
-        output_format=obj.get("output_format", "csv"), emit_plot=obj.get("emit_plot", False))
-    if min(config.t_values) < 0:
-        raise ConfigError("'t_values' entries must be >= 0")
-    if not isinstance(config.emit_plot, bool):
-        raise ConfigError("'emit_plot' must be a boolean")
-    if not isinstance(config.output_path, str) or not config.output_path:
-        raise ConfigError("'output_path' must be a non-empty string")
-    if config.tau_min >= config.tau_max:
-        raise ConfigError("'tau_min' must be strictly below 'tau_max'")
-    if config.tau_max - config.tau_min == math.inf:
-        raise ConfigError(f"the tau span from {config.tau_min!r} to {config.tau_max!r} "
-                          "overflows a float")
-    if config.tau_steps < 2:
-        raise ConfigError("'tau_steps' must be >= 2")
-    rows = len(config.t_values) * config.tau_steps
-    if rows > MAX_SWEEP_ROWS:
-        raise ConfigError(f"sweep of {rows} rows exceeds the limit of {MAX_SWEEP_ROWS} "
-                          "(len(t_values) * tau_steps); split it into smaller sweeps")
-    if min(config.t_values) + config.tau_min < 0:
-        raise ConfigError("t + tau must stay >= 0 over the grid")
-    if len({t.hex() for t in config.t_values}) < len(config.t_values):
-        raise ConfigError("'t_values' must not repeat a value (0.0 and -0.0 differ)")
-    if config.method not in ("closed", "quadrature", "oracle"):
-        raise ConfigError(f"unknown method {config.method!r}")
-    if config.output_format not in ("csv", "json"):
-        raise ConfigError(f"unknown output format {config.output_format!r}")
-    if config.emit_plot and _plot_path(config.output_path) == config.output_path:
-        raise ConfigError(f"'output_path' {config.output_path!r} is where 'emit_plot' "
-                          "writes the plot; give the data another name")
-    if config.method == "quadrature":
-        if not isinstance(config.state, FockState):
-            raise ConfigError("method 'quadrature' needs a fock apparatus")
-        if config.state.n > QUADRATURE_OCCUPATION_GUARD:
-            raise ConfigError(f"fock n = {config.state.n} exceeds the quadrature guard "
-                              f"{QUADRATURE_OCCUPATION_GUARD}")
-    if config.method == "oracle":
-        if isinstance(config.state, FockState):
-            if config.state.n > SECTOR_GUARD:
-                raise ConfigError(
-                    f"fock n = {config.state.n} exceeds the dense guard {SECTOR_GUARD}")
-        elif config.state.alpha0 != 0:
-            raise ConfigError("method 'oracle' needs mode 1 empty (alpha0 = 0)")
-        elif _coherent_cutoff(config.state) > SECTOR_GUARD:
-            raise ConfigError("coherent occupation too large for the dense oracle (needs "
-                              f"cutoff {_coherent_cutoff(config.state)} > {SECTOR_GUARD})")
-    return config
+    return SweepConfig(model_params_from_json({k: obj[k] for k in _PARAM_KEYS}),
+                       apparatus_from_json(obj["apparatus"]),
+                       **{k: obj[k] for k in obj.keys() - {"apparatus", *_PARAM_KEYS}})
 
 
 def load_sweep_config(path: str) -> SweepConfig:
@@ -525,17 +528,14 @@ def _panel_config(figure: int, panel: str, out_dir: str) -> SweepConfig:
     n, t = PANEL_SETTINGS[panel]
     state = apparatus_from_json({"kind": ("coherent", "fock")[figure - 1], "n": n})
     base = os.path.join(out_dir, f"fig{figure}{panel}")
-    return SweepConfig(
-        params=FIGURE_PARAMS, state=state, t_values=(float(t),),
-        tau_min=0.0, tau_max=FIGURE_TAU_MAX[n], tau_steps=FIGURE_TAU_STEPS,
-        method="closed", output_path=base + ".csv", output_format="csv",
-        emit_plot=True)
+    return SweepConfig(FIGURE_PARAMS, state, (t,), 0.0, FIGURE_TAU_MAX[n], FIGURE_TAU_STEPS,
+                       output_path=base + ".csv", emit_plot=True)
 
 
 def reproduce_figure(figure: int, panel: str, out_dir: str) -> dict:
     """Write one preset panel (CSV + SVG); returns the file paths."""
     if figure not in (1, 2):
-        raise ConfigError(f"figure id must be 1 or 2, got {figure}")
+        raise ConfigError(f"figure id must be 1 or 2, got {_shown(figure)}")
     if panel not in PANEL_SETTINGS:
         raise ConfigError(f"panel must be one of a..f, got {panel!r}")
     os.makedirs(out_dir, exist_ok=True)
@@ -565,18 +565,19 @@ def compare_methods(params: ModelParams, n: int, t: float, tau_grid,
                     tolerance: float = 1e-6) -> MethodComparison:
     """Evaluate all three factor paths on a tau grid and cross-diff them.
 
-    Raises SectorTooLarge, before any method has run, for an n beyond
-    QUADRATURE_OCCUPATION_GUARD, and ToleranceExceeded (report attached)
-    if any pairwise deviation beats ``tolerance`` or is NaN.
+    Before any method runs, raises FockState's ConfigError, then
+    SectorTooLarge above QUADRATURE_OCCUPATION_GUARD; after, ToleranceExceeded
+    (report attached) if any pairwise deviation beats ``tolerance`` or is NaN.
     """
     # the oracle refuses an n beyond its guard on entry, but the quadrature
-    # runs last: its guard is checked before any method runs
+    # runs last: FockState's rule and its guard are checked before any runs
+    state = FockState(n)
     if n > QUADRATURE_OCCUPATION_GUARD:
         raise SectorTooLarge(
             f"occupation {n} exceeds the quadrature guard {QUADRATURE_OCCUPATION_GUARD}")
     taus = np.asarray(tau_grid, dtype=float)
     oracle = decoherence_factor_oracle_fock(params, n, t, taus)
-    closed = factor_over_tau(params, FockState(n), t, taus)
+    closed = factor_over_tau(params, state, t, taus)
     quadrature = decoherence_factor_fock_quadrature(params, n, t, taus)
     # every pairwise |difference|, as hypot of the parts: the bits of abs()
     f = np.stack([closed, quadrature, oracle])

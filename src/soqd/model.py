@@ -165,6 +165,13 @@ def _time_grid(t, tau):
 # apparatus preparations
 # ---------------------------------------------------------------------------
 
+def _shown(value) -> str:
+    """repr of ``value``; an int past 64 bits, which str() may refuse, by sign and bit length."""
+    if isinstance(value, int) and value.bit_length() > 64:
+        return f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
+    return repr(value)
+
+
 @dataclass(frozen=True)
 class CoherentState:
     """Product coherent preparation (alpha0 in mode 1, beta0 in mode 2).
@@ -199,7 +206,7 @@ class FockState:
 
     def __post_init__(self):
         if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 0:
-            raise ConfigError(f"occupation must be a non-negative integer, got {self.n!r}")
+            raise ConfigError(f"occupation must be a non-negative integer, got {_shown(self.n)}")
         if self.n > _FOCK_CEILING:
             raise ConfigError(f"occupation exceeds {_FOCK_CEILING:.6g}, the largest whose "
                               "log|F| is a finite float")

@@ -31,8 +31,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import (ConfigError, CutoffTooSmall, EigenFailure, ModelParams, SectorTooLarge,
-                    _time_grid)
+from .model import (CoherentState, ConfigError, CutoffTooSmall, EigenFailure, FockState,
+                    ModelParams, SectorTooLarge, _shown, _time_grid)
 
 __all__ = [
     "SECTOR_GUARD",
@@ -68,7 +68,7 @@ def sector_hamiltonians(params: ModelParams, sector: int) -> np.ndarray:
     internal populations (1, 1), (1, 0) and (0, 1).
     """
     if sector < 0:
-        raise ConfigError(f"sector must be >= 0, got {sector}")
+        raise ConfigError(f"sector must be >= 0, got {_shown(sector)}")
     k = np.arange(sector + 1)
     h = np.zeros((3, sector + 1, sector + 1))
     h[:, k, k] = params.omega1 * k + params.omega2 * (sector - k)
@@ -133,13 +133,12 @@ def decoherence_factor_oracle_fock(params: ModelParams, n: int, t, tau) -> np.nd
     exp(+iH01 t'), exp(-iH10 t'), exp(+iH10 t), exp(-iH11 t) (the rightmost
     acts first) to the mode-1-empty state and returns its amplitude to end
     where it started, one entry per (t, tau) node, all from one eigensystem
-    set.  Raises ConfigError for n < 0, SectorTooLarge above SECTOR_GUARD,
+    set.  Raises FockState's ConfigError, SectorTooLarge above SECTOR_GUARD,
     and model._time_grid's ConfigError, NegativeTime and TauUnresolved.
     """
+    FockState(n)
     if n > SECTOR_GUARD:
         raise SectorTooLarge(f"sector {n} exceeds the dense guard {SECTOR_GUARD}")
-    if n < 0:
-        raise ConfigError(f"occupation must be >= 0, got {n}")
     return _sector_factor(params, n, *_time_grid(t, tau))
 
 
@@ -169,8 +168,11 @@ def min_cutoff(x: float) -> int:
 
     The search starts at ceil(x), so C + 2 > x as the bound needs, and
     stops at SECTOR_GUARD + 1: that value means no cutoff the dense path
-    accepts is enough.  x = 0 gives 0, since Poisson(0) has no tail.
+    accepts is enough, as at x = inf.  x = 0 gives 0, since Poisson(0) has
+    no tail.  Raises ConfigError for a negative or NaN x.
     """
+    if not x >= 0:
+        raise ConfigError(f"mean occupation must be >= 0, got {_shown(x)}")
     if x == 0:
         return 0
     cutoff = math.ceil(min(x, SECTOR_GUARD + 1))
@@ -194,16 +196,17 @@ def decoherence_factor_oracle_coherent(params: ModelParams, beta0: complex,
     the value is one complex per grid node.  Raises CutoffTooSmall when the
     cutoff's certified tail exceeds MIXTURE_TAIL_TARGET (cutoff below
     min_cutoff(x)), SectorTooLarge above SECTOR_GUARD, and the time errors
-    of decoherence_factor_oracle_fock.
+    of decoherence_factor_oracle_fock, all after CoherentState's ConfigError
+    for a beta0 it refuses (NaN, or 4|beta0|^2 past the float range).
     """
-    x = abs(beta0) ** 2
+    x = abs(CoherentState(0j, beta0).beta0) ** 2
     needed = min_cutoff(x)
     if cutoff < needed:
         raise CutoffTooSmall(
-            f"cutoff {cutoff} leaves a Poisson tail above 2^-53 at "
+            f"cutoff {_shown(cutoff)} leaves a Poisson tail above 2^-53 at "
             f"|beta0|^2 = {x:g}; the smallest certified cutoff is {needed}")
     if cutoff > SECTOR_GUARD:
-        raise SectorTooLarge(f"cutoff {cutoff} exceeds the dense guard {SECTOR_GUARD}")
+        raise SectorTooLarge(f"cutoff {_shown(cutoff)} exceeds the dense guard {SECTOR_GUARD}")
     if x == 0:
         return CoherentOracleResult(
             decoherence_factor_oracle_fock(params, 0, t, tau), 0.0)

@@ -46,7 +46,7 @@ import os
 
 import numpy as np
 
-from .model import ConfigError, EigenFailure, ModelParams, SectorTooLarge, _time_grid
+from .model import ConfigError, EigenFailure, FockState, ModelParams, SectorTooLarge, _time_grid
 
 __all__ = [
     "QUADRATURE_OCCUPATION_GUARD",
@@ -175,12 +175,11 @@ def decoherence_factor_fock_quadrature(params: ModelParams, n: int, t, tau) -> n
     parts of its weight are summed separately.
 
     One entry per (t, tau) node, from one set of eigensystems, evaluated
-    in blocks of _NODE_BUDGET nodes.  Raises ConfigError for n < 0,
+    in blocks of _NODE_BUDGET nodes.  Raises FockState's ConfigError,
     SectorTooLarge above QUADRATURE_OCCUPATION_GUARD, and
     model._time_grid's ConfigError, NegativeTime and TauUnresolved.
     """
-    if n < 0:
-        raise ConfigError(f"occupation must be >= 0, got {n}")
+    FockState(n)
     if n > QUADRATURE_OCCUPATION_GUARD:
         raise SectorTooLarge(
             f"occupation {n} exceeds the quadrature guard {QUADRATURE_OCCUPATION_GUARD}")

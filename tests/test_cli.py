@@ -252,6 +252,66 @@ def test_config_refuses_a_sweep_too_large_to_hold(tmp_path, capsys):
                                            tau_steps=MAX_SWEEP_ROWS // 2 + 1))
 
 
+def make_code_config(**overrides) -> SweepConfig:
+    """The SweepConfig of make_config(), built in code."""
+    fields = dict(params=ModelParams(omega1=0.2, omega2=1.3, d_e=0.8, d_g=0.2, omega_e=1.0),
+                  state=FockState(3), t_values=(0.0, 2.0), tau_min=0.0, tau_max=4.0,
+                  tau_steps=9, output_path="out.csv")
+    fields.update(overrides)
+    return SweepConfig(**fields)
+
+
+@pytest.mark.parametrize("json_overrides, code_overrides, message", [
+    ({"method": "magic"}, {"method": "magic"}, "unknown method 'magic'"),
+    ({"output_format": "xml"}, {"output_format": "xml"}, "unknown output format 'xml'"),
+    ({"method": "oracle",
+      "apparatus": {"kind": "coherent", "alpha0": [0.0, 1.0], "beta0": [1.0, 0.0]}},
+     {"method": "oracle", "state": CoherentState(1j, 1 + 0j)}, "needs mode 1 empty"),
+    ({"method": "quadrature", "apparatus": {"kind": "coherent", "n": 4}},
+     {"method": "quadrature", "state": CoherentState(0j, 2 + 0j)}, "needs a fock apparatus"),
+    ({"t_values": [1.0, 2.0, 1.0]}, {"t_values": (1.0, 2.0, 1.0)}, "must not repeat"),
+    ({"output_path": "out.svg", "emit_plot": True},
+     {"output_path": "out.svg", "emit_plot": True}, "is where 'emit_plot' writes the plot"),
+    ({"tau_steps": 2_000_000}, {"tau_steps": 2_000_000}, "sweep of 4000000 rows exceeds"),
+    ({"tau_steps": 2.5}, {"tau_steps": 2.5}, "'tau_steps' must be an integer"),
+    ({"method": "oracle", "apparatus": {"kind": "fock", "n": 600}},
+     {"method": "oracle", "state": FockState(600)}, "fock n = 600 exceeds the dense guard"),
+], ids=["method", "format", "oracle-alpha0", "quadrature-coherent", "repeated-t", "plot-path",
+        "rows", "tau-steps", "oracle-fock-600"])
+def test_a_config_built_in_code_gets_the_refusal_of_its_json_form(json_overrides,
+                                                                    code_overrides, message):
+    """SweepConfig owns the sweep's rules: its JSON form and a code-built
+    one are refused with the same ConfigError and message."""
+    with pytest.raises(ConfigError, match=re.escape(message)) as from_json:
+        sweep_config_from_json(make_config(**json_overrides))
+    with pytest.raises(ConfigError) as from_code:
+        make_code_config(**code_overrides)
+    assert str(from_code.value) == str(from_json.value)
+
+
+def test_a_config_built_in_code_stores_float_times(tmp_path):
+    """Integer times are stored as floats and write the bytes of float ones."""
+    paths = [str(tmp_path / name) for name in ("ints.csv", "floats.csv")]
+    configs = [make_code_config(t_values=t_values, tau_min=0, tau_max=4, output_path=path)
+               for t_values, path in zip([(0, 10), (0.0, 10.0)], paths)]
+    assert configs[0].t_values == (0.0, 10.0)
+    assert all(type(x) is float for x in configs[0].t_values)
+    assert type(configs[0].tau_min) is type(configs[0].tau_max) is float
+    for config in configs:
+        run_sweep(config)
+    with open(paths[0], "rb") as ints, open(paths[1], "rb") as floats:
+        assert ints.read() == floats.read()
+
+
+def test_no_sweep_refusal_converts_a_huge_int_to_text():
+    """str() refuses an int past 4300 digits; a refusal names its size."""
+    big = 10 ** 5000
+    with pytest.raises(ConfigError, match="sweep of an integer of 16610 bits rows exceeds"):
+        sweep_config_from_json(make_config(t_values=[0.0], tau_steps=big))
+    with pytest.raises(ConfigError, match="unknown method an integer of 16610 bits"):
+        make_code_config(method=big)
+
+
 # ---------------------------------------------------------------------------
 # sweep driver and serialization
 # ---------------------------------------------------------------------------
@@ -985,6 +1045,20 @@ def test_compare_methods_raises_on_tight_tolerance(preset_params):
                         tolerance=1e-30)
     assert excinfo.value.report is not None
     assert len(excinfo.value.report.tau) == 6
+
+
+@pytest.mark.parametrize("n", [2.0, True, -1, 10 ** 5000, -10 ** 5000],
+                         ids=["float", "bool", "negative", "huge", "huge-negative"])
+def test_compare_methods_refuses_what_fock_state_refuses(preset_params, monkeypatch, n):
+    """FockState's ConfigError, before any method runs."""
+    def never(*args):
+        raise AssertionError("a factor method ran")
+
+    for method in ("decoherence_factor_oracle_fock", "factor_over_tau",
+                   "decoherence_factor_fock_quadrature"):
+        monkeypatch.setattr(f"soqd.cli.{method}", never)
+    with pytest.raises(ConfigError, match="occupation"):
+        compare_methods(preset_params, n, 0.0, [1.0])
 
 
 # ---------------------------------------------------------------------------

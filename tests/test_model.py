@@ -72,6 +72,13 @@ def test_fock_state_rejects_bad_occupation(bad):
         FockState(bad)
 
 
+def test_fock_state_names_a_huge_negative_occupation_by_its_size():
+    """str() refuses an int past 4300 digits: the refusal names its sign
+    and bit length in place of raising that ValueError."""
+    with pytest.raises(ConfigError, match="got a negative integer of 16610 bits"):
+        FockState(-10 ** 5000)
+
+
 def _largest_coherent_amplitude() -> float:
     """The largest b with 4 * b^2 a finite float."""
     b = math.sqrt(sys.float_info.max / 4)

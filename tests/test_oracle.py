@@ -463,6 +463,28 @@ def test_oracle_rejects_negative_occupation(preset_params):
         decoherence_factor_oracle_fock(preset_params, -1, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("n", [True, 2.0], ids=["bool", "float"])
+def test_oracle_fock_refuses_what_fock_state_refuses(preset_params, n):
+    """A bool ran as n = 1 and a float raised TypeError."""
+    with pytest.raises(ConfigError, match="non-negative integer"):
+        decoherence_factor_oracle_fock(preset_params, n, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("beta0", [complex(math.nan, 0.0), 1e200], ids=["nan", "1e200"])
+def test_oracle_coherent_refuses_what_coherent_state_refuses(preset_params, beta0):
+    """NaN raised ValueError from min_cutoff, 1e200 OverflowError from |beta0|^2."""
+    with pytest.raises(ConfigError, match="not a finite float"):
+        decoherence_factor_oracle_coherent(preset_params, beta0, 0.0, 1.0, 20)
+
+
+def test_min_cutoff_refuses_a_negative_or_nan_occupation():
+    for x in (-1.0, math.nan):
+        with pytest.raises(ConfigError, match="mean occupation must be >= 0"):
+            min_cutoff(x)
+    # no cutoff the dense path accepts is enough
+    assert min_cutoff(math.inf) == SECTOR_GUARD + 1
+
+
 def test_oracle_rejects_two_dimensional_times(preset_params):
     with pytest.raises(ConfigError, match="scalars or 1-D"):
         decoherence_factor_oracle_fock(preset_params, 3, 0.0, np.zeros((2, 2)))

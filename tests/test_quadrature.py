@@ -266,3 +266,10 @@ def test_quadrature_refuses_negative_times_and_wraps_eigen_failures(monkeypatch)
     monkeypatch.setattr(np.linalg, "eigh", explode)
     with pytest.raises(EigenFailure):
         decoherence_factor_fock_quadrature(PRESET, 3, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("n", [True, 2.0, -1], ids=["bool", "float", "negative"])
+def test_quadrature_refuses_what_fock_state_refuses(n):
+    """A bool ran as n = 1 and a float raised TypeError."""
+    with pytest.raises(ConfigError, match="non-negative integer"):
+        decoherence_factor_fock_quadrature(PRESET, n, 0.0, 1.0)
