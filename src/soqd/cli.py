@@ -548,6 +548,10 @@ def reproduce_figure(figure: int, panel: str, out_dir: str) -> dict:
 # method comparison
 # ---------------------------------------------------------------------------
 
+#: largest pairwise |delta| compare_methods accepts; past it soqd compare exits 3
+COMPARE_TOLERANCE = 1e-6
+
+
 @dataclass(frozen=True, eq=False)
 class MethodComparison:
     """The three factor columns on a tau grid, one entry per tau, with
@@ -561,13 +565,13 @@ class MethodComparison:
     max_delta: float
 
 
-def compare_methods(params: ModelParams, n: int, t: float, tau_grid,
-                    tolerance: float = 1e-6) -> MethodComparison:
+def compare_methods(params: ModelParams, n: int, t: float, tau_grid) -> MethodComparison:
     """Evaluate all three factor paths on a tau grid and cross-diff them.
 
     Before any method runs, raises FockState's ConfigError, then
     SectorTooLarge above QUADRATURE_OCCUPATION_GUARD; after, ToleranceExceeded
-    (report attached) if any pairwise deviation beats ``tolerance`` or is NaN.
+    (report attached) if any pairwise deviation beats COMPARE_TOLERANCE or
+    is NaN.
     """
     # the oracle refuses an n beyond its guard on entry, but the quadrature
     # runs last: FockState's rule and its guard are checked before any runs
@@ -585,10 +589,10 @@ def compare_methods(params: ModelParams, n: int, t: float, tau_grid,
     delta = np.max(np.hypot(d.real, d.imag), axis=0)
     report = MethodComparison(taus, closed, quadrature, oracle, delta,
                               float(np.max(delta, initial=0.0)))
-    if not report.max_delta <= tolerance:
+    if not report.max_delta <= COMPARE_TOLERANCE:
         raise ToleranceExceeded(
             f"methods disagree: max |delta| = {report.max_delta:.3e}, "
-            f"beyond the tolerance {tolerance:g}", report)
+            f"beyond the tolerance {COMPARE_TOLERANCE:g}", report)
     return report
 
 

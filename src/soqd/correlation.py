@@ -24,13 +24,13 @@ import numpy as np
 
 from .model import (
     ApparatusState,
-    ConfigError,
     DecoherenceNotReached,
     FockState,
     ModelParams,
     TAU_ROUNDING_BUDGET,
     TauUnresolved,
     _check_unit_disk,
+    _finite_floats,
 )
 from .propagator import echo_over_tau
 
@@ -40,7 +40,7 @@ __all__ = [
     "decoherence_time",
 ]
 
-#: threshold search window for decoherence_time
+#: decoherence_time's search window
 TAU_MAX_DEFAULT = 200.0
 
 #: decoherence_time: taus of its log-spaced bracketing grid and of each
@@ -119,10 +119,12 @@ def g2_interacting(f, t, tau, omega_e: float) -> np.ndarray:
     exp(i*omega_e*(t - t')) * f is taken as e.re*f.re - e.im*f.im on real
     arrays, never through a complex multiply, so the bits do not depend on
     SIMD dispatch.  Raises UnphysicalFactor when any |f| exceeds 1 by more
-    than roundoff.
+    than roundoff, then model._finite_floats's ConfigError and
+    NonFiniteParameter for t, else for tau, before any arithmetic.
     """
     f = np.asarray(f, dtype=complex)
     _check_unit_disk(f)
+    t, tau = _finite_floats(t, "t"), _finite_floats(tau, "tau")
     e = np.exp(_complex(0.0, omega_e * (t - (t + tau))))
     return 0.5 + 0.5 * (e.real * f.real - e.imag * f.imag)
 
@@ -136,10 +138,10 @@ def factor_over_tau(params: ModelParams, state: ApparatusState, t, taus) -> np.n
     method, 1-D and broadcast against taus.  The arithmetic is elementwise,
     so a length-1 call gives the bits of its entry in a whole grid, and the
     grid is evaluated _TAU_BLOCK nodes at a time with the bits of one call.
-    Raises NonFiniteParameter for a NaN or infinite t or tau and
-    NegativeTime where t or t + tau is below 0.
+    Raises model._time_grid's ConfigError, NonFiniteParameter, NegativeTime
+    and TauUnresolved.
     """
-    taus = np.atleast_1d(np.asarray(taus, dtype=float))
+    t, taus = _finite_floats(t, "t"), np.atleast_1d(_finite_floats(taus, "tau"))
     # a 1-D t is cut with the grid; an empty grid is one block, so t is checked
     cut_t = np.ndim(t) == 1 and taus.size in (1, np.size(t))
     taus = np.broadcast_to(taus, np.shape(t)) if cut_t else taus
@@ -153,35 +155,30 @@ def factor_over_tau(params: ModelParams, state: ApparatusState, t, taus) -> np.n
 # decoherence time
 # ---------------------------------------------------------------------------
 
-def decoherence_time(params: ModelParams, state: ApparatusState, t: float,
-                     threshold: float = 1.0 / math.e,
-                     tau_max: float = TAU_MAX_DEFAULT) -> float:
-    """Smallest tau > 0 with |F(t, t + tau)| below threshold.
+def decoherence_time(params: ModelParams, state: ApparatusState, t: float) -> float:
+    """Smallest tau > 0 with |F(t, t + tau)| below 1/e, up to TAU_MAX_DEFAULT.
 
     One log-spaced grid of _SEARCH_GRID taus, from the smallest tau that t
-    resolves (floored at tau_max * 2**-60) up to tau_max, brackets the
-    first crossing; linspaces of _SEARCH_REFINE taus then refine the
-    bracket to a relative width of at most 1e-12 and return its midpoint.
-    Each grid is one closed-form call, decided on log|F| < log(threshold),
-    so |F| never underflows.  Raises ConfigError for a threshold outside
-    (0, 1) or tau_max <= 0, DecoherenceNotReached when |F| stays above
-    threshold across the grid (equal couplings, empty preparations), and
+    resolves (floored at TAU_MAX_DEFAULT * 2**-60) up to TAU_MAX_DEFAULT,
+    brackets the first crossing; linspaces of _SEARCH_REFINE taus then
+    refine the bracket to a relative width of at most 1e-12 and return its
+    midpoint.  Each grid is one closed-form call, decided on log|F| < -1,
+    so |F| never underflows.  Raises model._finite_floats's ConfigError and
+    NonFiniteParameter for t, DecoherenceNotReached when |F| stays above
+    1/e across the grid (equal couplings, empty preparations), and
     TauUnresolved when |F| is below it already at the grid's first tau
     (n = 1e16 at t = 10).
     """
-    if not 0.0 < threshold < 1.0:
-        raise ConfigError(f"threshold must lie in (0, 1), got {threshold}")
-    if not 0 < tau_max < math.inf:
-        raise ConfigError(f"tau_max must be finite and > 0, got {tau_max}")
-    lo = min(tau_max, max(tau_max * 2.0 ** -60, math.ulp(t) / TAU_ROUNDING_BUDGET))
-    taus = np.geomspace(lo, tau_max, _SEARCH_GRID)
+    t = float(_finite_floats(t, "t"))
+    lo = min(TAU_MAX_DEFAULT, max(TAU_MAX_DEFAULT * 2.0 ** -60, math.ulp(t) / TAU_ROUNDING_BUDGET))
+    taus = np.geomspace(lo, TAU_MAX_DEFAULT, _SEARCH_GRID)
     while True:
-        below = _log_overlap(state, echo_over_tau(params, t, taus))[0] < math.log(threshold)
+        below = _log_overlap(state, echo_over_tau(params, t, taus))[0] < -1.0
         if not below.any():
-            raise DecoherenceNotReached(f"|F| stayed above {threshold:g} up to tau = {tau_max:g}")
+            raise DecoherenceNotReached(f"|F| stayed above 1/e up to tau = {TAU_MAX_DEFAULT:g}")
         i = int(np.argmax(below))
         if taus[i] == lo:
-            raise TauUnresolved(f"|F| is below {threshold:g} already at tau = {lo!r}, "
+            raise TauUnresolved(f"|F| is below 1/e already at tau = {lo!r}, "
                                 f"the smallest tau searched at t = {t!r}")
         lo, hi = (taus[i - 1] if i else lo), taus[i]
         if hi - lo <= _SEARCH_WIDTH * hi:

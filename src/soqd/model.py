@@ -10,6 +10,8 @@ entry per node (length 1 for scalars).  Only _time_grid forms t' = t + tau.
 """
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -97,6 +99,13 @@ class ToleranceExceeded(SimulationError):
 # parameters
 # ---------------------------------------------------------------------------
 
+def _shown(value) -> str:
+    """repr of ``value``; an int past 64 bits, which str() may refuse, by sign and bit length."""
+    if isinstance(value, int) and value.bit_length() > 64:
+        return f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
+    return repr(value)
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Frequencies and couplings of the field/detector system.
@@ -104,8 +113,9 @@ class ModelParams:
     omega1, omega2 are the two field-mode frequencies, d_e and d_g the
     exchange-coupling strengths selected by the excited and ground internal
     states, and omega_e the internal transition frequency.  Raises
-    NonFiniteParameter, naming each offending field, for NaN or infinite
-    values.
+    ConfigError, naming each offending field, for a bool or a value that is
+    not a real number, then NonFiniteParameter, naming each, for NaN, an
+    infinity or an int past the float range.
     """
 
     omega1: float
@@ -115,7 +125,11 @@ class ModelParams:
     omega_e: float
 
     def __post_init__(self):
-        bad = [f.name for f in fields(self) if not math.isfinite(getattr(self, f.name))]
+        values = [(f.name, getattr(self, f.name)) for f in fields(self)]
+        wrong = [k for k, v in values if isinstance(v, bool) or not isinstance(v, numbers.Real)]
+        if wrong:
+            raise ConfigError(f"model parameters must be real numbers: {', '.join(wrong)}")
+        bad = [k for k, v in values if not abs(v) <= sys.float_info.max]
         if bad:
             raise NonFiniteParameter(f"non-finite model parameters: {', '.join(bad)}")
 
@@ -126,27 +140,40 @@ class ModelParams:
 TAU_ROUNDING_BUDGET = 1e-8
 
 
+def _finite_floats(value, name: str) -> np.ndarray:
+    """``value``, a real number or an array of them, as a float array.
+
+    Raises ConfigError for anything else (a str, a complex, None), then
+    NonFiniteParameter, naming the first bad entry by _shown, for NaN, an
+    infinity or an int past the float range, compared without converting it.
+    """
+    x = np.asarray(value)
+    big = x.dtype.kind == "O"  # ints past 64 bits: compare each entry, not its float
+    if x.dtype.kind not in "biufO" or big and not all(isinstance(v, numbers.Real) for v in x.flat):
+        raise ConfigError(f"{name} must be real numbers, got {type(value).__name__}")
+    floats = np.array([v if abs(v) <= sys.float_info.max else math.inf for v in x.flat],
+                      float).reshape(x.shape) if big else x.astype(float, copy=False)
+    bad = np.flatnonzero(~np.isfinite(floats))
+    if bad.size:
+        entry = f"{name}[{bad[0]}]" if x.ndim else name
+        raise NonFiniteParameter(f"{entry} = {_shown(x.item(bad[0]))} is not finite as a float")
+    return floats
+
+
 def _time_grid(t, tau):
     """(t, t + tau) as a scalar or 1-D t and a 1-D t', checked.
 
     A scalar ``t`` stays scalar, so the propagators before t' enters act
-    on one column only.  Raises ConfigError when t and tau do not
-    broadcast to one scalar or 1-D grid, then NonFiniteParameter, naming
-    the first NaN or infinite entry of t, else of tau, before any
-    arithmetic, then NegativeTime, naming the lowest time, where t or t' is
-    below 0, then TauUnresolved, naming the first lost entry, where
-    |(t' - t) - tau| > TAU_ROUNDING_BUDGET * |tau|.
+    on one column only.  Raises _finite_floats's ConfigError and
+    NonFiniteParameter for t, else for tau, then ConfigError when they do
+    not broadcast to one scalar or 1-D grid, then NegativeTime, naming the
+    lowest time, where t or t' is below 0, then TauUnresolved, naming the
+    first lost entry, where |(t' - t) - tau| > TAU_ROUNDING_BUDGET * |tau|.
     """
-    t, tau = np.asarray(t, dtype=float), np.asarray(tau, dtype=float)
+    t, tau = _finite_floats(t, "t"), _finite_floats(tau, "tau")
     if max(t.ndim, tau.ndim) > 1 or 1 not in (t.size, tau.size) and t.size != tau.size:
         raise ConfigError(f"t and tau must be scalars or 1-D and broadcast, got shapes "
                           f"{t.shape} and {tau.shape}")
-    for name, x in (("t", t), ("tau", tau)):
-        bad = np.flatnonzero(~np.isfinite(x))
-        if bad.size:
-            where = f"[{bad[0]}]" if x.ndim else ""
-            raise NonFiniteParameter(
-                f"{name}{where} = {float(x.reshape(-1)[bad[0]])!r} is not a finite time")
     with np.errstate(over="ignore"):  # a t' past the float range is lost below
         t_prime = (t + tau).reshape(-1)
     low = float(min(np.min(t, initial=0.0), np.min(t_prime, initial=0.0)))
@@ -165,25 +192,24 @@ def _time_grid(t, tau):
 # apparatus preparations
 # ---------------------------------------------------------------------------
 
-def _shown(value) -> str:
-    """repr of ``value``; an int past 64 bits, which str() may refuse, by sign and bit length."""
-    if isinstance(value, int) and value.bit_length() > 64:
-        return f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
-    return repr(value)
-
-
 @dataclass(frozen=True)
 class CoherentState:
     """Product coherent preparation (alpha0 in mode 1, beta0 in mode 2).
 
-    Raises ConfigError unless 4(|alpha0|^2 + |beta0|^2), which bounds
-    |D z0|^2 as ||D|| <= 2 for unitary M, is a finite float."""
+    Raises ConfigError, naming the amplitude by _shown, for one that is not
+    a number or whose |re| + |im| is past the float range (an int is
+    compared without converting it), then unless 4(|alpha0|^2 + |beta0|^2),
+    which bounds |D z0|^2 as ||D|| <= 2 for unitary M, is a finite float."""
 
     alpha0: complex
     beta0: complex
 
     def __post_init__(self):
-        bound = 4 * sum(z.real * z.real + z.imag * z.imag for z in (self.alpha0, self.beta0))
+        for z in (self.alpha0, self.beta0):
+            if not isinstance(z, numbers.Complex) or abs(z.real) + abs(z.imag) > sys.float_info.max:
+                raise ConfigError(f"coherent amplitude {_shown(z)} is not a number in float range")
+        bound = 4 * sum(z.real * z.real + z.imag * z.imag
+                        for z in map(complex, (self.alpha0, self.beta0)))
         if not math.isfinite(bound):
             raise ConfigError(f"coherent amplitudes give 4(|alpha0|^2 + |beta0|^2) = {bound}, "
                               "not a finite float")
@@ -241,11 +267,10 @@ class CorrelationPoint:
     t, tau (float), f (complex) and g (float) are equal-length 1-D
     arrays, one entry per row; scalars are stored as the length-1 case,
     and len() is the row count.  Sweeps come out t-major with tau
-    ascending.  Raises NonFiniteParameter, naming the first bad entry,
-    when a t or tau is NaN or infinite; UnphysicalFactor, naming the worst
-    entry, when any f or g leaves its physical range by more than
-    UNIT_BOUND_SLACK (NaN included); and ConfigError when the columns differ
-    in length.
+    ascending.  Raises _finite_floats's ConfigError and NonFiniteParameter
+    for t, then for tau; ConfigError when the columns differ in length; and
+    UnphysicalFactor, naming the worst entry, when any f or g leaves its
+    physical range by more than UNIT_BOUND_SLACK (NaN included).
     """
 
     t: np.ndarray
@@ -254,18 +279,13 @@ class CorrelationPoint:
     g: np.ndarray
 
     def __post_init__(self):
-        shapes = []
-        for name, dtype in (("t", float), ("tau", float), ("f", complex), ("g", float)):
-            column = np.atleast_1d(np.asarray(getattr(self, name), dtype=dtype))
-            object.__setattr__(self, name, column)
-            shapes.append(column.shape)
+        columns = {"t": _finite_floats(self.t, "t"), "tau": _finite_floats(self.tau, "tau"),
+                   "f": np.asarray(self.f, dtype=complex), "g": np.asarray(self.g, dtype=float)}
+        for name, column in columns.items():
+            object.__setattr__(self, name, np.atleast_1d(column))
+        shapes = [getattr(self, name).shape for name in columns]
         if len(set(shapes)) != 1 or len(shapes[0]) != 1:
             raise ConfigError(f"t, tau, f and g must be 1-D and of one length, got shapes {shapes}")
-        for name in ("t", "tau"):
-            column = getattr(self, name)
-            bad = np.flatnonzero(~np.isfinite(column))
-            if bad.size:
-                raise NonFiniteParameter(f"{name}[{bad[0]}] = {column[bad[0]]} is not finite")
         _check_unit_disk(self.f)
         bad = ~((self.g >= -UNIT_BOUND_SLACK) & (self.g <= 1 + UNIT_BOUND_SLACK))
         if bad.any():

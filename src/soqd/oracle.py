@@ -65,10 +65,10 @@ def sector_hamiltonians(params: ModelParams, sector: int) -> np.ndarray:
     share the diagonal omega1*k + omega2*(sector - k) and the ladder roots
     sqrt((k+1)*(sector-k)) of the two-mode exchange on the sub/super-
     diagonal, scaled by the couplings d_e + d_g, d_e and d_g of the
-    internal populations (1, 1), (1, 0) and (0, 1).
+    internal populations (1, 1), (1, 0) and (0, 1).  Raises FockState's
+    ConfigError for a sector that is not an occupation it accepts.
     """
-    if sector < 0:
-        raise ConfigError(f"sector must be >= 0, got {_shown(sector)}")
+    FockState(sector)
     k = np.arange(sector + 1)
     h = np.zeros((3, sector + 1, sector + 1))
     h[:, k, k] = params.omega1 * k + params.omega2 * (sector - k)

@@ -104,13 +104,12 @@ def echo_over_tau(params: ModelParams, t: float, taus) -> np.ndarray:
 
     Returns a complex array of shape taus-shape + (2, 2); the arithmetic
     is elementwise, so each tau gets the bits of a length-1 call.  t' is
-    formed only for the check the oracle and the quadrature make
-    (model._time_grid): raises ConfigError for taus of more than one
-    dimension, NegativeTime where t or t + tau is below 0 and
-    TauUnresolved where t + tau loses tau to rounding.
+    formed only for the check the oracle and the quadrature make: raises
+    model._time_grid's ConfigError (also for taus of more than one
+    dimension), NonFiniteParameter, NegativeTime and TauUnresolved.
     """
-    taus = np.asarray(taus, dtype=float)
     _time_grid(t, taus)
+    taus = np.asarray(taus, dtype=float)
     w1, w2, de, dg = params.omega1, params.omega2, params.d_e, params.d_g
     k_less_i = _grown_matrix(_step_minus_identity(w1, w2, dg, -taus),
                              _step_minus_identity(w1, w2, de, taus))

@@ -1039,10 +1039,13 @@ def test_compare_methods_on_an_empty_grid(preset_params):
     assert report.f_oracle.dtype == report.f_quadrature.dtype == complex
 
 
-def test_compare_methods_raises_on_tight_tolerance(preset_params):
-    with pytest.raises(ToleranceExceeded) as excinfo:
-        compare_methods(preset_params, 2, 0.0, np.linspace(0.0, 5.0, 6),
-                        tolerance=1e-30)
+def test_compare_methods_raises_on_tight_tolerance(preset_params, monkeypatch):
+    """An oracle column moved by 2e-6, twice COMPARE_TOLERANCE, fails the compare."""
+    oracle = cli_module.decoherence_factor_oracle_fock
+    monkeypatch.setattr(cli_module, "decoherence_factor_oracle_fock",
+                        lambda *args: oracle(*args) + 2e-6)
+    with pytest.raises(ToleranceExceeded, match="beyond the tolerance 1e-06") as excinfo:
+        compare_methods(preset_params, 2, 0.0, np.linspace(0.0, 5.0, 6))
     assert excinfo.value.report is not None
     assert len(excinfo.value.report.tau) == 6
 

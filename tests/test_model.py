@@ -33,6 +33,10 @@ from soqd.cli import FIGURE_PARAMS
 from soqd.correlation import _log_overlap
 from soqd.model import _FOCK_CEILING, CorrelationPoint
 from soqd.oracle import min_cutoff
+from soqd.propagator import echo_over_tau
+
+#: an int with no finite float: float(HUGE) raises OverflowError
+HUGE = 10 ** 400
 
 
 @pytest.mark.parametrize("field", ["omega1", "omega2", "d_e", "d_g", "omega_e"])
@@ -41,6 +45,18 @@ def test_validate_rejects_non_finite(preset_params, field, bad):
     """ModelParams checks itself: no non-finite instance can exist."""
     with pytest.raises(NonFiniteParameter, match=field):
         ModelParams(**{**dataclasses.asdict(preset_params), field: bad})
+
+
+@pytest.mark.parametrize("fields, error, message", [
+    ((HUGE, 1.3, 0.8, 0.2, 1.0), NonFiniteParameter, "non-finite model parameters: omega1"),
+    (("x", 1.3, 0.8, 0.2, 1.0), ConfigError, "must be real numbers: omega1"),
+    ((True, 1.3, 0.8, 0.2, 1.0), ConfigError, "must be real numbers: omega1"),
+], ids=["huge", "str", "bool"])
+def test_model_params_refuses_what_its_json_form_refuses(fields, error, message):
+    """An int past the float range raised OverflowError, a str TypeError,
+    and a bool was taken as 1.0."""
+    with pytest.raises(error, match=message):
+        ModelParams(*fields)
 
 
 def test_params_json_round_trip(preset_params):
@@ -252,6 +268,18 @@ def test_correlation_point_check_survives_optimize():
     assert proc.returncode == 7, proc.stderr
 
 
+@pytest.mark.parametrize("call", [
+    lambda: CoherentState(0j, HUGE),
+    lambda: decoherence_factor_oracle_coherent(FIGURE_PARAMS, HUGE, 0.0, 1.0, 20),
+    lambda: CoherentState(0j, "x"),
+], ids=["huge", "oracle-huge", "str"])
+def test_coherent_state_refuses_a_huge_or_non_number_amplitude(call):
+    """A huge int raised OverflowError and a str AttributeError; both are
+    named by model._shown."""
+    with pytest.raises(ConfigError, match=r"^coherent amplitude (an integer of 1329 bits|'x') "):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # the time contract of the three factor methods
 # ---------------------------------------------------------------------------
@@ -305,6 +333,29 @@ def test_every_method_refuses_a_non_finite_time(method, bad):
         for (t, tau), message in cases:
             with pytest.raises(NonFiniteParameter, match=message):
                 METHODS[method](t, tau)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: factor_over_tau(FIGURE_PARAMS, FockState(3), HUGE, [1.0]), NonFiniteParameter),
+    (lambda: factor_over_tau(FIGURE_PARAMS, FockState(3), 0.0, [HUGE]), NonFiniteParameter),
+    (lambda: decoherence_factor_oracle_fock(FIGURE_PARAMS, 3, HUGE, 1.0), NonFiniteParameter),
+    (lambda: decoherence_factor_oracle_coherent(FIGURE_PARAMS, 1.0, HUGE, 1.0, min_cutoff(1.0)),
+     NonFiniteParameter),
+    (lambda: decoherence_factor_fock_quadrature(FIGURE_PARAMS, 3, HUGE, 1.0), NonFiniteParameter),
+    (lambda: echo_over_tau(FIGURE_PARAMS, HUGE, [1.0]), NonFiniteParameter),
+    (lambda: decoherence_time(FIGURE_PARAMS, FockState(3), HUGE), NonFiniteParameter),
+    (lambda: CorrelationPoint([HUGE], [0.0], [1.0], [1.0]), NonFiniteParameter),
+    (lambda: g2_interacting(1.0, HUGE, 1.0, 1.0), NonFiniteParameter),
+    (lambda: factor_over_tau(FIGURE_PARAMS, FockState(3), 0.0, "abc"), ConfigError),
+], ids=["closed-t", "closed-tau", "oracle_fock", "oracle_coherent", "quadrature", "echo",
+        "decoherence_time", "correlation_point", "g2", "closed-str"])
+def test_a_time_with_no_finite_float_is_refused_typed(call, error):
+    """An int past the float range raised OverflowError and a str tau
+    ValueError; the int is named by model._shown."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=r"integer of 1329 bits|must be real numbers"):
+            call()
 
 
 def test_every_method_refuses_times_that_make_no_1d_grid():

@@ -91,8 +91,15 @@ def test_sector_hamiltonian_ladder_weights(preset_params):
 
 
 def test_sector_hamiltonians_reject_a_negative_sector(preset_params):
-    with pytest.raises(ConfigError, match="sector must be >= 0"):
+    with pytest.raises(ConfigError, match="occupation must be a non-negative integer"):
         sector_hamiltonians(preset_params, -1)
+
+
+@pytest.mark.parametrize("sector", [2.5, 10 ** 400, True], ids=["float", "huge", "bool"])
+def test_sector_hamiltonians_take_their_sector_by_fock_states_rule(preset_params, sector):
+    """A float raised TypeError, a huge int ValueError, and True built sector 1."""
+    with pytest.raises(ConfigError, match="occupation"):
+        sector_hamiltonians(preset_params, sector)
 
 
 def test_sector_propagator_zero_duration_is_identity(preset_params):
